@@ -153,7 +153,7 @@ def _tail_points(args) -> list[float]:
 
 def _cmd_couple(args, sink: _Sink) -> str:
     stats = coupling_trials(args.n, args.k, args.kind, args.trials,
-                            seed=args.seed, cap=args.cap, engine=args.engine)
+                            seed=args.seed, cap=args.cap)
     if args.lazy_p is not None:
         stats = [lazy_trial_wrapper(s, args.lazy_p, args.seed) for s in stats]
     times = [s.coupling_time for s in stats]
@@ -164,7 +164,6 @@ def _cmd_couple(args, sink: _Sink) -> str:
         "trials": args.trials,
         "seed": args.seed,
         "cap": args.cap if args.cap is not None else DEFAULT_CAP_FACTOR * args.n**3,
-        "engine": args.engine,
         "lazy_p": args.lazy_p,
         "censored": sum(s.censored for s in stats),
         "mean_coupling_time": statistics.fmean(times),
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--cap", type=int, default=None,
                    help="censoring cap in steps (default 50 n^3)")
-    p.add_argument("--engine", default="auto",
-                   choices=("auto", "sequential", "lockstep"))
     p.add_argument("--lazy-p", type=float, default=None,
                    help="thin each trial to a p-lazy clock")
     p.add_argument("--tail", type=float, action="append",

@@ -10,10 +10,11 @@ copies the slot except in the two swap cases that create a match.  Coupling
 times upper-bound total variation distance; the collector statistics and the
 single-card walk produce the matching lower bounds.
 
-Every trial consumes a fixed number of random draws per step from its own
-counter-based stream keyed by (seed, trial), so the sequential reference
-engine and the vectorized lockstep engine produce identical trials and any
-trial can be replayed in isolation.
+Each trial is a pure function of (seed, trial): it reads its own
+counter-based stream, shuffles deck 2 with it, then draws the randomness of
+each block of DRAW_BLOCK steps up front.  Any trial can be replayed in
+isolation, and a trial's coupling time does not depend on which other
+trials run with it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SEQUENTIAL_CAP_N = 32          # lockstep pays off only past small n
 DEFAULT_CAP_FACTOR = 50        # censor a trial after 50 n^3 steps
-COMPACT_EVERY = 64             # lockstep row-compaction cadence
+DRAW_BLOCK = 64                # steps per draw block; part of the replay
+                               # contract, changing it changes every trial
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -37,30 +38,18 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
-    """Uniform deck of labels 1..n, drawn back to front."""
+    """Uniform deck of labels 1..n, drawn back to front: position i swaps
+    with a uniform j <= i for i = n - 1 down to 1.
+
+    One array draw over the bounds n, n - 1, ..., 2 reads the stream exactly
+    as the n - 1 scalar calls integers(i + 1) would, at a fraction of their
+    cost.
+    """
     deck = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(i + 1))
+    picks = rng.integers(np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), picks):
         deck[i], deck[j] = deck[j], deck[i]
     return deck
-
-
-@dataclass(frozen=True)
-class DeckPair:
-    """Two decks of the same size plus the step counter."""
-
-    n: int
-    deck1: tuple[int, ...]
-    deck2: tuple[int, ...]
-    steps: int = 0
-
-    def __post_init__(self):
-        want = list(range(1, self.n + 1))
-        if sorted(self.deck1) != want or sorted(self.deck2) != want:
-            raise ValueError("decks must be permutations of 1..n")
-
-    def matched(self) -> int:
-        return sum(a == b for a, b in zip(self.deck1, self.deck2))
 
 
 @dataclass(frozen=True)
@@ -71,225 +60,73 @@ class TrialStats:
     seed: int
     coupling_time: int
     censored: bool
-    tau: tuple[int, ...] | None = None
 
 
-def _move_to_top(deck: list[int], pos: int) -> None:
-    """In place: card at 0-based pos goes on top, the prefix shifts down."""
-    deck.insert(0, deck.pop(pos))
+def _trial(n: int, k: int, kind: str, trial: int, seed: int,
+           cap: int) -> TrialStats:
+    """One coupling trial on plain lists.
 
-
-def _insert_from_top(deck: list[int], slot: int) -> None:
-    """In place: top card moves to 0-based slot, the prefix shifts up."""
-    deck.insert(slot, deck.pop(0))
-
-
-def _bottom_step_lists(deck1: list[int], deck2: list[int], n: int, k: int,
-                       u_pos: int, u_fb: float) -> int:
-    """One card-coupling step on raw lists given the step's two draws.
-    Returns the card deck1 moved."""
-    card = deck1[n - k + u_pos]
-    block2 = deck2[n - k:]
-    if card in block2:
-        card2 = card
-    else:
-        pool = sorted(set(block2) - set(deck1[n - k:]))
-        card2 = pool[int(u_fb * len(pool))]
-    _move_to_top(deck1, deck1.index(card))
-    _move_to_top(deck2, deck2.index(card2))
-    return card
-
-
-def bottom_k_to_top_step(pair: DeckPair, k: int,
-                         rng: np.random.Generator) -> DeckPair:
-    """Card coupling step; both marginals are the reversed walk.
-
-    Matched counts can drop here (a move in one deck can shear an unrelated
-    match apart), but equal decks stay equal: identical blocks force
-    identical moves.
+    Each block of DRAW_BLOCK steps draws its two arrays up front: for the
+    card coupling the block-position picks then the fallback uniforms, for
+    the position coupling the leader coins then the slot picks.
     """
-    if not 1 < k <= pair.n:
-        raise ValueError(f"k={k} outside (1, {pair.n}]")
-    d1, d2 = list(pair.deck1), list(pair.deck2)
-    _bottom_step_lists(d1, d2, pair.n, k, int(rng.integers(k)), float(rng.random()))
-    return DeckPair(pair.n, tuple(d1), tuple(d2), pair.steps + 1)
-
-
-def _top_insert_step_lists(deck1: list[int], deck2: list[int], n: int, k: int,
-                           coin: int, u_pos: int) -> None:
-    """One position-coupling step on raw lists given the step's two draws."""
-    slot = n - k + 1 + u_pos                     # 1-based insertion slot
-    lead, trail = (deck1, deck2) if coin == 0 else (deck2, deck1)
-    p = trail.index(lead[0]) + 1                 # leader's top card in trailer
-    if n - k + 2 <= p <= n and slot in (p, p - 1):
-        trail_slot = p - 1 if slot == p else p
-    else:
-        trail_slot = slot
-    _insert_from_top(lead, slot - 1)
-    _insert_from_top(trail, trail_slot - 1)
-
-
-def top_insert_couple_step(pair: DeckPair, k: int,
-                           rng: np.random.Generator) -> DeckPair:
-    """Position coupling step; both marginals are the forward walk.
-
-    The trailing deck copies the leader's slot unless the leader's top card
-    sits at trailing position p with p in the bottom k-1 block and the slot
-    hits {p-1, p}; swapping those two slots parks the leader's card at the
-    same position in both decks, so the matched set never shrinks.
-    """
-    if not 1 < k <= pair.n:
-        raise ValueError(f"k={k} outside (1, {pair.n}]")
-    d1, d2 = list(pair.deck1), list(pair.deck2)
-    before = pair.matched()
-    _top_insert_step_lists(d1, d2, pair.n, k,
-                           int(rng.integers(2)), int(rng.integers(k)))
-    out = DeckPair(pair.n, tuple(d1), tuple(d2), pair.steps + 1)
-    assert out.matched() >= before, "match set shrank under the position coupling"
-    return out
-
-
-def _sequential_trial(n: int, k: int, kind: str, trial: int, seed: int,
-                      cap: int, track_cards: bool) -> TrialStats:
-    # draws come in blocks of COMPACT_EVERY steps, matching the lockstep
-    # engine's consumption order, so both engines realize the same trial
     rng = trial_rng(seed, trial)
     deck1 = list(range(1, n + 1))
-    deck2 = fisher_yates(n, rng)
-    tau = [0] * n if track_cards else None
-    if track_cards:
-        for i, (a, b) in enumerate(zip(deck1, deck2)):
-            if a != b:
-                tau[deck1[i] - 1] = -1
+    # deck2 holds deck1's int objects, so list comparison and search take
+    # their identity fast path for cards past the small-int cache (> 256)
+    deck2 = [deck1[c - 1] for c in fisher_yates(n, rng)]
+    lo = n - k                                   # first 0-based block position
     step = 0
-    block_a = block_b = None
     while deck1 != deck2:
         if step >= cap:
-            return TrialStats(trial, seed, cap, True,
-                              tuple(tau) if track_cards else None)
-        offset = step % COMPACT_EVERY
-        if offset == 0:
-            span = min(COMPACT_EVERY, cap - step)
-            if kind == "bottom_k_to_top":
-                block_a = rng.integers(k, size=span)
-                block_b = rng.random(size=span)
-            else:
-                block_a = rng.integers(2, size=span)
-                block_b = rng.integers(k, size=span)
+            return TrialStats(trial, seed, cap, True)
+        span = min(DRAW_BLOCK, cap - step)
         if kind == "bottom_k_to_top":
-            _bottom_step_lists(deck1, deck2, n, k,
-                               int(block_a[offset]), float(block_b[offset]))
+            picks = rng.integers(k, size=span).tolist()
+            fallbacks = rng.random(size=span).tolist()
+            for u, f in zip(picks, fallbacks):
+                # deck1 moves its block card at lo + u; deck2 moves the same
+                # card when its block holds it, else a uniform card of its
+                # block that deck1's block lacks (never needed at k = n).
+                # A card already matched sits at p1 in deck2 too, so about
+                # half the picks skip the search.
+                p1 = lo + u
+                card = deck1[p1]
+                p2 = p1 if deck2[p1] == card else deck2.index(card)
+                if p2 < lo:
+                    pool = sorted(set(deck2[lo:]).difference(deck1[lo:]))
+                    p2 = deck2.index(pool[int(f * len(pool))])
+                deck1.insert(0, deck1.pop(p1))
+                deck2.insert(0, deck2.pop(p2))
+                step += 1
+                if deck1 == deck2:
+                    break
         else:
-            _top_insert_step_lists(deck1, deck2, n, k,
-                                   int(block_a[offset]), int(block_b[offset]))
-        step += 1
-        if track_cards:
-            for i, card in enumerate(deck1):
-                now = deck2[i] == card
-                was = tau[card - 1] >= 0
-                if now and not was:
-                    tau[card - 1] = step
-                elif not now:
-                    tau[card - 1] = -1
-    return TrialStats(trial, seed, step, False,
-                      tuple(tau) if track_cards else None)
-
-
-def _lockstep_trials(n: int, k: int, kind: str, trials: int, seed: int,
-                     cap: int) -> list[TrialStats]:
-    """All trials advanced in lockstep over numpy rows; same draw protocol
-    and per-trial streams as the sequential engine, so results agree."""
-    rngs = [trial_rng(seed, t) for t in range(trials)]
-    deck1 = np.tile(np.arange(1, n + 1, dtype=np.int32), (trials, 1))
-    deck2 = np.array([fisher_yates(n, r) for r in rngs], dtype=np.int32)
-    times = np.zeros(trials, dtype=np.int64)
-    censored = np.zeros(trials, dtype=bool)
-    rows = np.arange(trials)
-    cols = np.arange(n)
-
-    def positions(deck):
-        pos = np.empty((deck.shape[0], n + 1), dtype=np.int32)
-        np.put_along_axis(pos, deck, np.broadcast_to(cols, deck.shape).astype(np.int32), 1)
-        return pos
-
-    def to_top(deck, p):
-        src = np.where(cols == 0, p[:, None],
-                       np.where(cols <= p[:, None], cols - 1, cols))
-        return np.take_along_axis(deck, src, 1)
-
-    def from_top(deck, slot0):
-        src = np.where(cols < slot0[:, None], cols + 1,
-                       np.where(cols == slot0[:, None], 0, cols))
-        return np.take_along_axis(deck, src, 1)
-
-    step = 0
-    while rows.size and step < cap:
-        chunk = min(COMPACT_EVERY, cap - step)
-        if kind == "bottom_k_to_top":
-            u_pos = np.array([r.integers(k, size=chunk) for r in
-                              (rngs[t] for t in rows)], dtype=np.int64)
-            u_fb = np.array([r.random(size=chunk) for r in
-                             (rngs[t] for t in rows)])
-        else:
-            coin = np.array([r.integers(2, size=chunk) for r in
-                             (rngs[t] for t in rows)], dtype=np.int64)
-            u_pos = np.array([r.integers(k, size=chunk) for r in
-                              (rngs[t] for t in rows)], dtype=np.int64)
-        for c in range(chunk):
-            live = ~(deck1 == deck2).all(1)
-            times[rows[live]] = step + 1
-            if not live.any():
-                deck1, deck2 = deck1[:0], deck2[:0]
-                rows = rows[:0]
-                break
-            if kind == "bottom_k_to_top":
-                pos1, pos2 = positions(deck1), positions(deck2)
-                card = np.take_along_axis(
-                    deck1, (n - k + u_pos[:, c])[:, None], 1)[:, 0]
-                if k < n:
-                    p2_of_card = np.take_along_axis(pos2, card[:, None].astype(np.int64), 1)[:, 0]
-                    in_block2 = p2_of_card >= n - k
-                    only2 = (pos2 >= n - k) & (pos1 < n - k)
-                    only2[:, 0] = False
-                    m = only2.sum(1)
-                    want = np.floor(u_fb[:, c] * np.maximum(m, 1)).astype(np.int64) + 1
-                    cum = np.cumsum(only2, axis=1)
-                    fb_card = np.argmax((cum == want[:, None]) & only2, axis=1)
-                    card2 = np.where(in_block2, card, fb_card).astype(np.int32)
-                else:
-                    card2 = card
-                p1 = np.take_along_axis(pos1, card[:, None].astype(np.int64), 1)[:, 0]
-                p2 = np.take_along_axis(pos2, card2[:, None].astype(np.int64), 1)[:, 0]
-                deck1 = to_top(deck1, p1)
-                deck2 = to_top(deck2, p2)
-            else:
-                lead_is_1 = coin[:, c] == 0
-                slot = n - k + 1 + u_pos[:, c]
-                lead = np.where(lead_is_1[:, None], deck1, deck2)
-                trail = np.where(lead_is_1[:, None], deck2, deck1)
-                pos_t = positions(trail)
-                top = lead[:, 0]
-                p = np.take_along_axis(pos_t, top[:, None].astype(np.int64), 1)[:, 0] + 1
-                swap = (p >= n - k + 2) & (p <= n) & ((slot == p) | (slot == p - 1))
-                trail_slot = np.where(swap, np.where(slot == p, p - 1, p), slot)
-                lead = from_top(lead, slot - 1)
-                trail = from_top(trail, trail_slot - 1)
-                deck1 = np.where(lead_is_1[:, None], lead, trail)
-                deck2 = np.where(lead_is_1[:, None], trail, lead)
-            step += 1
-        if rows.size:
-            live = ~(deck1 == deck2).all(1)
-            deck1, deck2 = deck1[live], deck2[live]
-            rows = rows[live]
-    censored[rows] = True
-    times[rows] = cap
-    return [TrialStats(t, seed, int(times[t]), bool(censored[t]))
-            for t in range(trials)]
+            coins = rng.integers(2, size=span).tolist()
+            slots = rng.integers(k, size=span).tolist()
+            for c, u in zip(coins, slots):
+                # the leader inserts its top card at slot; the trailer copies
+                # the slot unless that card sits in the trailer's bottom k - 1
+                # block at p and the slot hits {p - 1, p}: then the two slots
+                # swap and the card lands at the same position in both decks
+                slot = lo + u
+                lead, trail = (deck1, deck2) if c == 0 else (deck2, deck1)
+                top = lead.pop(0)
+                lead.insert(slot, top)
+                p = trail.index(top)
+                if p > lo and slot == p:
+                    slot = p - 1
+                elif p > lo and slot == p - 1:
+                    slot = p
+                trail.insert(slot, trail.pop(0))
+                step += 1
+                if deck1 == deck2:
+                    break
+    return TrialStats(trial, seed, step, False)
 
 
 def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
-                    cap: int | None = None, engine: str = "auto",
-                    track_cards: bool = False) -> list[TrialStats]:
+                    cap: int | None = None) -> list[TrialStats]:
     """Coupling times for deck1 = identity vs deck2 ~ uniform, per trial.
 
     kind is "bottom_k_to_top" or "top_insert".  Trials are pure functions of
@@ -302,16 +139,7 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
         raise ValueError(f"k={k} outside (1, {n}]")
     if cap is None:
         cap = DEFAULT_CAP_FACTOR * n**3
-    if engine == "auto":
-        engine = "sequential" if (track_cards or n <= SEQUENTIAL_CAP_N) else "lockstep"
-    if engine == "sequential":
-        return [_sequential_trial(n, k, kind, t, seed, cap, track_cards)
-                for t in range(trials)]
-    if engine == "lockstep":
-        if track_cards:
-            raise ValueError("track_cards requires the sequential engine")
-        return _lockstep_trials(n, k, kind, trials, seed, cap)
-    raise ValueError(f"unknown engine {engine!r}")
+    return [_trial(n, k, kind, t, seed, cap) for t in range(trials)]
 
 
 def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
@@ -412,7 +240,7 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float, trials: int,
                 card = deck[n - k + u_pos]
                 if card >= target_low:
                     seen.add(card)
-                _move_to_top(deck, n - k + u_pos)
+                deck.insert(0, deck.pop(n - k + u_pos))
                 l_j += 1
         hits += l_j > m
     p_hat = hits / trials
@@ -432,25 +260,6 @@ class SingleCardReport:
     stderr: float
     pi_a: float
     lower_bound: float
-
-
-def single_card_position_step(p: int, n: int, k: int,
-                              rng: np.random.Generator) -> int:
-    """One symmetrized-walk step of a single card's position.
-
-    The tracked card's position is Markov: a forward move shifts it up by
-    one when the slot lands at or below it and teleports the top card into a
-    uniform slot; a reversed move shifts it down or grabs it to the top.
-    """
-    forward = int(rng.integers(2)) == 0
-    slot = n - k + 1 + int(rng.integers(k))
-    if forward:
-        if p == 1:
-            return slot
-        return p - 1 if p <= slot else p
-    if p == slot:
-        return 1
-    return p + 1 if p < slot else p
 
 
 def single_card_lower_bound(n: int, k: int, l: int, trials: int,
@@ -505,4 +314,4 @@ def lazy_trial_wrapper(stats: TrialStats, p: float, seed: int = 0) -> TrialStats
             rng.negative_binomial(stats.coupling_time, p))
     else:
         waits = 0
-    return TrialStats(stats.trial, stats.seed, waits, stats.censored, None)
+    return TrialStats(stats.trial, stats.seed, waits, stats.censored)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
 
 
 def render_value(v) -> str:

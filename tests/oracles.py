@@ -6,6 +6,7 @@ fine; these run at tiny n and their outputs are frozen into fixtures or test
 literals.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, fsum
@@ -221,3 +222,117 @@ def coupon_tail(n, m, t):
 def harmonic_mean_l0(n):
     """E L_0 = n * H_n as an exact Fraction."""
     return n * sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# coupling steps on deck pairs.  A "move" applies one step given its draws;
+# a "step" reads those draws from a generator in the package's order.
+
+
+@dataclass(frozen=True)
+class DeckPair:
+    """Two decks of the same size plus the step counter."""
+
+    n: int
+    deck1: tuple
+    deck2: tuple
+    steps: int = 0
+
+    def __post_init__(self):
+        want = list(range(1, self.n + 1))
+        if sorted(self.deck1) != want or sorted(self.deck2) != want:
+            raise ValueError("decks must be permutations of 1..n")
+
+    def matched(self) -> int:
+        return sum(a == b for a, b in zip(self.deck1, self.deck2))
+
+
+def _check_k(pair, k):
+    if not 1 < k <= pair.n:
+        raise ValueError(f"k={k} outside (1, {pair.n}]")
+
+
+def o_to_top(deck, card):
+    """Deck with card moved to the top; the cards above it shift down."""
+    i = deck.index(card)
+    return (card,) + deck[:i] + deck[i + 1:]
+
+
+def o_from_top(deck, slot):
+    """Deck with its top card moved to 1-based slot; the cards above shift up."""
+    rest = deck[1:]
+    return rest[:slot - 1] + (deck[0],) + rest[slot - 1:]
+
+
+def bottom_k_to_top_move(pair, k, u_pos, u_fb):
+    """Card coupling step given the block pick u_pos in [0, k) and the
+    fallback uniform u_fb in [0, 1)."""
+    _check_k(pair, k)
+    n = pair.n
+    block1, block2 = pair.deck1[n - k:], pair.deck2[n - k:]
+    card = block1[u_pos]
+    if card in block2:
+        card2 = card
+    else:
+        pool = sorted(set(block2) - set(block1))
+        card2 = pool[int(u_fb * len(pool))]
+    return DeckPair(n, o_to_top(pair.deck1, card), o_to_top(pair.deck2, card2),
+                    pair.steps + 1)
+
+
+def bottom_k_to_top_step(pair, k, rng):
+    """Card coupling step; both marginals are the reversed walk.
+
+    Matched counts can drop here (a move in one deck can shear an unrelated
+    match apart), but equal decks stay equal: identical blocks force
+    identical moves.
+    """
+    return bottom_k_to_top_move(pair, k, int(rng.integers(k)), float(rng.random()))
+
+
+def top_insert_move(pair, k, coin, u_pos):
+    """Position coupling step given the leader coin (0: deck 1 leads) and
+    the slot pick u_pos in [0, k)."""
+    _check_k(pair, k)
+    n = pair.n
+    slot = n - k + 1 + u_pos                     # 1-based insertion slot
+    lead, trail = (pair.deck1, pair.deck2) if coin == 0 else (pair.deck2, pair.deck1)
+    p = trail.index(lead[0]) + 1                 # leader's top card in trailer
+    if n - k + 2 <= p <= n and slot in (p, p - 1):
+        trail_slot = p - 1 if slot == p else p
+    else:
+        trail_slot = slot
+    lead, trail = o_from_top(lead, slot), o_from_top(trail, trail_slot)
+    deck1, deck2 = (lead, trail) if coin == 0 else (trail, lead)
+    out = DeckPair(n, deck1, deck2, pair.steps + 1)
+    assert out.matched() >= pair.matched(), "match set shrank under the position coupling"
+    return out
+
+
+def top_insert_couple_step(pair, k, rng):
+    """Position coupling step; both marginals are the forward walk.
+
+    The trailing deck copies the leader's slot unless the leader's top card
+    sits at trailing position p with p in the bottom k-1 block and the slot
+    hits {p-1, p}; swapping those two slots parks the leader's card at the
+    same position in both decks, so the matched set never shrinks.
+    """
+    return top_insert_move(pair, k, int(rng.integers(2)), int(rng.integers(k)))
+
+
+def single_card_position_step(p, n, k, rng):
+    """One symmetrized-walk step of a single card's position.
+
+    The tracked card's position is Markov: a forward move shifts it up by
+    one when the slot lands at or below it and teleports the top card into a
+    uniform slot; a reversed move shifts it down or grabs it to the top.
+    """
+    forward = int(rng.integers(2)) == 0
+    slot = n - k + 1 + int(rng.integers(k))
+    if forward:
+        if p == 1:
+            return slot
+        return p - 1 if p <= slot else p
+    if p == slot:
+        return 1
+    return p + 1 if p < slot else p

@@ -1,20 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from shufflemix.coupling import (
+from oracles import (
     DeckPair,
+    bottom_k_to_top_move,
     bottom_k_to_top_step,
+    single_card_position_step,
+    top_insert_couple_step,
+    top_insert_move,
+)
+from shufflemix.coupling import (
     coupling_trials,
     coupon_collector,
     fisher_yates,
     increasing_bottom_statistic,
     lazy_trial_wrapper,
     single_card_lower_bound,
-    single_card_position_step,
     tail_estimate,
-    top_insert_couple_step,
     trial_rng,
 )
 from shufflemix.exact import convolve_step, densify, point_mass, tv_distance
@@ -42,13 +47,71 @@ def test_fisher_yates_uniform_chi_square():
     assert p > 1e-3
 
 
-def test_engines_realize_identical_trials():
-    for kind in ("bottom_k_to_top", "top_insert"):
-        for k in (3, 8):
-            seq = coupling_trials(8, k, kind, 40, seed=5, engine="sequential")
-            par = coupling_trials(8, k, kind, 40, seed=5, engine="lockstep")
-            assert [(s.coupling_time, s.censored) for s in seq] == \
-                   [(s.coupling_time, s.censored) for s in par]
+def test_fisher_yates_reads_the_stream_like_scalar_draws():
+    # the shuffle's one array draw must leave the same deck and the same
+    # stream position as one integers(i + 1) call per position
+    for n in (1, 2, 9, 300):
+        a, b = trial_rng(4, n), trial_rng(4, n)
+        deck = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            j = int(b.integers(i + 1))
+            deck[i], deck[j] = deck[j], deck[i]
+        assert fisher_yates(n, a) == deck
+        assert a.random(size=3).tolist() == b.random(size=3).tolist()
+
+
+def reference_trial(n, k, kind, seed, trial, cap):
+    """(coupling time, censored, tau) of one trial replayed with the oracle
+    moves under the draw protocol the package promises: a Philox stream
+    keyed by (seed, trial), a back-to-front Fisher-Yates shuffle of deck 2,
+    then per block of min(64, cap - step) steps the block's two draw arrays
+    (integers(k) then random() for the card coupling, integers(2) then
+    integers(k) for the position coupling).
+
+    tau[c - 1] is the step at which card c last became matched, or -1 while
+    it is unmatched.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    deck2 = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(i + 1))
+        deck2[i], deck2[j] = deck2[j], deck2[i]
+    pair = DeckPair(n, tuple(range(1, n + 1)), tuple(deck2))
+    tau = [0 if a == b else -1 for a, b in zip(pair.deck1, pair.deck2)]
+    while pair.deck1 != pair.deck2:
+        if pair.steps >= cap:
+            return cap, True, tau
+        span = min(64, cap - pair.steps)
+        if kind == "bottom_k_to_top":
+            move = bottom_k_to_top_move
+            draws = zip(rng.integers(k, size=span).tolist(), rng.random(size=span).tolist())
+        else:
+            move = top_insert_move
+            draws = zip(rng.integers(2, size=span).tolist(), rng.integers(k, size=span).tolist())
+        for a, b in draws:
+            pair = move(pair, k, a, b)
+            for card, other in zip(pair.deck1, pair.deck2):
+                if card != other:
+                    tau[card - 1] = -1
+                elif tau[card - 1] < 0:
+                    tau[card - 1] = pair.steps
+            if pair.deck1 == pair.deck2:
+                break
+    return pair.steps, False, tau
+
+
+@pytest.mark.parametrize("kind", ["bottom_k_to_top", "top_insert"])
+@pytest.mark.parametrize("n", [8, 40])
+def test_trials_match_the_oracle_replay(kind, n):
+    for k in (2, n // 2, n):
+        # the small cap censors some trials, mid-block and at a block edge
+        for cap, trials in ((None, 4), (70, 6), (64, 3)):
+            out = coupling_trials(n, k, kind, trials, seed=5, cap=cap)
+            limit = 50 * n**3 if cap is None else cap
+            ref = [reference_trial(n, k, kind, 5, t, limit)[:2] for t in range(trials)]
+            assert [(s.coupling_time, s.censored) for s in out] == ref, (k, cap)
+            if cap == 70 and k == 2:
+                assert any(s.censored for s in out)
 
 
 def test_trials_are_deterministic_in_seed():
@@ -178,11 +241,14 @@ def test_coupling_tail_dominates_exact_tv():
 
 
 def test_tau_tracking_consistent_with_coupling_time():
-    out = coupling_trials(6, 6, "top_insert", 25, seed=3, track_cards=True)
-    for s in out:
-        assert not s.censored
-        assert all(t >= 0 for t in s.tau)
-        assert s.coupling_time == max(s.tau)
+    # the last card to become matched does so at the coupling time
+    for kind in ("top_insert", "bottom_k_to_top"):
+        out = coupling_trials(6, 6, kind, 25, seed=3)
+        for s in out:
+            steps, censored, tau = reference_trial(6, 6, kind, 3, s.trial, 50 * 6**3)
+            assert not s.censored and not censored
+            assert all(t >= 0 for t in tau)
+            assert s.coupling_time == max(tau) == steps
 
 
 def test_collector_edge_cases_and_small_mean():
