@@ -7,7 +7,10 @@ the arguments, so replaying a saved manifest (``--manifest run.manifest.json``)
 reproduces them byte for byte; only the manifest's clock fields differ.
 
 Exit codes: 0 success, 2 usage or domain error, 3 capacity cap exceeded,
-4 numeric non-convergence, 1 I/O failure.
+4 numeric non-convergence, 1 I/O failure.  A run that fails with 2, 3 or 4
+after its arguments parse still writes ``<subcommand>.manifest.json``, with
+a ``status`` ("error", "capacity" or "numeric"), the error message, and the
+diagnostic ``trace`` a NumericError carries (null otherwise).
 """
 
 from __future__ import annotations
@@ -240,8 +243,7 @@ def _cmd_lowerbound(args, sink: _Sink) -> str:
 
 
 def _cmd_wilson(args, sink: _Sink) -> str:
-    payload = wilson_report(args.n, args.eps, samples=args.samples,
-                            r_samples=args.r_samples, seed=args.seed)
+    payload = wilson_report(args.n, args.eps)
     stem = f"wilson_n{args.n}"
     sink.json(f"{stem}.json", payload)
     return stem
@@ -429,11 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-mult", type=float, default=None,
                    help="step count as a multiple of n ln n")
 
-    p = add("wilson", "near-eigenfunction parameters and step bound", seeded=True)
+    p = add("wilson", "near-eigenfunction parameters and certified step bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.9)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--r-samples", type=int, default=4_000)
 
     p = add("flow", "Cayley-graph flow congestion and comparisons", seeded=True)
     p.add_argument("--builder", required=True,
@@ -506,10 +506,33 @@ def _run(argv: list[str]) -> int:
     )
     manifest.start()
     sink = _Sink(args.out, manifest)
-    stem = _HANDLERS[args.cmd](args, sink)
+    try:
+        stem = _HANDLERS[args.cmd](args, sink)
+    except _FAILURE_TYPES as exc:
+        manifest.finish()
+        try:
+            manifest.write_failure(sink.dir / f"{args.cmd}.manifest.json",
+                                   _failure(exc)[1], str(exc), getattr(exc, "trace", None))
+        except OSError as io_exc:
+            print(f"shufflemix: io: no failure manifest: {io_exc}", file=sys.stderr)
+        raise
     manifest.finish()
     manifest.write(sink.dir / f"{stem}.manifest.json")
     return 0
+
+
+# exception types -> (exit code, manifest status and stderr label)
+_FAILURES = (
+    ((ValueError, UnreachableTargetError), 2, "error"),
+    ((CapacityError,), 3, "capacity"),
+    ((NumericError,), 4, "numeric"),
+)
+_FAILURE_TYPES = tuple(t for types, _, _ in _FAILURES for t in types)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next((code, status) for types, code, status in _FAILURES
+                if isinstance(exc, types))
 
 
 def run(argv=None) -> int:
@@ -520,15 +543,10 @@ def run(argv=None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, UnreachableTargetError) as exc:
-        print(f"shufflemix: error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"shufflemix: capacity: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"shufflemix: numeric: {exc}", file=sys.stderr)
-        return 4
+    except _FAILURE_TYPES as exc:
+        code, status = _failure(exc)
+        print(f"shufflemix: {status}: {exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"shufflemix: io: {exc}", file=sys.stderr)
         return 1

@@ -129,15 +129,6 @@ class CayleyPath:
         return cached
 
 
-def path_endpoint(path: CayleyPath) -> Permutation:
-    """Product of the path's letters in written order (empty word -> e).
-
-    >>> path_endpoint(CayleyPath(5, ("s3inv", "s5", "s4inv", "s3"))) == transposition(3, 5, 5)
-    True
-    """
-    return path.endpoint
-
-
 @dataclass(frozen=True)
 class Flow:
     """Weighted paths routing ``target`` through the Cayley graph of ``q``.
@@ -502,19 +493,6 @@ def dirichlet_form(f, q: SparseMeasure) -> float:
         diff = f[t.right_mul(g.map)] - f
         acc += float(w) * float(diff @ diff)
     return acc / (2 * t.size)
-
-
-def dirichlet_form_operator(f, q: SparseMeasure) -> float:
-    """<(I - Q)f, f> under the uniform inner product; equals
-    :func:`dirichlet_form` when q is symmetric."""
-    t = group_table(q.n)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (t.size,):
-        raise ValueError(f"expected f of length {t.size}, got {f.shape}")
-    qf = np.zeros(t.size)
-    for g, w in q.items():
-        qf += float(w) * f[t.right_mul(g.map)]
-    return float((f - qf) @ f) / t.size
 
 
 @dataclass(frozen=True)

@@ -153,15 +153,6 @@ def convolve_measures(a: SparseMeasure, b: SparseMeasure) -> SparseMeasure:
     return _from_pairs(a.n, pairs)
 
 
-def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:
-    if m < 0:
-        raise ValueError(f"negative power {m}")
-    acc = delta_e(q.n)
-    for _ in range(m):
-        acc = convolve_measures(acc, q)
-    return acc
-
-
 def measure_to_json_obj(q: SparseMeasure) -> dict:
     return {
         "n": q.n,

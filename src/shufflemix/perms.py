@@ -105,14 +105,6 @@ def inverse(a: Permutation) -> Permutation:
     return Permutation(a.n, tuple(out))
 
 
-def compose_word(letters, n: int) -> Permutation:
-    """Left-to-right product of a sequence of permutations (empty word -> e)."""
-    acc = identity(n)
-    for g in letters:
-        acc = compose(acc, g)
-    return acc
-
-
 def rank(a: Permutation) -> int:
     """Lexicographic rank of the one-line array, in [0, n!-1].
 
@@ -156,15 +148,3 @@ def unrank(r: int, n: int) -> Permutation:
 def serialize(a: Permutation) -> str:
     """One-line form as a comma-separated string, e.g. "2,3,1"."""
     return ",".join(str(x) for x in a.map)
-
-
-def parse(text: str, n: int | None = None) -> Permutation:
-    """Parse the :func:`serialize` format.
-
-    >>> parse("2,3,1") == cycle_generator(3, 3)
-    True
-    """
-    entries = tuple(int(tok) for tok in text.split(","))
-    if n is not None and len(entries) != n:
-        raise ValueError(f"expected {n} entries, got {len(entries)}")
-    return Permutation(len(entries), entries)

@@ -105,6 +105,13 @@ class RunManifest:
     def write(self, path) -> Path:
         return emit_json(path, asdict(self))
 
+    def write_failure(self, path, status: str, error: str, trace) -> Path:
+        """The manifest of a run that stopped early: every field of a
+        successful one (outputs lists what was written before the stop) plus
+        the failure's status, message and diagnostic trace."""
+        return emit_json(path, {**asdict(self), "status": status, "error": error,
+                                "trace": trace})
+
     @staticmethod
     def load(path) -> "RunManifest":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -29,8 +29,13 @@ least 1 - eps) for
 
     t <= (log Psi_max + (1/2) log(gamma eps / (4 R))) / (-log(1 - gamma))
 
-steps.  Everything here is certified numerically by the eigenfunction
-residual rather than trusted from the algebra; see tests.
+steps (Wilson, Ann. Appl. Probab. 14, 2004).  The lemma needs R to bound
+the sup over all lifted states, and the eigenfunction relation must hold in
+every state.  Both are certified in O(n), not sampled: under a fixed slot a
+card's move and winding shift depend only on its position, and positions
+form a bijection, so the triangle inequality bounds the increment of Psi
+and the residual of E[Psi'] - lambda Psi over all states at once.  The
+residual certifies the algebra rather than trusting it; see tests.
 """
 
 from __future__ import annotations
@@ -201,74 +206,14 @@ class WilsonParams:
             raise ValueError(f"eps={self.eps} outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class LiftedState:
-    """Inverse positions, the step counter mod n, and per-card windings."""
-
-    n: int
-    inv_pos: tuple[int, ...]
-    y: int
-    z: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
-        if sorted(self.inv_pos) != list(range(1, n + 1)):
-            raise ValueError("inv_pos is not a bijection of 1..n")
-        if not 0 <= self.y < n:
-            raise ValueError(f"y={self.y} outside [0, {n})")
-        if len(self.z) != n or not all(0 <= zj < n for zj in self.z):
-            raise ValueError("z entries must lie in [0, n)")
-
-
-def lifted_start(n: int) -> LiftedState:
-    return LiftedState(n, tuple(range(1, n + 1)), 0, (0,) * n)
-
-
-def card_update(pos: int, z: int, l: int, n: int) -> tuple[int, int]:
-    """One card's (position, winding) after multiplying by sigma_l.
-
-    >>> card_update(5, 0, 8, 8)    # full cycle: everyone shifts down
-    (4, 0)
-    >>> card_update(1, 0, 7, 8)    # top card lands at l, winding slips by n-l
-    (7, 7)
-    >>> card_update(1, 0, 6, 8)
-    (6, 6)
-    >>> card_update(7, 3, 6, 8)    # below the insertion point: untouched, Y ticks
-    (7, 4)
-    """
-    if l == n:
-        return (n if pos == 1 else pos - 1), z
-    if pos > l:
-        return pos, (z + 1) % n
-    if pos == 1:
-        return l, (z + l) % n
-    return pos - 1, z
-
-
-def lifted_step(state: LiftedState, l: int) -> LiftedState:
-    """Advance the lifted chain by the generator sigma_l, l in {n-2, n-1, n}."""
-    n = state.n
-    if l not in (n - 2, n - 1, n):
-        raise ValueError(f"l={l} is not one of the three bottom slots for n={n}")
-    pairs = [card_update(p, z, l, n) for p, z in zip(state.inv_pos, state.z)]
-    return LiftedState(
-        n,
-        tuple(p for p, _ in pairs),
-        (state.y + 1) % n,
-        tuple(z for _, z in pairs),
-    )
-
-
-def psi(state: LiftedState, params: WilsonParams) -> complex:
-    """Psi = sum_j v(pos(j)) w^{Z(j)}; reads only inv_pos and z, never y."""
-    pos = np.asarray(state.inv_pos)
-    zz = np.asarray(state.z)
-    phase = np.exp(2j * np.pi * zz / state.n)
-    return complex((params.v[pos - 1] * phase).sum())
-
-
 def _bulk_step(pos: np.ndarray, z: np.ndarray, l: int, n: int):
-    """card_update applied to whole (samples, n) arrays."""
+    """Cards' (position, winding) after multiplying by sigma_l, elementwise.
+
+    At l = n every card steps down one position (the top card wraps to the
+    bottom) and windings stay.  Otherwise the top card lands at l and its
+    winding grows by l, cards below l stay put and their windings grow by 1
+    (the clock Y ticks), and the cards in between step down.
+    """
     if l == n:
         return np.where(pos == 1, n, pos - 1), z
     top = pos == 1
@@ -278,55 +223,43 @@ def _bulk_step(pos: np.ndarray, z: np.ndarray, l: int, n: int):
     return new_pos, new_z
 
 
-def _bulk_psi(pos: np.ndarray, z: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    phase = np.exp(2j * np.pi * z / n)
-    return (v[pos - 1] * phase).sum(axis=-1)
+def _slot_images(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """t_l(x) = v(x') w^{dz} for the three slots l, indexed by position x.
 
-
-def _sample_states(n: int, samples: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(seed))
-    pos = np.argsort(rng.random((samples, n)), axis=1) + 1
-    z = rng.integers(0, n, size=(samples, n))
-    return pos, z
-
-
-def eigenfunction_residual(params: WilsonParams, samples: int = 10_000,
-                           seed: int = 0, lam: complex | None = None) -> float:
-    """max over sampled states of |E[Psi'] - lam Psi| / max(1, |Psi|).
-
-    This is the certificate for the whole construction: the case table, the
-    v-list indexing, and the root must all be right for it to vanish.  lam
-    may be overridden to demonstrate sensitivity.
+    A card at x moves to x' and its winding grows by dz under sigma_l; both
+    depend only on x and l.  Positions form a bijection, so every state
+    satisfies Psi_l' - Psi = sum_j w^{Z(j)} (t_l(x_j) - v(x_j)).
     """
-    n = params.n
+    pos = np.arange(1, n + 1)
+    out = []
+    for l in (n - 2, n - 1, n):
+        new_pos, dz = _bulk_step(pos, np.zeros(n, dtype=np.int64), l, n)
+        out.append(v[new_pos - 1] * np.exp(2j * np.pi * dz / n))
+    return out
+
+
+def eigenfunction_residual(params: WilsonParams, lam: complex | None = None) -> float:
+    """sum_x |(1/3) sum_l t_l(x) - lam v(x)|, a bound on sup |E[Psi'] - lam Psi|.
+
+    The sup runs over all lifted states, so the value also bounds the same
+    difference relative to max(1, |Psi|).  This is the certificate for the
+    whole construction: the case table, the v-list indexing, and the root
+    must all be right for it to vanish.  lam may be overridden to
+    demonstrate sensitivity.
+    """
     if lam is None:
         lam = params.lam
-    pos, z = _sample_states(n, samples, seed)
-    base = _bulk_psi(pos, z, params.v, n)
-    mean = np.zeros(samples, dtype=np.complex128)
-    for l in (n - 2, n - 1, n):
-        p2, z2 = _bulk_step(pos, z, l, n)
-        mean += _bulk_psi(p2, z2, params.v, n)
-    mean /= 3
-    err = np.abs(mean - lam * base) / np.maximum(1.0, np.abs(base))
-    return float(err.max())
+    mean = sum(_slot_images(params.v, params.n)) / 3
+    return float(np.abs(mean - lam * params.v).sum())
 
 
-def r_estimate(params: WilsonParams, samples: int = 4_000, seed: int = 1) -> float:
-    """max over sampled states of E[|Psi' - Psi|^2] under a uniform slot."""
-    n = params.n
-    pos, z = _sample_states(n, samples, seed)
-    base = _bulk_psi(pos, z, params.v, n)
-    acc = np.zeros(samples, dtype=np.float64)
-    for l in (n - 2, n - 1, n):
-        p2, z2 = _bulk_step(pos, z, l, n)
-        acc += np.abs(_bulk_psi(p2, z2, params.v, n) - base) ** 2
-    return float(acc.max() / 3)
+def compute_params(n: int, eps: float = 0.9, tol: float | None = None) -> WilsonParams:
+    """Newton root, boundary coefficients, Psi_max = sum |v|, certified R.
 
-
-def compute_params(n: int, eps: float = 0.9, tol: float | None = None,
-                   r_samples: int = 4_000, seed: int = 0) -> WilsonParams:
-    """Newton root, boundary coefficients, Psi_max = sum |v|, sampled R."""
+    R = (1/3) sum_l B_l^2 with B_l = sum_x |t_l(x) - v(x)|; by the triangle
+    inequality |Psi_l' - Psi| <= B_l in every state, so R bounds the sup of
+    E|Psi' - Psi|^2 under a uniform slot, as Wilson's lemma needs.
+    """
     root = newton_root(n, tol)
     w = unit_root(n)
     chi = chi_values(root.lam, w, n)
@@ -337,11 +270,7 @@ def compute_params(n: int, eps: float = 0.9, tol: float | None = None,
         )
     v = v_list(n, root.lam, chi.chi0, chi.chi1)
     psi_max = float(np.abs(v).sum())
-    probe = WilsonParams(
-        n=n, w=w, lam=root.lam, chi0=chi.chi0, chi1=chi.chi1,
-        gamma=1 - root.lam.real, psi_max=psi_max, r_bound=1.0, eps=eps, v=v,
-    )
-    r = r_estimate(probe, r_samples, seed)
+    r = sum(float(np.abs(t - v).sum()) ** 2 for t in _slot_images(v, n)) / 3
     return WilsonParams(
         n=n, w=w, lam=root.lam, chi0=chi.chi0, chi1=chi.chi1,
         gamma=1 - root.lam.real, psi_max=psi_max, r_bound=r, eps=eps, v=v,
@@ -385,12 +314,11 @@ def lazy_transfer(params: WilsonParams) -> WilsonParams:
     )
 
 
-def wilson_report(n: int, eps: float = 0.9, samples: int = 10_000,
-                  r_samples: int = 4_000, seed: int = 0) -> dict:
+def wilson_report(n: int, eps: float = 0.9) -> dict:
     """Payload for the `wilson` subcommand."""
-    params = compute_params(n, eps, r_samples=r_samples, seed=seed)
+    params = compute_params(n, eps)
     chi = chi_values(params.lam, params.w, n)
-    resid = eigenfunction_residual(params, samples, seed)
+    resid = eigenfunction_residual(params)
     return {
         "n": n,
         "lambda": {"re": params.lam.real, "im": params.lam.imag},

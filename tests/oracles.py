@@ -1,15 +1,23 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is deliberately self-contained: no imports from the package
+The oracles are deliberately self-contained: no imports from the package
 under test, simple data (tuples, Fractions), brute-force algorithms.  Slow is
 fine; these run at tiny n and their outputs are frozen into fixtures or test
-literals.
+literals.  Only the last section imports the package: small conveniences over
+its own types that tests use and the package does not.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, fsum
+
+from shufflemix.exact import group_table
+from shufflemix.flows import CayleyPath
+from shufflemix.measures import SparseMeasure, convolve_measures, delta_e
+# cycle_generator and transposition appear only in the doctests below
+from shufflemix.perms import Permutation, compose, cycle_generator, identity, transposition
 
 
 def o_cycle(l, n):
@@ -336,3 +344,133 @@ def single_card_position_step(p, n, k, rng):
     if p == slot:
         return 1
     return p + 1 if p < slot else p
+
+
+# ---------------------------------------------------------------------------
+# the lifted chain of the k = 3 walk, one card at a time.  The package only
+# needs each slot's per-position image (wilson._slot_images); these scalar
+# steps are the reference its certificates are checked against.
+
+
+@dataclass(frozen=True)
+class LiftedState:
+    """Inverse positions, the step counter mod n, and per-card windings."""
+
+    n: int
+    inv_pos: tuple
+    y: int
+    z: tuple
+
+    def __post_init__(self):
+        n = self.n
+        if sorted(self.inv_pos) != list(range(1, n + 1)):
+            raise ValueError("inv_pos is not a bijection of 1..n")
+        if not 0 <= self.y < n:
+            raise ValueError(f"y={self.y} outside [0, {n})")
+        if len(self.z) != n or not all(0 <= zj < n for zj in self.z):
+            raise ValueError("z entries must lie in [0, n)")
+
+
+def lifted_start(n):
+    return LiftedState(n, tuple(range(1, n + 1)), 0, (0,) * n)
+
+
+def card_update(pos, z, l, n):
+    """One card's (position, winding) after multiplying by sigma_l.
+
+    >>> card_update(5, 0, 8, 8)    # full cycle: everyone shifts down
+    (4, 0)
+    >>> card_update(1, 0, 7, 8)    # top card lands at l, winding slips by n-l
+    (7, 7)
+    >>> card_update(1, 0, 6, 8)
+    (6, 6)
+    >>> card_update(7, 3, 6, 8)    # below the insertion point: untouched, Y ticks
+    (7, 4)
+    """
+    if l == n:
+        return (n if pos == 1 else pos - 1), z
+    if pos > l:
+        return pos, (z + 1) % n
+    if pos == 1:
+        return l, (z + l) % n
+    return pos - 1, z
+
+
+def lifted_step(state, l):
+    """Advance the lifted chain by the generator sigma_l, l in {n-2, n-1, n}."""
+    n = state.n
+    if l not in (n - 2, n - 1, n):
+        raise ValueError(f"l={l} is not one of the three bottom slots for n={n}")
+    pairs = [card_update(p, z, l, n) for p, z in zip(state.inv_pos, state.z)]
+    return LiftedState(
+        n,
+        tuple(p for p, _ in pairs),
+        (state.y + 1) % n,
+        tuple(z for _, z in pairs),
+    )
+
+
+def psi(state, params):
+    """Psi = sum_j v(pos(j)) w^{Z(j)}; reads only inv_pos and z, never y.
+
+    params is anything with the position weights as ``params.v`` (0-indexed).
+    """
+    n = state.n
+    return sum(complex(params.v[p - 1]) * cmath.exp(2j * cmath.pi * z / n)
+               for p, z in zip(state.inv_pos, state.z))
+
+
+# ---------------------------------------------------------------------------
+# test-only conveniences over the package's types
+
+
+def compose_word(letters, n: int) -> Permutation:
+    """Left-to-right product of a sequence of permutations (empty word -> e)."""
+    acc = identity(n)
+    for g in letters:
+        acc = compose(acc, g)
+    return acc
+
+
+def parse(text: str, n: int | None = None) -> Permutation:
+    """Parse the package's ``serialize`` format.
+
+    >>> parse("2,3,1") == cycle_generator(3, 3)
+    True
+    """
+    entries = tuple(int(tok) for tok in text.split(","))
+    if n is not None and len(entries) != n:
+        raise ValueError(f"expected {n} entries, got {len(entries)}")
+    return Permutation(len(entries), entries)
+
+
+def path_endpoint(path: CayleyPath) -> Permutation:
+    """Product of the path's letters in written order (empty word -> e).
+
+    >>> path_endpoint(CayleyPath(5, ("s3inv", "s5", "s4inv", "s3"))) == transposition(3, 5, 5)
+    True
+    """
+    return path.endpoint
+
+
+def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:
+    if m < 0:
+        raise ValueError(f"negative power {m}")
+    acc = delta_e(q.n)
+    for _ in range(m):
+        acc = convolve_measures(acc, q)
+    return acc
+
+
+def dirichlet_form_operator(f, q: SparseMeasure) -> float:
+    """<(I - Q)f, f> under the uniform inner product; equals the package's
+    ``dirichlet_form`` when q is symmetric."""
+    import numpy as np
+    t = group_table(q.n)
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (t.size,):
+        raise ValueError(f"expected f of length {t.size}, got {f.shape}")
+    qf = np.zeros(t.size)
+    for g, w in q.items():
+        qf += float(w) * f[t.right_mul(g.map)]
+    return float((f - qf) @ f) / t.size

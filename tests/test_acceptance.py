@@ -197,7 +197,7 @@ def test_criterion_06_wilson_suite(frozen):
         assert abs(value) <= 1e-12 * n, n
         chi = chi_values(params.lam, params.w, n)
         assert max(chi.residuals) <= 1e-8, n
-        assert eigenfunction_residual(params, 10_000, SEED) <= 1e-9, n
+        assert eigenfunction_residual(params) <= 1e-9, n
         n3g = n**3 * params.gamma
         assert band_lo <= n3g <= band_hi, (n, n3g)
         assert abs(n3g - frozen_vals[str(n)]) <= 1e-9 * frozen_vals[str(n)], n
@@ -213,7 +213,7 @@ def test_criterion_06_wilson_suite(frozen):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the step bound at n = 16 is 0 (vacuous) and the consecutive ratios "
-    "t(2n)/t(n) measure 19.97, 12.70, 10.99 across 32..256, approaching the "
+    "t(2n)/t(n) measure 69.6, 14.35, 11.41 across 32..256, approaching the "
     "asymptotic 8 from above but entering [7, 9.5] only far beyond this "
     "range of n"))
 def test_criterion_06_step_bound_ratio_band():

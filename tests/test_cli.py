@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import shufflemix.cli as cli
+import shufflemix.wilson as wilson
 from shufflemix.cli import run
 from shufflemix.errors import NumericError
 from shufflemix.exact import mixing_time, spectrum
@@ -199,15 +200,12 @@ def test_lowerbound_requires_step_count(tmp_path, capsys):
 
 
 def test_wilson_payload(tmp_path):
-    assert run(["wilson", "--n", "64", "--samples", "300", "--r-samples", "200",
-                "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert run(["wilson", "--n", "64", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "wilson_n64.json")
     assert payload["n"] == 64
     assert payload["residual"] <= 1e-9
     assert payload["bound_t"] > 0
     assert payload["lazy_bound_t"] > payload["bound_t"]
-    manifest = read_json(tmp_path / "wilson_n64.manifest.json")
-    assert manifest["seed"] == 7
 
 
 def test_wilson_bad_eps(tmp_path, capsys):
@@ -299,3 +297,42 @@ def test_numeric_error_exit_code(tmp_path, capsys, monkeypatch):
     assert run(["collector", "--n", "5", "--trials", "2",
                 "--out", str(tmp_path)]) == 4
     assert "numeric" in capsys.readouterr().err
+
+
+def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch):
+    newton = wilson.newton_root
+    monkeypatch.setattr(wilson, "newton_root",
+                        lambda n, tol=None: newton(n, tol, max_iter=2))
+    argv = ["wilson", "--n", "64", "--out", str(tmp_path)]
+    assert run(argv) == 4
+    assert "numeric" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["wilson.manifest.json"]
+    manifest = read_json(tmp_path / "wilson.manifest.json")
+    assert manifest["status"] == "numeric"
+    assert manifest["argv"] == argv
+    assert manifest["outputs"] == {}
+    assert manifest["started"] <= manifest["finished"]
+    assert "Newton did not reach" in manifest["error"]
+    trace = manifest["trace"]
+    assert len(trace["residuals"]) == 2
+    assert trace["iterates"][0] == {"re": 1.0, "im": 0.0}
+    assert len(trace["iterates"]) == 3
+
+
+@pytest.mark.parametrize("argv,code,status", [
+    (["wilson", "--n", "16", "--eps", "1.5"], 2, "error"),
+    (["spectrum", "--n", "7", "--k", "3"], 3, "capacity"),
+])
+def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
+    assert run(argv + ["--out", str(tmp_path)]) == code
+    assert status in capsys.readouterr().err
+    manifest = read_json(tmp_path / f"{argv[0]}.manifest.json")
+    assert manifest["status"] == status
+    assert manifest["trace"] is None
+    assert manifest["error"]
+
+
+def test_usage_error_writes_no_manifest(tmp_path, capsys):
+    assert run(["wilson", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not any(tmp_path.iterdir())

@@ -23,7 +23,6 @@ from shufflemix.exact import (
     tv_distance,
 )
 from shufflemix.measures import (
-    convolution_power,
     delta_e,
     lazy,
     random_transposition,

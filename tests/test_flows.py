@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances_nx, o_compose
+from oracles import bfs_distances_nx, dirichlet_form_operator, o_compose, path_endpoint
 from shufflemix.errors import CapacityError, UnreachableTargetError
 from shufflemix.exact import group_table, least_eigenvalue_formula, mixing_time, spectrum
 from shufflemix.flows import (
@@ -20,7 +20,6 @@ from shufflemix.flows import (
     congestion_A,
     congestion_lower_bound,
     dirichlet_form,
-    dirichlet_form_operator,
     flow_report_rows,
     flow_to_json_obj,
     general_congestion_bound,
@@ -29,7 +28,6 @@ from shufflemix.flows import (
     large_k_congestion_bound,
     letter_perm,
     odd_flow_eigenvalue_bound,
-    path_endpoint,
     rudvalis_congestion_bound,
     rudvalis_generator_word,
     transposition_word_large_k,

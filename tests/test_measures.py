@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import convolution_power
 from shufflemix.measures import (
     SparseMeasure,
     convolve_measures,
-    convolution_power,
     delta_e,
     lazy,
     measure_to_json_obj,

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import compose_word, parse
 import shufflemix.perms as perms_module
 from shufflemix.perms import (
     Permutation,
     compose,
-    compose_word,
     cycle_generator,
     identity,
     inverse,
-    parse,
     rank,
     serialize,
     transposition,

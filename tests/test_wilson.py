@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import LiftedState, card_update, lifted_start, lifted_step, psi
 from shufflemix.errors import NumericError
 from shufflemix.wilson import (
-    LiftedState,
     WilsonParams,
-    card_update,
+    _bulk_step,
     chi_values,
     compute_params,
     cpow,
     eigenfunction_residual,
     lazy_transfer,
-    lifted_start,
-    lifted_step,
     newton_root,
-    psi,
-    r_estimate,
     step_bound,
     unit_root,
     v_list,
@@ -35,6 +31,15 @@ SUITE_NS = (16, 32, 64, 128, 256)
 @lru_cache(maxsize=None)
 def params_for(n, eps=0.9):
     return compute_params(n, eps)
+
+
+def random_lifted_state(n, rng):
+    return LiftedState(
+        n,
+        tuple(int(x) for x in rng.permutation(n) + 1),
+        int(rng.integers(n)),
+        tuple(int(z) for z in rng.integers(0, n, n)),
+    )
 
 
 def test_poly_zero_at_origin():
@@ -157,6 +162,16 @@ def test_card_update_matches_case_table():
     assert card_update(4, 6, n - 1, n) == (3, 6)
 
 
+def test_bulk_step_matches_the_scalar_case_table():
+    n = 8
+    pos = np.arange(1, n + 1)
+    z = np.arange(n)[::-1].copy()
+    for l in (n - 2, n - 1, n):
+        new_pos, new_z = _bulk_step(pos, z, l, n)
+        got = list(zip(new_pos.tolist(), new_z.tolist()))
+        assert got == [card_update(int(p), int(zz), l, n) for p, zz in zip(pos, z)]
+
+
 def test_lifted_step_preserves_invariants():
     n = 9
     state = lifted_start(n)
@@ -202,13 +217,7 @@ def test_psi_bounded_by_psi_max():
     p = params_for(32)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        state = LiftedState(
-            32,
-            tuple(int(x) for x in rng.permutation(32) + 1),
-            int(rng.integers(32)),
-            tuple(int(z) for z in rng.integers(0, 32, 32)),
-        )
-        assert abs(psi(state, p)) <= p.psi_max + 1e-9
+        assert abs(psi(random_lifted_state(32, rng), p)) <= p.psi_max + 1e-9
 
 
 def test_interior_positions_satisfy_the_relation_per_card():
@@ -225,16 +234,37 @@ def test_interior_positions_satisfy_the_relation_per_card():
 
 def test_eigenfunction_residual_is_tiny_at_the_root():
     p = params_for(32)
-    assert eigenfunction_residual(p, 10_000, seed=0) <= 1e-9
+    assert eigenfunction_residual(p) <= 1e-9
 
 
 def test_eigenfunction_residual_detects_perturbed_eigenvalue():
     p = params_for(32)
-    assert eigenfunction_residual(p, 2_000, seed=0, lam=p.lam + 1e-3) > 1e-4
+    assert eigenfunction_residual(p, lam=p.lam + 1e-3) > 1e-4
 
 
-def test_r_estimate_positive_and_halves_with_n():
-    r = {n: r_estimate(params_for(n), 2_000, seed=5) for n in (32, 64, 128)}
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_certificates_bound_sampled_lifted_states(n):
+    # R and the residual bound sups over every lifted state; no state the
+    # oracle chain visits may exceed them.  The residual is also checked at a
+    # perturbed lam, where it is far above rounding; 1e-12 absorbs the
+    # rounding of the n-term sums at the root.
+    p = params_for(n)
+    lams = (p.lam, p.lam + 1e-3)
+    certs = [eigenfunction_residual(p, lam=lam) for lam in lams]
+    rng = np.random.default_rng(n)
+    worst_r = 0.0
+    for _ in range(2_000):
+        state = random_lifted_state(n, rng)
+        base = psi(state, p)
+        after = [psi(lifted_step(state, l), p) for l in (n - 2, n - 1, n)]
+        worst_r = max(worst_r, sum(abs(a - base) ** 2 for a in after) / 3)
+        for lam, cert in zip(lams, certs):
+            assert abs(sum(after) / 3 - lam * base) <= cert + 1e-12
+    assert 0 < worst_r <= p.r_bound
+
+
+def test_r_bound_positive_and_halves_with_n():
+    r = {n: params_for(n).r_bound for n in (32, 64, 128)}
     assert all(v > 0 for v in r.values())
     for n in (32, 64):
         ratio = math.sqrt(r[n]) / math.sqrt(r[2 * n])
@@ -288,9 +318,9 @@ def test_lazy_bound_doubles_the_plain_bound():
 
 def test_doubling_ratio_decreases_toward_eight():
     # t scales like n^3 log n, so t(2n)/t(n) falls toward 8 from above as the
-    # log factor flattens; it is still 9.7 at the (512, 1024) pair, the top of
+    # log factor flattens; it is still 9.8 at the (512, 1024) pair, the top of
     # the supported range
-    ts = {n: step_bound(compute_params(n, r_samples=1_000))
+    ts = {n: step_bound(params_for(n))
           for n in (64, 128, 256, 512, 1024)}
     ratios = [ts[2 * n] / ts[n] for n in (64, 128, 256, 512)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -298,8 +328,15 @@ def test_doubling_ratio_decreases_toward_eight():
     assert ratios[-1] < 10
 
 
+def test_certified_step_bounds():
+    # bound_t from the certified R over the whole supported range
+    expected = {16: 0, 32: 15, 64: 1044, 128: 14980, 256: 170893,
+                512: 1768306, 1024: 17324536}
+    assert {n: step_bound(params_for(n)) for n in expected} == expected
+
+
 def test_wilson_report_payload():
-    rep = wilson_report(32, samples=2_000, r_samples=1_000)
+    rep = wilson_report(32)
     assert set(rep) == {
         "n", "lambda", "gamma", "chi0", "chi1", "chi_residuals",
         "psi_max", "R", "residual", "eps", "bound_t", "lazy_bound_t",
