@@ -1,11 +1,12 @@
 """Mixing-time machinery for top to bottom-k card shuffles.
 
 Four pillars: exact dense evolution and spectra at small n
-(:mod:`shufflemix.exact`), Monte Carlo couplings and collector statistics at
-moderate n (:mod:`shufflemix.coupling`), a complex near-eigenfunction lower
-bound for the k = 3 walk (:mod:`shufflemix.wilson`), and Cayley-graph flow
-comparison bounds (:mod:`shufflemix.flows`).  :mod:`shufflemix.cli` wraps
-each experiment in a manifest-writing command.
+(:mod:`shufflemix.exact`), Monte Carlo couplings at moderate n with exact
+collector and lower-bound chains beside them (:mod:`shufflemix.coupling`), a
+complex near-eigenfunction lower bound for the k = 3 walk
+(:mod:`shufflemix.wilson`), and Cayley-graph flow comparison bounds
+(:mod:`shufflemix.flows`).  :mod:`shufflemix.cli` wraps each experiment in a
+manifest-writing command.
 """
 
 __version__ = "0.1.0"
@@ -18,6 +19,7 @@ from .coupling import (
     single_card_lower_bound,
     tail_estimate,
     trial_rng,
+    unselected_tails,
 )
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
@@ -89,6 +91,7 @@ __all__ = [
     "single_card_lower_bound",
     "tail_estimate",
     "trial_rng",
+    "unselected_tails",
     "compute_params",
     "lazy_transfer",
     "step_bound",

@@ -2,9 +2,10 @@
 
 Each subcommand writes its payload files (JSON and CSV) plus a manifest
 recording the subcommand, full parameter set, seed, tool version, timestamps,
-and SHA-256 digests of the payloads.  Payload bytes are a pure function of
-the arguments, so replaying a saved manifest (``--manifest run.manifest.json``)
-reproduces them byte for byte; only the manifest's clock fields differ.
+the python, numpy and platform versions, and SHA-256 digests of the
+payloads.  Payload bytes are a pure function of the arguments, so replaying a
+saved manifest (``--manifest run.manifest.json``) reproduces them byte for
+byte; only the manifest's clock fields differ.
 
 Exit codes: 0 success, 2 usage or domain error, 3 capacity cap exceeded,
 4 numeric non-convergence, 1 I/O failure.  A run that fails with 2, 3 or 4
@@ -190,19 +191,19 @@ def _cmd_couple(args, sink: _Sink) -> str:
 
 
 def _cmd_collector(args, sink: _Sink) -> str:
-    summary = coupon_collector(args.n, args.j, args.trials, args.seed)
+    if args.n < 2:
+        raise ValueError("--n must be at least 2, since the payload divides by n ln n")
+    summary = coupon_collector(args.n, args.j)
     payload = {
         "n": summary.n,
         "j": summary.j,
-        "trials": summary.trials,
-        "seed": args.seed,
         "mean": summary.mean,
-        "stderr": summary.stderr,
+        "variance": summary.variance,
         "mean_over_n_log_n": summary.mean / (args.n * math.log(args.n)),
     }
     stem = f"collector_n{args.n}_j{args.j}"
     sink.json(f"{stem}.json", payload)
-    sink.csv(f"{stem}.csv", ("trial", "l_j"), list(enumerate(summary.times)))
+    sink.csv(f"{stem}.csv", ("m", "p_tail"), list(enumerate(summary.tails)))
     return stem
 
 
@@ -210,14 +211,8 @@ def _cmd_lowerbound(args, sink: _Sink) -> str:
     if args.method == "single-card":
         if args.steps is None:
             raise ValueError("--steps is required for the single-card method")
-        rep = single_card_lower_bound(args.n, args.k, args.steps, args.trials,
-                                      seed=args.seed)
-        payload = {
-            "method": args.method,
-            "seed": args.seed,
-            "trials": args.trials,
-            "report": rep,
-        }
+        rep = single_card_lower_bound(args.n, args.k, args.steps)
+        payload = {"method": args.method, "report": rep}
     else:
         if args.m is not None:
             m = args.m
@@ -225,16 +220,13 @@ def _cmd_lowerbound(args, sink: _Sink) -> str:
             m = args.m_mult * args.n * math.log(args.n)
         else:
             raise ValueError("one of --m or --m-mult is required")
-        est = increasing_bottom_statistic(args.n, args.k, args.j, m,
-                                          args.trials, seed=args.seed)
+        est = increasing_bottom_statistic(args.n, args.k, args.j, m)
         payload = {
             "method": args.method,
             "n": args.n,
             "k": args.k,
             "j": args.j,
             "m": m,
-            "trials": args.trials,
-            "seed": args.seed,
             "estimate": est,
         }
     stem = f"lowerbound_{args.method}_n{args.n}_k{args.k}"
@@ -410,18 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-grid", type=int, default=None,
                    help="also write P(T > m) for every m up to this bound")
 
-    p = add("collector", "coupon-collector stopping times", seeded=True)
+    # collector and lowerbound are exact; they accept --seed only so that
+    # existing command lines keep parsing, and it changes no output byte
+    p = add("collector", "exact coupon-collector stopping-time law", seeded=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, default=0,
                    help="stop when all but j labels have been drawn")
-    p.add_argument("--trials", type=int, default=200)
 
-    p = add("lowerbound", "Monte Carlo distance lower bounds", seeded=True)
+    p = add("lowerbound", "exact distance lower bounds", seeded=True)
     p.add_argument("--method", required=True,
                    choices=("single-card", "increasing-bottom"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--steps", type=int, default=None,
                    help="walk length for the single-card method")
     p.add_argument("--j", type=int, default=6,

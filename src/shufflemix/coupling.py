@@ -1,16 +1,20 @@
-"""Monte Carlo couplings and order statistics for the bottom-k shuffles.
+"""Couplings and lower-bound statistics for the bottom-k shuffles.
 
-Two couplings are implemented.  The card coupling drives both decks by the
-reversed walk: pick a uniform card from deck 1's bottom k block and move it
-to the top of both decks when possible, otherwise move a uniform card of
-deck 2's block that deck 1's block does not hold.  The position coupling
-drives both decks by the forward walk: a uniformly chosen leading deck
-inserts its top card into a uniform bottom-k slot and the trailing deck
+Two Monte Carlo couplings are implemented.  The card coupling drives both
+decks by the reversed walk: pick a uniform card from deck 1's bottom k block
+and move it to the top of both decks when possible, otherwise move a uniform
+card of deck 2's block that deck 1's block does not hold.  The position
+coupling drives both decks by the forward walk: a uniformly chosen leading
+deck inserts its top card into a uniform bottom-k slot and the trailing deck
 copies the slot except in the two swap cases that create a match.  Coupling
-times upper-bound total variation distance; the collector statistics and the
-single-card walk produce the matching lower bounds.
+times upper-bound total variation distance.
 
-Each trial is a pure function of (seed, trial): it reads its own
+The matching lower bounds are small Markov chains evaluated exactly, not
+simulated: the collector and increasing-bottom statistics share one
+pure-birth chain on the count of unselected bottom labels, and the
+single-card bound evolves an n-state position chain.  They take no seed.
+
+Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of
 each block of DRAW_BLOCK steps up front.  Any trial can be replayed in
 isolation, and a trial's coupling time does not depend on which other
@@ -151,102 +155,80 @@ def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
     return p, math.sqrt(p * (1 - p) / trials)
 
 
-@dataclass(frozen=True)
-class CollectorStats:
-    """Distinct-count trajectory summary of one drawing trial."""
+def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
+    """P(L_j > m) for m = 0..m_max, exactly.
 
-    n: int
-    j: int
-    l_j: int
+    L_j counts reversed-walk steps until all but j of the initial bottom-k
+    labels have been selected.  An unselected label only moves down, so it
+    stays in the bottom block, and the unselected count u falls to u - 1
+    with probability u / k: a pure-birth chain from u = k, advanced once.
+    At k = n this is the plain coupon collector over n labels.
+    """
+    if k < 1 or j < 0 or m_max < 0:
+        raise ValueError("need k >= 1, j >= 0 and m_max >= 0")
+    p = np.zeros(k + 1)
+    p[k] = 1.0
+    leave = np.arange(k + 1) / k
+    tails = np.empty(m_max + 1)
+    tails[0] = p[j + 1:].sum()
+    for m in range(1, m_max + 1):
+        moved = p * leave
+        p -= moved
+        p[:-1] += moved[1:]
+        tails[m] = p[j + 1:].sum()
+    return tails
 
 
 @dataclass(frozen=True)
 class CollectorSummary:
+    """Exact law of L_j for n labels: moments and P(L_j > m) for m = 0, 1, ..."""
+
     n: int
     j: int
-    trials: int
-    times: tuple[int, ...]
     mean: float
-    stderr: float
+    variance: float
+    tails: tuple[float, ...]
 
 
-def collector_trial(n: int, j: int, rng: np.random.Generator) -> CollectorStats:
-    """Draw uniform labels until all but j are seen; L_j is the draw count."""
-    if j >= n:
-        return CollectorStats(n, j, 0)
-    seen = np.zeros(n + 1, dtype=bool)
-    distinct = 0
-    draws = 0
-    target = n - j
-    while distinct < target:
-        batch = rng.integers(1, n + 1, size=max(64, n // 2))
-        for card in batch:
-            draws += 1
-            if not seen[card]:
-                seen[card] = True
-                distinct += 1
-                if distinct == target:
-                    break
-    return CollectorStats(n, j, draws)
+def coupon_collector(n: int, j: int) -> CollectorSummary:
+    """L_j, the uniform draws until all but j of n labels are seen.
 
-
-def coupon_collector(n: int, j: int, trials: int, seed: int = 0) -> CollectorSummary:
-    """Empirical L_j distribution over independent keyed trials."""
+    The mean n (H_n - H_j) and variance sum (1 - p) / p^2 over p = i / n,
+    i = j + 1..n, are closed forms; the tails run to mean + 6 sd.
+    """
     if n < 1 or j < 0:
         raise ValueError("need n >= 1 and j >= 0")
-    times = tuple(collector_trial(n, j, trial_rng(seed, t)).l_j
-                  for t in range(trials))
-    mean = sum(times) / trials
-    var = sum((x - mean) ** 2 for x in times) / max(trials - 1, 1)
-    return CollectorSummary(n, j, trials, times, mean,
-                            math.sqrt(var / trials))
+    probs = [i / n for i in range(j + 1, n + 1)]
+    mean = math.fsum(1 / p for p in probs)
+    variance = math.fsum((1 - p) / (p * p) for p in probs)
+    m_max = math.ceil(mean + 6 * math.sqrt(variance))
+    tails = unselected_tails(n, j, m_max)
+    return CollectorSummary(n, j, mean, variance, tuple(tails.tolist()))
 
 
 @dataclass(frozen=True)
 class BoundEstimate:
-    """Lower-bound estimate with a binomial 3-sigma interval."""
+    """Exact value of the increasing-bottom statistic and its tail term."""
 
     estimate: float
     p_hat: float
-    stderr: float
-    ci_low: float
-    ci_high: float
 
 
-def increasing_bottom_statistic(n: int, k: int, j: int, m: float, trials: int,
-                                seed: int = 0) -> BoundEstimate:
-    """Estimate of P(L_j > m) - 1/j! for the reversed walk's selections.
+def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstimate:
+    """P(L_j > floor(m)) - 1/j! for the reversed walk's selections.
 
     L_j counts steps until all but j of the initial bottom-k labels have been
-    selected.  For k = n the selections are uniform labels and this is the
-    plain collector; the estimate lower-bounds the distance to uniform since
-    the unselected bottom labels keep their relative order.
+    selected (see unselected_tails).  The value lower-bounds the distance to
+    uniform since the unselected bottom labels keep their relative order.
     """
     if j > 8:
         raise ValueError(f"j={j} too large; factorials beyond 8! drown the signal")
-    hits = 0
-    target_low = n - k + 1
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        if k == n:
-            l_j = collector_trial(n, j, rng).l_j
-        else:
-            deck = list(range(1, n + 1))
-            seen = set()
-            l_j = 0
-            while len(seen) < k - j:
-                u_pos = int(rng.integers(k))
-                rng.random()
-                card = deck[n - k + u_pos]
-                if card >= target_low:
-                    seen.add(card)
-                deck.insert(0, deck.pop(n - k + u_pos))
-                l_j += 1
-        hits += l_j > m
-    p_hat = hits / trials
-    se = math.sqrt(p_hat * (1 - p_hat) / trials)
-    est = p_hat - 1 / math.factorial(j)
-    return BoundEstimate(est, p_hat, se, est - 3 * se, est + 3 * se)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
+    if m < 0:
+        raise ValueError(f"m={m} is negative")
+    p_tail = float(unselected_tails(k, j, math.floor(m))[-1])
+    return BoundEstimate(p_tail - 1 / math.factorial(j), p_tail)
 
 
 @dataclass(frozen=True)
@@ -257,45 +239,41 @@ class SingleCardReport:
     k: int
     steps: int
     prob_estimate: float
-    stderr: float
     pi_a: float
     lower_bound: float
 
 
-def single_card_lower_bound(n: int, k: int, l: int, trials: int,
-                            seed: int = 0) -> SingleCardReport:
-    """Monte Carlo estimate of the tracked card's bottom-block occupancy.
+def single_card_lower_bound(n: int, k: int, l: int) -> SingleCardReport:
+    """Exact bottom-block occupancy of a tracked card after l steps.
 
-    The card starts at position floor((1-c)n/2)+1 with c = k/n, above the
-    block; until it first enters, it does a simple +-1 random walk, so for l
-    of order n^2 the occupancy stays near 0 while the uniform measure gives
-    the block mass k/n.  The gap is a distance lower bound.
+    The card starts at position floor((n - k)/2) + 1, above the block.  Its
+    position is an n-state chain: each step is, with probability 1/2, a
+    forward move (the top card goes to a uniform bottom-block slot s, cards
+    at or above s shift up) or a reversed move (the card at s goes to the
+    top, cards above it shift down).  Until it first enters the block the
+    card does a simple +-1 walk, so for l of order n^2 the occupancy stays
+    near 0 while the uniform measure gives the block mass k/n.  The gap is a
+    distance lower bound.
     """
-    c = k / n
-    start = (n - int(c * n)) // 2 + 1
-    if start > n - k:
+    if not 1 <= k <= n or l < 0:
+        raise ValueError(f"need 1 <= k <= n and l >= 0, got k={k}, n={n}, l={l}")
+    lo = n - k + 1
+    start = (n - k) // 2 + 1
+    if start >= lo:
         raise ValueError(f"start position {start} already inside the bottom block")
-    rngs = [trial_rng(seed, t) for t in range(trials)]
-    pos = np.full(trials, start, dtype=np.int64)
-    done = 0
-    while done < l:
-        span = min(512, l - done)
-        forward = np.array([r.integers(2, size=span) for r in rngs], dtype=np.int64)
-        slot = n - k + 1 + np.array([r.integers(k, size=span) for r in rngs],
-                                    dtype=np.int64)
-        for step in range(span):
-            f = forward[:, step] == 0
-            s = slot[:, step]
-            top = pos == 1
-            fwd_new = np.where(top, s, np.where(pos <= s, pos - 1, pos))
-            rev_new = np.where(pos == s, 1, np.where(pos < s, pos + 1, pos))
-            pos = np.where(f, fwd_new, rev_new)
-        done += span
-    in_block = pos >= n - k + 1
-    p_hat = float(in_block.mean())
-    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)
+    pos, slot = np.meshgrid(np.arange(1, n + 1), np.arange(lo, n + 1), indexing="ij")
+    fwd = np.where(pos == 1, slot, np.where(pos <= slot, pos - 1, pos))
+    rev = np.where(pos == slot, 1, np.where(pos < slot, pos + 1, pos))
+    step = np.zeros((n, n))
+    np.add.at(step, (pos - 1, fwd - 1), 0.5 / k)
+    np.add.at(step, (pos - 1, rev - 1), 0.5 / k)
+    d = np.zeros(n)
+    d[start - 1] = 1.0
+    for _ in range(l):
+        d = d @ step
+    occupancy = float(d[lo - 1:].sum())
     pi_a = k / n
-    return SingleCardReport(n, k, l, p_hat, se, pi_a, abs(p_hat - pi_a))
+    return SingleCardReport(n, k, l, occupancy, pi_a, abs(occupancy - pi_a))
 
 
 def lazy_trial_wrapper(stats: TrialStats, p: float, seed: int = 0) -> TrialStats:

@@ -15,9 +15,13 @@ import datetime
 import hashlib
 import io
 import json
+import os
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__ as TOOL_VERSION
 
@@ -80,6 +84,18 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_env() -> dict:
+    """The versions payload bytes may depend on: python, numpy, and the
+    platform (exact tails and spectra depend on numpy's summation order)."""
+    uname = os.uname() if hasattr(os, "uname") else None
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "platform": (f"{uname.sysname}-{uname.release}-{uname.machine}"
+                     if uname else sys.platform),
+    }
+
+
 @dataclass
 class RunManifest:
     """Record of one CLI invocation, sufficient to replay it."""
@@ -92,6 +108,7 @@ class RunManifest:
     started: str = ""
     finished: str = ""
     outputs: dict = field(default_factory=dict)   # filename -> sha256 of bytes
+    env: dict = field(default_factory=run_env)
 
     def start(self):
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -124,6 +141,7 @@ class RunManifest:
             started=raw.get("started", ""),
             finished=raw.get("finished", ""),
             outputs=dict(raw.get("outputs", {})),
+            env=dict(raw.get("env", {})),
         )
 
 

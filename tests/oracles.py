@@ -232,6 +232,29 @@ def harmonic_mean_l0(n):
     return n * sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
+def sampled_unselected_tail(n, k, j, m, trials, rng):
+    """Sampled P(L_j > m) and its binomial standard error, from the deck.
+
+    Each trial runs m reversed-walk steps on a full deck that starts in
+    order: a uniform card of the bottom k block moves to the top.  L_j > m
+    when fewer than k - j of the initial bottom-k labels have been selected.
+    Unlike the package's pure-birth chain this tracks every card, so it also
+    checks the lumping argument where inclusion-exclusion does not apply.
+    """
+    hits = 0
+    for _ in range(trials):
+        deck = list(range(1, n + 1))
+        seen = set()
+        for u in rng.integers(k, size=m).tolist():
+            card = deck.pop(n - k + u)
+            if card > n - k:
+                seen.add(card)
+            deck.insert(0, card)
+        hits += len(seen) < k - j
+    p = hits / trials
+    return p, (p * (1 - p) / trials) ** 0.5
+
+
 # ---------------------------------------------------------------------------
 # coupling steps on deck pairs.  A "move" applies one step given its draws;
 # a "step" reads those draws from a generator in the package's order.
@@ -328,15 +351,13 @@ def top_insert_couple_step(pair, k, rng):
     return top_insert_move(pair, k, int(rng.integers(2)), int(rng.integers(k)))
 
 
-def single_card_position_step(p, n, k, rng):
-    """One symmetrized-walk step of a single card's position.
+def single_card_move(p, forward, slot):
+    """One symmetrized-walk move of a single card's position, given its draws.
 
     The tracked card's position is Markov: a forward move shifts it up by
-    one when the slot lands at or below it and teleports the top card into a
-    uniform slot; a reversed move shifts it down or grabs it to the top.
+    one when the slot lands at or below it and teleports the top card into
+    the slot; a reversed move shifts it down or grabs it to the top.
     """
-    forward = int(rng.integers(2)) == 0
-    slot = n - k + 1 + int(rng.integers(k))
     if forward:
         if p == 1:
             return slot
@@ -344,6 +365,32 @@ def single_card_position_step(p, n, k, rng):
     if p == slot:
         return 1
     return p + 1 if p < slot else p
+
+
+def single_card_position_step(p, n, k, rng):
+    """single_card_move with a fair coin and a uniform bottom-k slot."""
+    forward = int(rng.integers(2)) == 0
+    return single_card_move(p, forward, n - k + 1 + int(rng.integers(k)))
+
+
+def single_card_occupancy(n, k, steps):
+    """P(tracked card in the bottom k after `steps` moves), as a Fraction.
+
+    The card starts at floor((1 - c) n / 2) + 1 with c = k / n, in integer
+    arithmetic; each step is one of the 2k equally likely (coin, slot)
+    draws of single_card_move.
+    """
+    dist = {(n - k) // 2 + 1: Fraction(1)}
+    w = Fraction(1, 2 * k)
+    for _ in range(steps):
+        nxt = {}
+        for p, mass in dist.items():
+            for slot in range(n - k + 1, n + 1):
+                for forward in (True, False):
+                    q = single_card_move(p, forward, slot)
+                    nxt[q] = nxt.get(q, 0) + mass * w
+        dist = nxt
+    return sum(mass for p, mass in dist.items() if p > n - k)
 
 
 # ---------------------------------------------------------------------------

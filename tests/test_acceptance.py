@@ -157,12 +157,12 @@ def test_criterion_04_cutoff_trend(full_deck_stats, frozen):
         assert p_hat <= collector_tails[str(n)] + 3 * se, (n, p_hat)
         margins.append(0.1 - p_hat)
     assert margins == sorted(margins), margins
+    # the fixture is frozen at m = round(0.75 n ln n), the statistic uses floor(m)
     exact = frozen.get("increasing_bottom_exact")
     estimates = []
     for n in CUTOFF_SIZES:
-        est = increasing_bottom_statistic(n, n, 6, 0.75 * n * math.log(n),
-                                          1000, seed=SEED)
-        assert abs(est.estimate - exact[str(n)]) <= 3 * est.stderr + 1e-12, n
+        est = increasing_bottom_statistic(n, n, 6, round(0.75 * n * math.log(n)))
+        assert abs(est.estimate - exact[str(n)]) <= 1e-10, n
         estimates.append(est.estimate)
     assert estimates == sorted(estimates) and estimates[0] < estimates[-1]
 
@@ -174,8 +174,7 @@ def test_criterion_04_cutoff_trend(full_deck_stats, frozen):
     "approach toward it is what the trend test above verifies"))
 def test_criterion_04_increasing_bottom_level():
     for n in CUTOFF_SIZES:
-        est = increasing_bottom_statistic(n, n, 6, 0.75 * n * math.log(n),
-                                          1000, seed=SEED)
+        est = increasing_bottom_statistic(n, n, 6, 0.75 * n * math.log(n))
         assert est.estimate >= 0.5, (n, est.estimate)
 
 
@@ -289,12 +288,12 @@ def test_criterion_09_transfer_suite():
 
 
 def test_criterion_10_coupon_collector():
-    """Mean stopping time near n ln n at n = 1000; the n = 3 mean within
-    three standard errors of the exact 5.5."""
-    summary = coupon_collector(1000, 0, 200, seed=SEED)
+    """Mean stopping time near n ln n at n = 1000; the n = 3 mean equals the
+    exact 5.5."""
+    summary = coupon_collector(1000, 0)
     ratio = summary.mean / (1000 * math.log(1000))
     assert 0.95 <= ratio <= 1.15, ratio
-    small = coupon_collector(3, 0, 200, seed=SEED)
+    small = coupon_collector(3, 0)
     exact = float(harmonic_mean_l0(3))
     assert exact == 5.5
-    assert abs(small.mean - exact) <= 3 * small.stderr
+    assert small.mean == exact

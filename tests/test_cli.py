@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,11 +10,19 @@ import pytest
 import shufflemix.cli as cli
 import shufflemix.wilson as wilson
 from shufflemix.cli import run
+from shufflemix.coupling import (
+    coupon_collector,
+    increasing_bottom_statistic,
+    single_card_lower_bound,
+)
 from shufflemix.errors import NumericError
 from shufflemix.exact import mixing_time, spectrum
 from shufflemix.flows import build_flow_general, flow_to_json_obj
 from shufflemix.measures import symmetrize, top_to_bottom_k
-from shufflemix.report import json_bytes, sha256_hex
+from shufflemix.report import json_bytes, run_env, sha256_hex
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's workload definitions)
 
 
 def read_json(path):
@@ -88,7 +97,7 @@ def test_manifest_replay_cross_directory(tmp_path):
 
 
 def test_manifest_replay_same_directory_clock_fields_only(tmp_path):
-    assert run(["collector", "--n", "20", "--j", "0", "--trials", "6",
+    assert run(["collector", "--n", "20", "--j", "0",
                 "--out", str(tmp_path)]) == 0
     before = read_json(tmp_path / "collector_n20_j0.manifest.json")
     assert run(["--manifest",
@@ -158,45 +167,86 @@ def test_couple_lazy_wrapper_inflates_times(tmp_path):
 
 
 def test_collector_summary(tmp_path):
-    assert run(["collector", "--n", "30", "--j", "1", "--trials", "8",
+    assert run(["collector", "--n", "30", "--j", "1",
                 "--seed", "3", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "collector_n30_j1.json")
     header, rows = read_csv(tmp_path / "collector_n30_j1.csv")
-    assert header == ["trial", "l_j"]
-    assert len(rows) == 8
-    times = [int(r[1]) for r in rows]
-    assert payload["mean"] == sum(times) / 8
-    assert payload["seed"] == 3
+    summary = coupon_collector(30, 1)
+    assert header == ["m", "p_tail"]
+    assert [int(r[0]) for r in rows] == list(range(len(summary.tails)))
+    assert [float(r[1]) for r in rows] == list(summary.tails)
+    assert payload["mean"] == summary.mean
+    assert payload["variance"] == summary.variance
+    assert not {"trials", "stderr", "seed"} & set(payload)
     manifest = read_json(tmp_path / "collector_n30_j1.manifest.json")
     assert manifest["seed"] == 3
+    assert manifest["env"] == run_env()
+    assert set(run_env()) == {"python", "numpy", "platform"}
 
 
 def test_lowerbound_single_card(tmp_path):
     assert run(["lowerbound", "--method", "single-card", "--n", "30", "--k", "6",
-                "--steps", "100", "--trials", "8", "--out", str(tmp_path)]) == 0
+                "--steps", "100", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "lowerbound_single-card_n30_k6.json")
     rep = payload["report"]
     assert rep["n"] == 30 and rep["k"] == 6 and rep["steps"] == 100
     assert rep["pi_a"] == 6 / 30
-    assert 0 <= rep["prob_estimate"] <= 1
+    assert rep["prob_estimate"] == single_card_lower_bound(30, 6, 100).prob_estimate
+    assert set(payload) == {"method", "report"}
+    assert "stderr" not in rep
 
 
 def test_lowerbound_increasing_bottom(tmp_path):
     assert run(["lowerbound", "--method", "increasing-bottom", "--n", "30",
-                "--k", "30", "--j", "3", "--m-mult", "0.5", "--trials", "8",
+                "--k", "30", "--j", "3", "--m-mult", "0.5",
                 "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "lowerbound_increasing-bottom_n30_k30.json")
     assert payload["m"] == 0.5 * 30 * math.log(30)
-    est = payload["estimate"]
-    assert est["ci_low"] <= est["estimate"] <= est["ci_high"]
+    est = increasing_bottom_statistic(30, 30, 3, 0.5 * 30 * math.log(30))
+    assert payload["estimate"] == {"estimate": est.estimate, "p_hat": est.p_hat}
+    assert not {"trials", "seed"} & set(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["collector", "--n", "40", "--j", "2"],
+    ["lowerbound", "--method", "increasing-bottom", "--n", "40", "--k", "10",
+     "--j", "4", "--m-mult", "0.75"],
+    ["lowerbound", "--method", "single-card", "--n", "40", "--k", "20",
+     "--steps", "300"],
+])
+def test_exact_subcommands_ignore_the_seed(tmp_path, argv):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run(argv + ["--seed", "1", "--out", str(d1)]) == 0
+    assert run(argv + ["--seed", "99", "--out", str(d2)]) == 0
+    names = sorted(p.name for p in d1.iterdir() if not p.name.endswith(".manifest.json"))
+    assert names
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_exact_subcommands_reject_bad_arguments(tmp_path, capsys):
+    assert run(["collector", "--n", "5", "--trials", "2", "--out", str(tmp_path)]) == 2
+    assert run(["collector", "--n", "1", "--out", str(tmp_path)]) == 2
+    assert run(["lowerbound", "--method", "single-card", "--n", "30", "--k", "6",
+                "--steps", "10", "--trials", "4", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
 
 
 def test_lowerbound_requires_step_count(tmp_path, capsys):
     assert run(["lowerbound", "--method", "increasing-bottom", "--n", "10",
-                "--k", "10", "--trials", "4", "--out", str(tmp_path)]) == 2
+                "--k", "10", "--out", str(tmp_path)]) == 2
     assert run(["lowerbound", "--method", "single-card", "--n", "30", "--k", "6",
-                "--trials", "4", "--out", str(tmp_path)]) == 2
+                "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workload", workloads.NAMES)
+@pytest.mark.parametrize("tiny", [True, False])
+def test_benchmark_invocations_parse(workload, tiny):
+    # every command line the benchmark runs must keep parsing
+    parser = cli.build_parser()
+    for argv in workloads.invocations(workload, 7, tiny):
+        parser.parse_args(argv)
 
 
 def test_wilson_payload(tmp_path):
@@ -294,7 +344,7 @@ def test_numeric_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(args, sink):
         raise NumericError("did not converge")
     monkeypatch.setitem(cli._HANDLERS, "collector", boom)
-    assert run(["collector", "--n", "5", "--trials", "2",
+    assert run(["collector", "--n", "5",
                 "--out", str(tmp_path)]) == 4
     assert "numeric" in capsys.readouterr().err
 
@@ -330,6 +380,7 @@ def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert manifest["status"] == status
     assert manifest["trace"] is None
     assert manifest["error"]
+    assert manifest["env"] == run_env()
 
 
 def test_usage_error_writes_no_manifest(tmp_path, capsys):

@@ -8,6 +8,9 @@ from oracles import (
     DeckPair,
     bottom_k_to_top_move,
     bottom_k_to_top_step,
+    coupon_tail,
+    sampled_unselected_tail,
+    single_card_occupancy,
     single_card_position_step,
     top_insert_couple_step,
     top_insert_move,
@@ -21,6 +24,7 @@ from shufflemix.coupling import (
     single_card_lower_bound,
     tail_estimate,
     trial_rng,
+    unselected_tails,
 )
 from shufflemix.exact import convolve_step, densify, point_mass, tv_distance
 from shufflemix.measures import symmetrize, top_to_bottom_k
@@ -252,46 +256,79 @@ def test_tau_tracking_consistent_with_coupling_time():
 
 
 def test_collector_edge_cases_and_small_mean():
-    one = coupon_collector(1, 0, 50, seed=0)
-    assert set(one.times) == {1}
-    cc = coupon_collector(3, 0, 10_000, seed=2)
-    assert all(t >= 3 for t in cc.times)
-    assert abs(cc.mean - 5.5) <= 3 * cc.stderr
+    one = coupon_collector(1, 0)
+    assert one.tails == (1.0, 0.0)
+    assert (one.mean, one.variance) == (1.0, 0.0)
+    cc = coupon_collector(3, 0)
+    assert cc.mean == 5.5
+    assert abs(cc.variance - 6.75) <= 1e-12
+    assert cc.tails[:3] == (1.0, 1.0, 1.0)
+    for m, tail in enumerate(cc.tails):
+        assert abs(tail - coupon_tail(3, m, 1)) <= 1e-15, m
+    # sum_m P(L > m) = E L, short only by the tail past mean + 6 sd
+    assert 0 < 5.5 - math.fsum(cc.tails) < 1e-3
+    assert coupon_collector(5, 5).tails == (0.0,)
 
 
 def test_collector_tail_matches_exact_fixture(frozen):
+    # the fixture is frozen at the rounded m; the tails are indexed by integer m
     exact = frozen.get("collector_tail_1_25")["100"]
-    cc = coupon_collector(100, 1, 800, seed=6)
-    m = 1.25 * 100 * math.log(100)
-    p = sum(t > m for t in cc.times) / len(cc.times)
-    se = math.sqrt(max(p * (1 - p), 1e-9) / len(cc.times))
-    assert abs(p - exact) <= 4 * se + 1e-3
+    cc = coupon_collector(100, 1)
+    assert abs(cc.tails[round(1.25 * 100 * math.log(100))] - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("n,j,m", [(10, 0, 20), (30, 2, 100), (50, 5, 200),
+                                   (100, 1, 576), (200, 6, 795)])
+def test_unselected_tails_at_full_deck_match_inclusion_exclusion(n, j, m):
+    # the alternating sum cancels badly below about n ln n, so compare at m
+    assert abs(unselected_tails(n, j, m)[m] - coupon_tail(n, m, j + 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,k,j,m", [(30, 10, 3, 11), (50, 20, 4, 30)])
+def test_unselected_tails_match_the_sampled_reversed_walk(n, k, j, m):
+    p_hat, se = sampled_unselected_tail(n, k, j, m, 4000, np.random.default_rng(n))
+    exact = unselected_tails(k, j, m)[m]
+    assert 0.2 < exact < 0.8
+    assert abs(p_hat - exact) <= 5 * se, (p_hat, exact)
+
+
+def test_unselected_tails_validation():
+    for args in ((0, 0, 5), (4, -1, 5), (4, 1, -1)):
+        with pytest.raises(ValueError):
+            unselected_tails(*args)
 
 
 def test_increasing_bottom_statistic_at_zero_steps():
-    rep = increasing_bottom_statistic(40, 40, 6, 0, 200, seed=1)
+    rep = increasing_bottom_statistic(40, 40, 6, 0)
     assert rep.p_hat == 1.0
     assert abs(rep.estimate - (1 - 1 / 720)) < 1e-12
 
 
 def test_increasing_bottom_matches_exact_fixture(frozen):
     exact = frozen.get("increasing_bottom_exact")["100"]
-    m = 0.75 * 100 * math.log(100)
-    rep = increasing_bottom_statistic(100, 100, 6, m, 1200, seed=8)
-    assert abs(rep.estimate - exact) <= 4 * rep.stderr + 1e-3
+    rep = increasing_bottom_statistic(100, 100, 6, round(0.75 * 100 * math.log(100)))
+    assert abs(rep.estimate - exact) <= 1e-10
 
 
 def test_increasing_bottom_small_k_reduces_to_block_collection():
-    # with k < n the statistic still watches the initial bottom block only
-    rep = increasing_bottom_statistic(8, 4, 2, 1, 400, seed=2)
-    assert 0 <= rep.p_hat <= 1
-    assert rep.ci_low <= rep.estimate <= rep.ci_high
+    # with k < n the statistic watches the initial bottom block only: two
+    # steps select two distinct labels of k = 4 with probability 3/4, so
+    # P(more than j = 2 unselected) = 1/4, whatever n is
+    for n in (8, 50):
+        rep = increasing_bottom_statistic(n, 4, 2, 2.9)
+        assert abs(rep.p_hat - 0.25) <= 1e-15
+        assert abs(rep.estimate - (0.25 - 0.5)) <= 1e-15
+    for args in ((8, 9, 2, 1), (8, 4, 9, 1), (8, 4, 2, -1)):
+        with pytest.raises(ValueError):
+            increasing_bottom_statistic(*args)
 
 
 def test_single_card_starts_outside_the_block():
-    rep = single_card_lower_bound(100, 50, 0, 400, seed=4)
+    rep = single_card_lower_bound(100, 50, 0)
     assert rep.prob_estimate == 0.0
     assert rep.lower_bound == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        single_card_lower_bound(10, 10, 5)
 
 
 def test_single_card_diffusive_window_stays_mostly_outside():
@@ -300,8 +337,8 @@ def test_single_card_diffusive_window_stays_mostly_outside():
     n, k = 100, 50
     c = k / n
     l = int(c * (1 - c) ** 2 * n * n / 12)
-    rep = single_card_lower_bound(n, k, l, 3000, seed=4)
-    assert rep.prob_estimate <= c / 3 + 3 * rep.stderr
+    rep = single_card_lower_bound(n, k, l)
+    assert rep.prob_estimate <= c / 3
 
 
 def test_single_card_walk_matches_exact_marginal():
@@ -319,15 +356,23 @@ def test_single_card_walk_matches_exact_marginal():
         if unrank(r, n).map.index(start) + 1 >= n - k + 1
         if d.probs[r] > 0
     )
-    rep = single_card_lower_bound(n, k, l, 6000, seed=1)
-    assert abs(rep.prob_estimate - exact) <= 3 * rep.stderr + 1e-3
+    rep = single_card_lower_bound(n, k, l)
+    assert abs(rep.prob_estimate - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,l", [(22, 15, 40), (7, 4, 25), (13, 6, 30)])
+def test_single_card_matches_the_position_oracle(n, k, l):
+    # at (22, 15), int(k / n * n) rounds to 14, and a start computed from it
+    # (5 instead of 4) gives occupancy 0.6038 instead of 0.6384 after 40 steps
+    exact = single_card_occupancy(n, k, l)
+    assert abs(single_card_lower_bound(n, k, l).prob_estimate - float(exact)) <= 1e-12
 
 
 def test_single_card_long_run_reaches_block_mass():
     n, k = 30, 6
     l = 20 * n**3 // (k * k)
-    rep = single_card_lower_bound(n, k, l, 1500, seed=10)
-    assert abs(rep.prob_estimate - k / n) <= 3 * rep.stderr + 5e-3
+    rep = single_card_lower_bound(n, k, l)
+    assert abs(rep.prob_estimate - k / n) <= 5e-3
 
 
 def test_single_card_position_step_is_a_valid_position():

@@ -14,6 +14,7 @@ from shufflemix.report import (
     json_bytes,
     jsonable,
     render_value,
+    run_env,
     sha256_hex,
 )
 
@@ -100,6 +101,15 @@ def test_manifest_roundtrip(tmp_path):
     path = m.write(tmp_path / "m.json")
     back = RunManifest.load(path)
     assert back == m
+    assert back.env == run_env()
+
+
+def test_manifest_env_roundtrips(tmp_path):
+    # a manifest written elsewhere keeps its own versions when loaded here
+    env = {"python": "3.10.0", "numpy": "1.24.0", "platform": "Darwin-23.0-arm64"}
+    m = RunManifest(subcommand="collector", argv=["collector", "--n", "4"],
+                    params={"n": 4}, seed=0, env=env)
+    assert RunManifest.load(m.write(tmp_path / "m.json")).env == env
 
 
 def test_fixture_store_write_once(tmp_path):
