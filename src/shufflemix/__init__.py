@@ -23,8 +23,6 @@ from .coupling import (
 )
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
-    beta_min_bound_check,
-    distance_profile,
     least_eigenvalue_formula,
     mixing_time,
     spectrum,
@@ -54,7 +52,7 @@ from .measures import (
     top_to_bottom_k,
 )
 from .perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition, unrank
-from .report import FixtureStore, RunManifest, emit_csv, emit_json
+from .report import FixtureStore, RunManifest, emit_json
 from .wilson import compute_params, lazy_transfer, step_bound, wilson_report
 
 __all__ = [
@@ -78,8 +76,6 @@ __all__ = [
     "rank",
     "transposition",
     "unrank",
-    "beta_min_bound_check",
-    "distance_profile",
     "least_eigenvalue_formula",
     "mixing_time",
     "spectrum",
@@ -108,7 +104,6 @@ __all__ = [
     "verify_flow",
     "FixtureStore",
     "RunManifest",
-    "emit_csv",
     "emit_json",
     "__version__",
 ]

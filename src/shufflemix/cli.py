@@ -36,6 +36,7 @@ from .coupling import (
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
     EIGEN_CAP,
+    group_table,
     least_eigenvalue_formula,
     mixing_time,
     spectrum,
@@ -48,8 +49,8 @@ from .flows import (
     build_odd_flow_tbk,
     comparison_bound_report,
     congestion_A,
+    congestion_lower_bound,
     dirichlet_form,
-    flow_report_rows,
     flow_to_json_obj,
     general_congestion_bound,
     large_k_congestion_bound,
@@ -264,14 +265,17 @@ def _build_flow(args):
 
 def _cmd_flow(args, sink: _Sink) -> str:
     flow, bounds, tag = _build_flow(args)
-    rep = congestion_A(flow, lower_bound=args.lower_bound, bounds=bounds)
+    rep = congestion_A(flow)
+    a_float = float(rep.a_value)
     payload = {
         "builder": args.builder,
         "n": args.n,
         "a_value": rep.a_value,
-        "a_float": rep.a_float,
-        "comparisons": rep.comparisons,
-        "lower_bound": rep.lower_bound,
+        "a_float": a_float,
+        "comparisons": [(label, float(b), a_float <= float(b) * (1 + 1e-12))
+                        for label, b in bounds.items()],
+        "lower_bound": (congestion_lower_bound(flow.target, flow.q.support())
+                        if args.lower_bound else None),
         "paths": len(flow.paths),
     }
     if args.builder == "large-k":
@@ -296,20 +300,17 @@ def _cmd_flow(args, sink: _Sink) -> str:
                 f"{len(check.discrepancies)} atoms")
         payload["verified"] = True
     if args.dirichlet:
-        size = math.factorial(args.n)
-        if args.n > EIGEN_CAP:
-            raise CapacityError(
-                f"n={args.n} exceeds the dense cap {EIGEN_CAP} for Dirichlet trials")
+        size = group_table(args.n).size
         violations = 0
         worst = 0.0
         for t in range(args.dirichlet):
             f = trial_rng(args.seed, t).standard_normal(size)
             e_target = dirichlet_form(f, flow.target)
             e_letters = dirichlet_form(f, flow.q)
-            if e_target > rep.a_float * e_letters * (1 + 1e-9) + 1e-12:
+            if e_target > a_float * e_letters * (1 + 1e-9) + 1e-12:
                 violations += 1
             if e_letters > 0:
-                worst = max(worst, e_target / (rep.a_float * e_letters))
+                worst = max(worst, e_target / (a_float * e_letters))
         payload["dirichlet"] = {
             "trials": args.dirichlet,
             "seed": args.seed,
@@ -317,12 +318,10 @@ def _cmd_flow(args, sink: _Sink) -> str:
             "max_ratio_over_a": worst,
         }
     if args.compare_t2 is not None:
-        payload["comparison"] = comparison_bound_report(
-            args.n, args.k, flow, args.compare_t2)
+        payload["comparison"] = comparison_bound_report(flow, args.compare_t2)
     stem = f"flow_{args.builder}_n{args.n}_{tag}"
     sink.json(f"{stem}.json", payload)
-    header, rows = flow_report_rows(rep)
-    sink.csv(f"{stem}.csv", header, rows)
+    sink.csv(f"{stem}.csv", ("generator", "q_weight", "term"), rep.per_generator)
     if args.export_paths:
         sink.json(f"{stem}.flow.json", flow_to_json_obj(flow))
     return stem

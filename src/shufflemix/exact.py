@@ -3,15 +3,20 @@
 Distributions live on the full n!-point state space indexed by lexicographic
 permutation rank.  Distance sums run through math.fsum (exact compensated
 summation), because n! terms of magnitude ~1/n! lose digits under naive
-accumulation.  Hard caps: n <= 8 for dense convolution, n <= 6 for
-eigendecomposition (n = 7 behind an explicit opt-in, it allocates a
-5040 x 5040 matrix).
+accumulation.  This module owns every computation over the whole group:
+the rank-indexed multiplication tables, dense convolution, the breadth-first
+search for word lengths in the Cayley graph (:func:`cayley_distances`), and
+the spectrum.  One dense cap, n <= 8, covers everything built on the group
+tables (convolution, Cayley-graph distances, and the Dirichlet forms in
+:mod:`shufflemix.flows`); eigendecomposition stops at n <= 6, with n = 7
+behind an explicit opt-in because it allocates a 5040 x 5040 matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,10 +29,9 @@ from .measures import (
     convolve_measures,
     lazy,
     reversal,
-    symmetrize,
     top_to_bottom_k,
 )
-from .perms import Permutation
+from .perms import inverse
 
 DENSE_CAP = 8
 EIGEN_CAP = 6
@@ -93,14 +97,6 @@ def point_mass(n: int) -> DenseDistribution:
     return DenseDistribution(n, p)
 
 
-def densify(q: SparseMeasure) -> DenseDistribution:
-    t = group_table(q.n)
-    p = np.zeros(t.size)
-    for g, w in q.items():
-        p[t.index[g.map]] += float(w)
-    return DenseDistribution(q.n, p)
-
-
 def convolve_step(d: DenseDistribution, q: SparseMeasure) -> DenseDistribution:
     """One walk step: result(g) = sum_h d(h) q(h^{-1} g).
 
@@ -141,9 +137,6 @@ class MixingReport:
     profile: tuple                   # ((step, distance), ...), step 0 included
     saturated: bool
 
-    def distance_at(self, m: int) -> float:
-        return self.profile[m][1]
-
 
 def _metric_fn(metric: str):
     if metric == "tv":
@@ -177,16 +170,6 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
         profile=tuple(profile),
         saturated=hit is None,
     )
-
-
-def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, float]]:
-    """(step, tv, l2) rows for steps 0..m_max, one pass of convolution."""
-    d = point_mass(q.n)
-    rows = [(0, tv_distance(d), lp_distance(d, 2))]
-    for m in range(1, m_max + 1):
-        d = convolve_step(d, q)
-        rows.append((m, tv_distance(d), lp_distance(d, 2)))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -226,55 +209,34 @@ def least_eigenvalue_formula(n: int, k: int) -> Fraction:
     return -1 + Fraction(k - 1, k * (n - k + 2) * (n + 1))
 
 
-@dataclass(frozen=True)
-class BetaMinReport:
-    n: int
-    k: int
-    exact_beta_min: float
-    formula_value: Fraction
-    holds: bool
+def cayley_distances(n: int, generators) -> np.ndarray:
+    """Word length of every rank of S_n in the Cayley graph of the generators,
+    or -1 where a rank is unreachable.
 
-
-def beta_min_bound_check(n: int, k: int, allow_n7: bool = False) -> BetaMinReport:
-    """Exact beta_min of the symmetrized walk against the closed-form bound."""
-    rep = spectrum(symmetrize(top_to_bottom_k(n, k)), allow_n7=allow_n7)
-    formula = least_eigenvalue_formula(n, k)
-    return BetaMinReport(
-        n=n,
-        k=k,
-        exact_beta_min=rep.beta_min,
-        formula_value=formula,
-        holds=rep.beta_min >= float(formula) - 1e-12,
-    )
-
-
-def l2_from_spectrum(q: SparseMeasure, m: int, allow_n7: bool = False) -> float:
-    """Squared L2 distance from the spectrum: sum_{beta_i != top} beta_i^{2m}.
-
-    Spectral identity for reversible chains, d_{pi,2}(q^m)^2 = sum beta_i^{2m}
-    over non-top eigenvalues; cross-checks lp_distance(.., 2)^2 within 1e-8.
-    At m = 0 this is n! - 1.
+    The generator set is symmetrized and identity letters are dropped (self
+    loops never shorten a distance).  S_n is finite, so adding inverses
+    reaches no new rank: (dist >= 0).all() says whether the generators
+    generate S_n.
     """
-    eig = spectrum(q, allow_n7=allow_n7).eigenvalues
-    return math.fsum(float(b) ** (2 * m) for b in eig[:-1])
-
-
-def generates_full_group(q: SparseMeasure) -> bool:
-    """Whether the support of q generates all of S_n (closure by BFS)."""
-    t = group_table(q.n)
-    letters = [t.right_mul(g.map) for g, _ in q.items()]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for j in letters:
-                s = int(j[r])
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return len(seen) == t.size
+    t = group_table(n)
+    gens = {}
+    for g in generators:
+        if not g.is_identity():
+            gens[g.map] = None
+            gens[inverse(g).map] = None
+    letters = [t.right_mul(m).tolist() for m in gens]
+    dist = [-1] * t.size
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        d = dist[x] + 1
+        for j in letters:
+            y = j[x]
+            if dist[y] < 0:
+                dist[y] = d
+                queue.append(y)
+    return np.array(dist, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -306,13 +268,15 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     sigma_a sigma_b^{-1} has a, b >= 2), so it lives on a proper subgroup and
     T2(q * q*) is infinite: the doubling bound holds vacuously.  The
     substantive instance is the lazy one, lazy(q)* (*) lazy(q), which always
-    generates; it is checked as well.
+    generates; it is checked as well.  Every eps must be finite and positive.
     """
+    if not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
+        raise ValueError(f"every eps must be finite and positive, got {tuple(eps_grid)}")
     q = top_to_bottom_k(n, k)
     t_tv = mixing_time(q, "tv", m_max).mixing_time
     t_l2 = mixing_time(q, "l2", m_max).mixing_time
     qq = convolve_measures(q, reversal(q))
-    if generates_full_group(qq):
+    if (cayley_distances(n, qq.support()) >= 0).all():
         t_qq = mixing_time(qq, "l2", m_max).mixing_time
         vacuous = False
     else:

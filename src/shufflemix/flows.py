@@ -13,6 +13,11 @@ mixing or spectral information about one walk into bounds for the other.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
+Word lengths for the distance-squared congestion floor come from
+:func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms run over
+the group tables of :mod:`shufflemix.exact`, so both share its dense cap
+n <= 8; flows themselves are exact-rational and have no size cap.
+
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
 for k close to n, one for general k), and a routing of the symmetrized
@@ -25,15 +30,15 @@ match the target exactly rather than up to a factor absorbed in a constant.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, UnreachableTargetError
-from .exact import DENSE_CAP, group_table, mixing_time, spectrum
+from .errors import UnreachableTargetError
+from .exact import cayley_distances, group_table, mixing_time, spectrum
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -52,8 +57,6 @@ from .perms import (
     transposition,
     unrank,
 )
-
-BFS_CAP = 8          # breadth-first search over n! vertices
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +145,6 @@ class Flow:
     target: SparseMeasure
     q: SparseMeasure
     paths: dict[CayleyPath, Fraction] = field(compare=False)
-    odd_only: bool = False
 
     def __post_init__(self):
         if self.target.n != self.q.n:
@@ -155,10 +157,8 @@ class Flow:
             w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight {w}")
-            if self.odd_only and p.length % 2 == 0:
-                raise ValueError(f"even-length path {p.word!r} in odd-only flow")
             names.update(p.word)
-            cleaned[p] = cleaned.get(p, Fraction(0)) + w
+            cleaned[p] = w
         for name in sorted(names):
             if self.q.weight(letter_perm(name, self.q.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
@@ -195,13 +195,10 @@ def verify_flow(flow: Flow) -> FlowVerification:
 @dataclass(frozen=True)
 class FlowReport:
     a_value: Fraction
-    a_float: float
     per_generator: tuple            # (name, q(s), term) in rank order
-    lower_bound: Fraction | None = None
-    comparisons: tuple = ()         # (label, bound, holds)
 
 
-def congestion_A(flow: Flow, lower_bound: bool = False, bounds: dict | None = None) -> FlowReport:
+def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
     Traffic sums |delta| * N(s, delta) are accumulated as integers per weight
@@ -231,51 +228,18 @@ def congestion_A(flow: Flow, lower_bound: bool = False, bounds: dict | None = No
             continue
         rows.append((generator_name(g), qs, traffic.get(r, Fraction(0)) / qs))
     a = max((t for _, _, t in rows), default=Fraction(0))
-    lb = congestion_lower_bound(flow.target, [g for g, _ in flow.q.items()]) if lower_bound else None
-    comps = tuple(
-        (label, float(b), float(a) <= float(b) * (1 + 1e-12))
-        for label, b in (bounds or {}).items()
-    )
-    return FlowReport(
-        a_value=a,
-        a_float=float(a),
-        per_generator=tuple(rows),
-        lower_bound=lb,
-        comparisons=comps,
-    )
+    return FlowReport(a_value=a, per_generator=tuple(rows))
 
 
 def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
     """sum_g d_S(e, g)^2 * target(g): no flow over S can beat this congestion.
 
-    Distances come from breadth-first search on the Cayley graph; the
-    generator set is symmetrized and identity letters are dropped (self loops
-    never shorten a distance).
+    Distances are word lengths from :func:`shufflemix.exact.cayley_distances`.
     """
-    n = target.n
-    if n > BFS_CAP:
-        raise CapacityError(f"n={n} exceeds breadth-first search cap {BFS_CAP}")
-    t = group_table(n)
-    gens = {}
-    for g in generators:
-        if not g.is_identity():
-            gens[g.map] = None
-            gens[inverse(g).map] = None
-    letters = [t.right_mul(m) for m in gens]
-    dist = np.full(t.size, -1, dtype=np.int64)
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        for j in letters:
-            y = int(j[x])
-            if dist[y] < 0:
-                dist[y] = d
-                queue.append(y)
+    dist = cayley_distances(target.n, generators)
     acc = Fraction(0)
     for g, w in target.items():
-        d = int(dist[t.index[g.map]])
+        d = int(dist[rank(g)])
         if d < 0:
             raise UnreachableTargetError(
                 f"target atom {serialize(g)} not reachable from the generators"
@@ -359,7 +323,7 @@ def build_odd_flow_tbk(n: int, k: int) -> Flow:
         else:
             paths[CayleyPath(n, (f"s{l}",) * l)] = w
             paths[CayleyPath(n, (f"s{l}inv",) * l)] = w
-    return Flow(target=delta_e(n), q=q, paths=paths, odd_only=True)
+    return Flow(target=delta_e(n), q=q, paths=paths)
 
 
 def odd_flow_eigenvalue_bound(flow: Flow, beta_tilde_min=1) -> Fraction:
@@ -497,8 +461,6 @@ def dirichlet_form(f, q: SparseMeasure) -> float:
 
 @dataclass(frozen=True)
 class ComparisonBoundReport:
-    n: int
-    k: int
     a_value: float
     reference_t2: int
     term_reference: float        # A * T2 of the flow's target walk
@@ -510,7 +472,7 @@ class ComparisonBoundReport:
     slack: float
 
 
-def comparison_bound_report(n: int, k: int, flow: Flow, reference_t2: int,
+def comparison_bound_report(flow: Flow, reference_t2: int,
                             m_max: int = 200) -> ComparisonBoundReport:
     """L2 mixing bound for the flow's comparison walk q:
 
@@ -518,8 +480,6 @@ def comparison_bound_report(n: int, k: int, flow: Flow, reference_t2: int,
 
     beta_- = max(0, -beta_min(q)).  Checked against the exact T2 of q.
     """
-    if flow.n > DENSE_CAP:
-        raise CapacityError(f"n={flow.n} exceeds dense cap {DENSE_CAP}")
     a = float(congestion_A(flow).a_value)
     beta_minus = max(0.0, -spectrum(flow.q).beta_min)
     if beta_minus >= 1.0:
@@ -529,14 +489,12 @@ def comparison_bound_report(n: int, k: int, flow: Flow, reference_t2: int,
     else:
         term_beta = 1.0 / (-math.log(beta_minus))
     term_reference = a * reference_t2
-    term_entropy = a * math.log(math.factorial(n))
+    term_entropy = a * math.log(math.factorial(flow.n))
     bound = max(term_reference, term_entropy, term_beta)
     t2 = mixing_time(flow.q, "l2", m_max).mixing_time
     if t2 is None:
         raise ValueError(f"m_max={m_max} too small to reach the L2 threshold")
     return ComparisonBoundReport(
-        n=n,
-        k=k,
         a_value=a,
         reference_t2=reference_t2,
         term_reference=term_reference,
@@ -558,13 +516,6 @@ def flow_to_json_obj(flow: Flow) -> dict:
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),
-        "odd_only": flow.odd_only,
         "paths": [{"word": list(p.word), "weight": str(w)} for p, w in items],
     }
 
-
-def flow_report_rows(report: FlowReport):
-    """(header, rows) for the per-generator congestion CSV."""
-    header = ("generator", "q_weight", "term")
-    rows = [(name, qs, term) for name, qs, term in report.per_generator]
-    return header, rows

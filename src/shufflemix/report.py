@@ -45,12 +45,6 @@ def csv_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def emit_csv(path, header, rows) -> Path:
-    path = Path(path)
-    path.write_bytes(csv_bytes(header, rows))
-    return path
-
-
 def json_bytes(obj) -> bytes:
     return (json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n").encode("utf-8")
 

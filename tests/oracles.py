@@ -13,7 +13,15 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, fsum
 
-from shufflemix.exact import group_table
+from shufflemix.exact import (
+    DenseDistribution,
+    convolve_step,
+    group_table,
+    lp_distance,
+    point_mass,
+    spectrum,
+    tv_distance,
+)
 from shufflemix.flows import CayleyPath
 from shufflemix.measures import SparseMeasure, convolve_measures, delta_e
 # cycle_generator and transposition appear only in the doctests below
@@ -521,3 +529,33 @@ def dirichlet_form_operator(f, q: SparseMeasure) -> float:
     for g, w in q.items():
         qf += float(w) * f[t.right_mul(g.map)]
     return float((f - qf) @ f) / t.size
+
+
+def densify(q: SparseMeasure) -> DenseDistribution:
+    """The measure q as a dense rank-indexed distribution."""
+    import numpy as np
+    t = group_table(q.n)
+    p = np.zeros(t.size)
+    for g, w in q.items():
+        p[t.index[g.map]] += float(w)
+    return DenseDistribution(q.n, p)
+
+
+def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, float]]:
+    """(step, tv, l2) rows for steps 0..m_max, one pass of convolution."""
+    d = point_mass(q.n)
+    rows = [(0, tv_distance(d), lp_distance(d, 2))]
+    for m in range(1, m_max + 1):
+        d = convolve_step(d, q)
+        rows.append((m, tv_distance(d), lp_distance(d, 2)))
+    return rows
+
+
+def l2_from_spectrum(q: SparseMeasure, m: int) -> float:
+    """Squared L2 distance from the spectrum: sum_{beta_i != top} beta_i^{2m}.
+
+    Spectral identity for reversible chains, d_{pi,2}(q^m)^2 = sum beta_i^{2m}
+    over non-top eigenvalues.  At m = 0 this is n! - 1.
+    """
+    eig = spectrum(q).eigenvalues
+    return fsum(float(b) ** (2 * m) for b in eig[:-1])

@@ -305,6 +305,22 @@ def test_flow_comparison_block(tmp_path):
     assert comp["t2_exact"] == 7
     assert comp["bound"] == max(comp["term_reference"], comp["term_entropy"],
                                 comp["term_beta"])
+    # the enclosing payload carries n and k; the block does not repeat them
+    assert not {"n", "k"} & set(comp)
+
+
+def test_flow_comparison_block_large_k(tmp_path):
+    assert run(["flow", "--builder", "large-k", "--n", "6", "--C", "1",
+                "--compare-t2", "10", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "flow_large-k_n6_C1.json")
+    assert payload["n"] == 6 and payload["C"] == 1 and "k" not in payload
+    comp = payload["comparison"]
+    assert not {"n", "k"} & set(comp)
+    assert comp["a_value"] == payload["a_float"]
+    assert comp["term_entropy"] == payload["a_float"] * math.log(math.factorial(6))
+    assert comp["t2_exact"] == mixing_time(
+        symmetrize(top_to_bottom_k(6, 5)), "l2").mixing_time
+    assert comp["holds"] is True
 
 
 def test_flow_export_paths(tmp_path):
@@ -321,6 +337,18 @@ def test_flow_missing_parameters(tmp_path, capsys):
     assert run(["flow", "--builder", "general", "--n", "8",
                 "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_flow_dirichlet_runs_through_the_dense_cap(tmp_path, capsys):
+    # Dirichlet forms need only the group tables, which reach n = 8
+    assert run(["flow", "--builder", "general", "--n", "7", "--k", "3",
+                "--dirichlet", "2", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "flow_general_n7_k3.json")
+    assert payload["dirichlet"]["trials"] == 2
+    assert payload["dirichlet"]["violations"] == 0
+    assert run(["flow", "--builder", "general", "--n", "9", "--k", "3",
+                "--dirichlet", "1", "--out", str(tmp_path)]) == 3
+    assert "capacity" in capsys.readouterr().err
 
 
 def test_flow_lower_bound_capacity(tmp_path, capsys):
@@ -372,6 +400,11 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("argv,code,status", [
     (["wilson", "--n", "16", "--eps", "1.5"], 2, "error"),
     (["spectrum", "--n", "7", "--k", "3"], 3, "capacity"),
+    (["transfer", "--n", "3", "--k", "2", "--eps-grid", "0"], 2, "error"),
+    (["flow", "--builder", "general", "--n", "9", "--k", "3", "--lower-bound"],
+     3, "capacity"),
+    (["flow", "--builder", "general", "--n", "12", "--k", "3", "--dirichlet", "1"],
+     3, "capacity"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

@@ -9,6 +9,7 @@ from oracles import (
     bottom_k_to_top_move,
     bottom_k_to_top_step,
     coupon_tail,
+    densify,
     sampled_unselected_tail,
     single_card_occupancy,
     single_card_position_step,
@@ -26,7 +27,7 @@ from shufflemix.coupling import (
     trial_rng,
     unselected_tails,
 )
-from shufflemix.exact import convolve_step, densify, point_mass, tv_distance
+from shufflemix.exact import convolve_step, point_mass, tv_distance
 from shufflemix.measures import symmetrize, top_to_bottom_k
 
 

@@ -4,16 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_power, tbk_pairs
+from oracles import (
+    bfs_distances_nx,
+    brute_power,
+    densify,
+    distance_profile,
+    l2_from_spectrum,
+    tbk_pairs,
+)
 from shufflemix.errors import CapacityError
 from shufflemix.exact import (
     DenseDistribution,
-    beta_min_bound_check,
+    cayley_distances,
     convolve_step,
-    densify,
-    distance_profile,
     group_table,
-    l2_from_spectrum,
     least_eigenvalue_formula,
     lp_distance,
     mixing_time,
@@ -23,14 +27,16 @@ from shufflemix.exact import (
     tv_distance,
 )
 from shufflemix.measures import (
+    convolve_measures,
     delta_e,
     lazy,
     random_transposition,
     reversal,
+    rudvalis_symmetric,
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.perms import unrank
+from shufflemix.perms import cycle_generator, identity, inverse, rank, unrank
 
 
 def uniform(n):
@@ -202,16 +208,16 @@ def test_least_eigenvalue_formula_values():
 
 
 def test_beta_min_bound_5_3(frozen):
-    rep = beta_min_bound_check(5, 3)
-    assert rep.formula_value == Fraction(-35, 36)
-    assert abs(rep.exact_beta_min - frozen.get("beta_min_sym_tbk_5_3")) < 1e-10
-    assert rep.holds
+    beta_min = spectrum(symmetrize(top_to_bottom_k(5, 3))).beta_min
+    assert abs(beta_min - frozen.get("beta_min_sym_tbk_5_3")) < 1e-10
+    assert beta_min >= float(least_eigenvalue_formula(5, 3)) - 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_beta_min_bound_grid(n):
     for k in range(2, n + 1):
-        assert beta_min_bound_check(n, k).holds
+        beta_min = spectrum(symmetrize(top_to_bottom_k(n, k))).beta_min
+        assert beta_min >= float(least_eigenvalue_formula(n, k)) - 1e-12, (n, k)
 
 
 def test_l2_from_spectrum_m0():
@@ -246,18 +252,53 @@ def test_transfer_checks_3_2():
 def test_transfer_qq_star_fixes_card_two_whenever_k_lt_n():
     # every atom sigma_a sigma_b^{-1} with a, b >= 2 sends 2 -> 2, so the
     # pair measure is reducible exactly when k < n
-    from shufflemix.exact import generates_full_group
-    from shufflemix.measures import convolve_measures
-
     for n in range(2, 6):
         for k in range(2, n + 1):
             q = top_to_bottom_k(n, k)
             qq = convolve_measures(q, reversal(q))
+            generates = (cayley_distances(n, qq.support()) >= 0).all()
             if k < n:
                 assert all(g.map[1] == 2 for g, _ in qq.items())
-                assert not generates_full_group(qq)
+                assert not generates
             else:
-                assert generates_full_group(qq)
+                assert generates
+
+
+def _nx_distances(gens, n):
+    # networkx omits unreachable vertices; -1 marks them, as cayley_distances does
+    found = bfs_distances_nx([g.map for g in gens], n)
+    return [found.get(p, -1) for p in group_table(n).perms]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cayley_distances_match_networkx(n):
+    shuffle = symmetrize(top_to_bottom_k(n, max(2, n - 1))).support()
+    rudvalis = rudvalis_symmetric(n).support()
+    for gens in (shuffle, rudvalis):
+        dist = cayley_distances(n, gens)
+        assert dist.tolist() == _nx_distances(gens, n)
+        assert dist[0] == 0 and (dist >= 0).all()
+
+
+def test_cayley_distances_mark_a_proper_subgroup():
+    # q * q* at (4, 2) is e plus one transposition that fixes card 2, so
+    # only 2 of the 24 ranks are reachable
+    q = top_to_bottom_k(4, 2)
+    gens = convolve_measures(q, reversal(q)).support()
+    dist = cayley_distances(4, gens)
+    assert dist.tolist() == _nx_distances(gens, 4)
+    reached = [unrank(r, 4) for r in np.flatnonzero(dist >= 0)]
+    assert len(reached) == 2 and all(g.map[1] == 2 for g in reached)
+    # the identity alone reaches nothing else, and inverses are one step away
+    assert cayley_distances(4, [identity(4)]).tolist() == [0] + [-1] * 23
+    c = cycle_generator(4, 4)
+    assert cayley_distances(4, [c])[rank(inverse(c))] == 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, math.inf, math.nan])
+def test_transfer_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        transfer_checks(3, 2, eps_grid=(0.5, eps))
 
 
 def test_transfer_checks_4_4():

@@ -20,7 +20,6 @@ from shufflemix.flows import (
     congestion_A,
     congestion_lower_bound,
     dirichlet_form,
-    flow_report_rows,
     flow_to_json_obj,
     general_congestion_bound,
     generator_name,
@@ -50,7 +49,7 @@ from shufflemix.perms import (
     serialize,
     transposition,
 )
-from shufflemix.report import json_bytes
+from shufflemix.report import csv_bytes, json_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +138,6 @@ def test_flow_rejects_negative_weight_and_size_mismatch():
              paths={CayleyPath(4, ("s3",)): Fraction(-1, 2)})
     with pytest.raises(ValueError, match="size"):
         Flow(target=random_transposition(5), q=q, paths={})
-
-
-def test_odd_only_flow_rejects_even_paths():
-    q = symmetrize(top_to_bottom_k(4, 2))
-    with pytest.raises(ValueError, match="even"):
-        Flow(target=random_transposition(4), q=q,
-             paths={CayleyPath(4, ("s3", "s3inv")): Fraction(1)}, odd_only=True)
 
 
 def test_verify_flow_flags_half_weights():
@@ -378,9 +370,8 @@ def test_lower_bound_never_beats_congestion():
         build_odd_flow_tbk(6, 6),
     ]
     for flow in flows:
-        rep = congestion_A(flow, lower_bound=True)
-        assert rep.lower_bound is not None
-        assert rep.lower_bound <= rep.a_value
+        lb = congestion_lower_bound(flow.target, flow.q.support())
+        assert lb <= congestion_A(flow).a_value
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +408,7 @@ def test_dirichlet_comparison_both_directions():
 
 def test_comparison_bound_report_5_3():
     t2_rt = mixing_time(random_transposition(5), "l2").mixing_time
-    rep = comparison_bound_report(5, 3, build_flow_general(5, 3), t2_rt)
+    rep = comparison_bound_report(build_flow_general(5, 3), t2_rt)
     assert rep.holds
     assert rep.slack > 0
     assert rep.bound == max(rep.term_reference, rep.term_entropy, rep.term_beta)
@@ -429,7 +420,7 @@ def test_comparison_bound_nonnegative_spectrum_drops_third_term():
     lazy_q = lazy(base.q, Fraction(1, 2))
     flow = Flow(target=base.target, q=lazy_q, paths=base.paths)
     t2_rt = mixing_time(random_transposition(4), "l2").mixing_time
-    rep = comparison_bound_report(4, 2, flow, t2_rt)
+    rep = comparison_bound_report(flow, t2_rt)
     assert rep.term_beta == 0.0
     assert rep.holds
 
@@ -441,9 +432,9 @@ def test_comparison_bound_nonnegative_spectrum_drops_third_term():
 def test_flow_json_shape_and_determinism():
     flow = build_odd_flow_tbk(5, 3)
     obj = flow_to_json_obj(flow)
-    assert set(obj) == {"target", "q", "odd_only", "paths"}
-    assert obj["odd_only"] is True
+    assert set(obj) == {"target", "q", "paths"}
     words = [tuple(entry["word"]) for entry in obj["paths"]]
+    assert all(len(word) % 2 == 1 for word in words)
     assert ("s3",) * 3 in words
     assert all(isinstance(entry["weight"], str) and "/" in entry["weight"]
                for entry in obj["paths"])
@@ -453,8 +444,9 @@ def test_flow_json_shape_and_determinism():
 
 def test_flow_report_rows_render():
     rep = congestion_A(build_odd_flow_tbk(5, 3))
-    header, rows = flow_report_rows(rep)
-    assert header == ("generator", "q_weight", "term")
+    text = csv_bytes(("generator", "q_weight", "term"), rep.per_generator).decode()
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header == ["generator", "q_weight", "term"]
     assert {r[0] for r in rows} == {"s3", "s4", "s5", "s3inv", "s4inv", "s5inv"}
-    assert all(r[1] == Fraction(1, 6) for r in rows)
-    assert max(r[2] for r in rows) == rep.a_value
+    assert all(r[1] == "1/6" for r in rows)
+    assert max(Fraction(r[2]) for r in rows) == rep.a_value

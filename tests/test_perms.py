@@ -1,4 +1,3 @@
-import doctest
 import math
 
 import pytest
@@ -6,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import compose_word, parse
-import shufflemix.perms as perms_module
 from shufflemix.perms import (
     Permutation,
     compose,
@@ -18,11 +16,6 @@ from shufflemix.perms import (
     transposition,
     unrank,
 )
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(perms_module)
-    assert failures == 0
 
 
 def test_cycle_generator_identity():

@@ -9,7 +9,6 @@ from shufflemix.report import (
     FixtureStore,
     RunManifest,
     csv_bytes,
-    emit_csv,
     emit_json,
     json_bytes,
     jsonable,
@@ -82,8 +81,8 @@ def test_emit_roundtrip(tmp_path):
 
 def test_emit_deterministic_bytes(tmp_path):
     rows = [(m, 0.5**m) for m in range(8)]
-    a = emit_csv(tmp_path / "a.csv", ("m", "d"), rows).read_bytes()
-    b = emit_csv(tmp_path / "b.csv", ("m", "d"), rows).read_bytes()
+    a = csv_bytes(("m", "d"), rows)
+    b = csv_bytes(("m", "d"), rows)
     assert a == b
     ja = emit_json(tmp_path / "a.json", {"rows": rows}).read_bytes()
     jb = emit_json(tmp_path / "b.json", {"rows": rows}).read_bytes()
