@@ -264,6 +264,8 @@ def _build_flow(args):
 
 
 def _cmd_flow(args, sink: _Sink) -> str:
+    if args.dirichlet is not None and args.dirichlet < 1:
+        raise ValueError(f"--dirichlet needs at least 1 trial, got {args.dirichlet}")
     flow, bounds, tag = _build_flow(args)
     rep = congestion_A(flow)
     a_float = float(rep.a_value)
@@ -299,7 +301,7 @@ def _cmd_flow(args, sink: _Sink) -> str:
                 f"flow marginals disagree with the target on "
                 f"{len(check.discrepancies)} atoms")
         payload["verified"] = True
-    if args.dirichlet:
+    if args.dirichlet is not None:
         size = group_table(args.n).size
         violations = 0
         worst = 0.0

@@ -115,7 +115,7 @@ def convolve_step(d: DenseDistribution, q: SparseMeasure) -> DenseDistribution:
 def tv_distance(d: DenseDistribution) -> float:
     """Total variation distance to uniform: half the L1 gap."""
     u = 1.0 / math.factorial(d.n)
-    return 0.5 * math.fsum(abs(x - u) for x in d.probs.tolist())
+    return 0.5 * math.fsum(np.abs(d.probs - u).tolist())
 
 
 def lp_distance(d: DenseDistribution, p: int) -> float:
@@ -123,9 +123,10 @@ def lp_distance(d: DenseDistribution, p: int) -> float:
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     size = math.factorial(d.n)
+    e = size * d.probs - 1.0
     if p == 1:
-        return math.fsum(abs(size * x - 1.0) for x in d.probs.tolist()) / size
-    return math.sqrt(math.fsum((size * x - 1.0) ** 2 for x in d.probs.tolist()) / size)
+        return math.fsum(np.abs(e).tolist()) / size
+    return math.sqrt(math.fsum((e * e).tolist()) / size)
 
 
 @dataclass(frozen=True)
@@ -268,10 +269,11 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     sigma_a sigma_b^{-1} has a, b >= 2), so it lives on a proper subgroup and
     T2(q * q*) is infinite: the doubling bound holds vacuously.  The
     substantive instance is the lazy one, lazy(q)* (*) lazy(q), which always
-    generates; it is checked as well.  Every eps must be finite and positive.
+    generates; it is checked as well.  The eps grid must be nonempty, and
+    every eps finite and positive.
     """
-    if not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
-        raise ValueError(f"every eps must be finite and positive, got {tuple(eps_grid)}")
+    if not eps_grid or not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
+        raise ValueError(f"need a nonempty grid of finite positive eps, got {tuple(eps_grid)}")
     q = top_to_bottom_k(n, k)
     t_tv = mixing_time(q, "tv", m_max).mixing_time
     t_l2 = mixing_time(q, "l2", m_max).mixing_time

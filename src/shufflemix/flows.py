@@ -2,8 +2,8 @@
 
 A flow routes the mass of a target measure through paths in the Cayley graph
 of a comparison measure q: every target atom y receives paths ending at y
-whose weights sum to the atom's mass, exactly, in rational arithmetic.  The
-congestion constant
+whose integer multiplicities, times the flow's one rational unit, sum to the
+atom's mass exactly.  The congestion constant
 
     A(eta) = max_s (1/q(s)) sum_paths |delta| N(s, delta) eta(delta)
 
@@ -16,15 +16,16 @@ instead: beta_min >= -1 + (1 + beta~_min)/A.
 Word lengths for the distance-squared congestion floor come from
 :func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms run over
 the group tables of :mod:`shufflemix.exact`, so both share its dense cap
-n <= 8; flows themselves are exact-rational and have no size cap.
+n <= 8; flows themselves are exact and have no size cap.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
 for k close to n, one for general k), and a routing of the symmetrized
 shuffle through the Rudvalis generators {sigma_n^{+-1}, (1, n)}.  Printed
 per-path weights in the source analyses sum to half the transposition mass
-(they count unordered pairs once); the builders double them so marginals
-match the target exactly rather than up to a factor absorbed in a constant.
+(they count unordered pairs once); the builders' multiplicities carry the
+full mass, so marginals match the target exactly rather than up to a factor
+absorbed in a constant.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,6 +81,13 @@ def letter_perm(name: str, n: int) -> Permutation:
     raise ValueError(f"unknown generator name {name!r}")
 
 
+@lru_cache(maxsize=None)
+def _letter_step(name: str, n: int):
+    """Right multiplication by a letter as a map on one-line tuples (at n = 1,
+    where itemgetter of one index would return a bare label, the identity)."""
+    return itemgetter(*(x - 1 for x in letter_perm(name, n).map)) if n > 1 else tuple
+
+
 def invert_letter(name: str) -> str:
     if name == "tau":
         return name
@@ -119,22 +128,18 @@ class CayleyPath:
 
     @property
     def endpoint(self) -> Permutation:
-        cached = self.__dict__.get("_endpoint")
-        if cached is None:
-            # fold one-line tuples directly; Permutation validation per step
-            # would dominate at tens of thousands of paths
-            cur = tuple(range(1, self.n + 1))
-            for name in self.word:
-                s = letter_perm(name, self.n).map
-                cur = tuple(cur[x - 1] for x in s)
-            cached = Permutation(self.n, cur)
-            object.__setattr__(self, "_endpoint", cached)
-        return cached
+        # fold one-line tuples directly; Permutation validation per step
+        # would dominate at tens of thousands of paths
+        cur = tuple(range(1, self.n + 1))
+        for name in self.word:
+            cur = _letter_step(name, self.n)(cur)
+        return Permutation(self.n, cur)
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Weighted paths routing ``target`` through the Cayley graph of ``q``.
+    """Paths routing ``target`` through the Cayley graph of ``q``; a path of
+    int multiplicity c >= 0 carries mass c * ``unit``.
 
     Letters must name support elements of q (the identity may appear as a
     letter only when q(e) > 0, which odd loop flows at k = n exploit).
@@ -144,25 +149,24 @@ class Flow:
 
     target: SparseMeasure
     q: SparseMeasure
-    paths: dict[CayleyPath, Fraction] = field(compare=False)
+    unit: Fraction
+    paths: dict[CayleyPath, int] = field(compare=False)
 
     def __post_init__(self):
         if self.target.n != self.q.n:
             raise ValueError(f"size mismatch: target n={self.target.n}, q n={self.q.n}")
-        cleaned = {}
+        if not (isinstance(self.unit, Fraction) and self.unit > 0):
+            raise ValueError(f"unit must be a positive Fraction, got {self.unit!r}")
         names = set()
-        for p, w in self.paths.items():
+        for p, c in self.paths.items():
             if p.n != self.q.n:
                 raise ValueError(f"path size {p.n} != {self.q.n}")
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
+            if not (isinstance(c, int) and c >= 0):
+                raise ValueError(f"multiplicity must be a nonnegative int, got {c!r}")
             names.update(p.word)
-            cleaned[p] = w
         for name in sorted(names):
             if self.q.weight(letter_perm(name, self.q.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
-        object.__setattr__(self, "paths", cleaned)
 
     @property
     def n(self) -> int:
@@ -177,15 +181,12 @@ class FlowVerification:
 
 def verify_flow(flow: Flow) -> FlowVerification:
     """Exact rational check that path-endpoint marginals equal the target."""
-    routed: dict[int, Fraction] = {}
-    for p, w in flow.paths.items():
-        if w == 0:
-            continue
-        r = rank(p.endpoint)
-        routed[r] = routed.get(r, Fraction(0)) + w
+    routed: Counter = Counter()
+    for p, c in flow.paths.items():
+        routed[rank(p.endpoint)] += c
     bad = []
     for r in sorted(set(routed) | set(flow.target.atoms)):
-        got = routed.get(r, Fraction(0))
+        got = flow.unit * routed[r]
         want = flow.target.atoms.get(r, Fraction(0))
         if got != want:
             bad.append((serialize(unrank(r, flow.n)), got, want))
@@ -201,34 +202,22 @@ class FlowReport:
 def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
-    Traffic sums |delta| * N(s, delta) are accumulated as integers per weight
-    class, so the Fraction work is proportional to the number of distinct
-    weights rather than the number of letters.
+    Traffic c * |delta| * N(s, delta) is an int tally per letter name, merged
+    by rank (sigma_2^{+-1} and tau coincide at n = 2) and scaled by the unit
+    once per generator.
     """
-    n = flow.n
-    per_weight: dict[Fraction, dict[str, int]] = {}
-    for p, w in flow.paths.items():
-        if w == 0 or not p.word:
-            continue
-        bucket = per_weight.setdefault(w, {})
-        length = p.length
-        for name, c in Counter(p.word).items():
-            bucket[name] = bucket.get(name, 0) + length * c
-    traffic: dict[int, Fraction] = {}
-    for w, bucket in per_weight.items():
-        for name, units in bucket.items():
-            r = rank(letter_perm(name, n))
-            traffic[r] = traffic.get(r, Fraction(0)) + w * units
-    rows = []
-    for g, qs in flow.q.items():
-        r = rank(g)
-        if qs == 0:
-            if traffic.get(r, Fraction(0)) != 0:
-                raise ValueError(f"generator {generator_name(g)} has q = 0 but carries traffic")
-            continue
-        rows.append((generator_name(g), qs, traffic.get(r, Fraction(0)) / qs))
-    a = max((t for _, _, t in rows), default=Fraction(0))
-    return FlowReport(a_value=a, per_generator=tuple(rows))
+    tally: Counter = Counter()
+    for p, c in flow.paths.items():
+        load = c * p.length
+        for name, m in Counter(p.word).items():
+            tally[name] += load * m
+    traffic: Counter = Counter()
+    for name, t in tally.items():
+        traffic[rank(letter_perm(name, flow.n))] += t
+    rows = tuple((generator_name(g), qs, flow.unit * traffic[rank(g)] / qs)
+                 for g, qs in flow.q.items())
+    a = max(t for _, _, t in rows)
+    return FlowReport(a_value=a, per_generator=rows)
 
 
 def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
@@ -305,25 +294,26 @@ def build_odd_flow_tbk(n: int, k: int) -> Flow:
     """Odd loop flow at e over the symmetrized shuffle generators.
 
     For each odd l in [n-k+1, n] the loop walks sigma_l (and its inverse)
-    l times; weights are 1/(2Z) * 1/l^2 per direction with Z summing 1/l^2
-    over the odd l, so the total mass at e is exactly 1.  At l = 1 both
-    directions are the same single identity letter and merge into one path,
-    carried by the identity mass of the symmetrized measure at k = n.
+    l times with multiplicity L/l^2 per direction, L the lcm of the l^2; the
+    unit is one over the total multiplicity, so the mass at e is exactly 1.
+    At l = 1 both directions are the same single identity letter and merge
+    into one path of multiplicity 2L, carried by the identity mass of the
+    symmetrized measure at k = n.
     """
     q = symmetrize(top_to_bottom_k(n, k))
     odd_ls = [l for l in range(n - k + 1, n + 1) if l % 2 == 1]
     if not odd_ls:
         raise ValueError(f"no odd cycle length in [{n - k + 1}, {n}]")
-    z = sum((Fraction(1, l * l) for l in odd_ls), Fraction(0))
-    paths: dict[CayleyPath, Fraction] = {}
+    big_l = math.lcm(*(l * l for l in odd_ls))
+    paths: dict[CayleyPath, int] = {}
     for l in odd_ls:
-        w = Fraction(1, 2 * l * l) / z
+        c = big_l // (l * l)
         if l == 1:
-            paths[CayleyPath(n, ("s1",))] = 2 * w
+            paths[CayleyPath(n, ("s1",))] = 2 * c
         else:
-            paths[CayleyPath(n, (f"s{l}",) * l)] = w
-            paths[CayleyPath(n, (f"s{l}inv",) * l)] = w
-    return Flow(target=delta_e(n), q=q, paths=paths)
+            paths[CayleyPath(n, (f"s{l}",) * l)] = c
+            paths[CayleyPath(n, (f"s{l}inv",) * l)] = c
+    return Flow(target=delta_e(n), q=q, unit=Fraction(1, sum(paths.values())), paths=paths)
 
 
 def odd_flow_eigenvalue_bound(flow: Flow, beta_tilde_min=1) -> Fraction:
@@ -356,12 +346,12 @@ def build_flow_large_k(n: int, C: int) -> Flow:
     k = n - C
     q = symmetrize(top_to_bottom_k(n, k))
     target = random_transposition(n)
-    w = Fraction(2, n * n)
-    paths: dict[CayleyPath, Fraction] = {CayleyPath(n, ()): Fraction(1, n)}
+    # unit 1/n^2: the identity carries 1/n, each transposition 2/n^2
+    paths = {CayleyPath(n, ()): n}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            paths[CayleyPath(n, transposition_word_large_k(n, C, i, j))] = w
-    return Flow(target=target, q=q, paths=paths)
+            paths[CayleyPath(n, transposition_word_large_k(n, C, i, j))] = 2
+    return Flow(target=target, q=q, unit=Fraction(1, n * n), paths=paths)
 
 
 def build_flow_general(n: int, k: int) -> Flow:
@@ -377,17 +367,16 @@ def build_flow_general(n: int, k: int) -> Flow:
         raise ValueError(f"need n >= k > 1, got n={n}, k={k}")
     q = symmetrize(top_to_bottom_k(n, k))
     target = random_transposition(n)
-    w_short = Fraction(2, n * n)
-    w_long = Fraction(2, (k - 1) * n * n)
-    paths: dict[CayleyPath, Fraction] = {CayleyPath(n, ()): Fraction(1, n)}
+    # unit 1/((k-1)n^2): e carries 1/n, a short word 2/n^2, a long word 2 units
+    paths = {CayleyPath(n, ()): (k - 1) * n}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             words = transposition_words_general(n, k, i, j)
-            w = w_short if len(words) == 1 else w_long
+            c = 2 * (k - 1) if len(words) == 1 else 2
             for word in words:
                 p = CayleyPath(n, word)
-                paths[p] = paths.get(p, Fraction(0)) + w
-    return Flow(target=target, q=q, paths=paths)
+                paths[p] = paths.get(p, 0) + c
+    return Flow(target=target, q=q, unit=Fraction(1, (k - 1) * n * n), paths=paths)
 
 
 def build_flow_rudvalis(n: int, k: int) -> Flow:
@@ -396,14 +385,19 @@ def build_flow_rudvalis(n: int, k: int) -> Flow:
     Each sigma_l is reached as sigma_n (sigma_n^{-1} tau)^{n-l} sigma_n^{n-l};
     inverses take the reversed word with inverted letters.  One path per
     support atom carrying exactly its mass, so the flow is simple and the
-    marginals are immediate.
+    marginals are immediate.  The unit is 1/(2k); merged atoms (e at k = n,
+    sigma_2 at n = 2) carry two.
     """
     target = symmetrize(top_to_bottom_k(n, k))
     q = rudvalis_symmetric(n)
-    paths: dict[CayleyPath, Fraction] = {}
+    unit = Fraction(1, 2 * k)
+    paths: dict[CayleyPath, int] = {}
     for g, w in target.items():
-        paths[CayleyPath(n, _rudvalis_word_for(g, n))] = w
-    return Flow(target=target, q=q, paths=paths)
+        c = w / unit
+        if c.denominator != 1:
+            raise ValueError(f"atom {serialize(g)} of mass {w} is not a multiple of {unit}")
+        paths[CayleyPath(n, _rudvalis_word_for(g, n))] = c.numerator
+    return Flow(target=target, q=q, unit=unit, paths=paths)
 
 
 def rudvalis_generator_word(n: int, l: int) -> tuple[str, ...]:
@@ -516,6 +510,6 @@ def flow_to_json_obj(flow: Flow) -> dict:
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),
-        "paths": [{"word": list(p.word), "weight": str(w)} for p, w in items],
+        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for p, c in items],
     }
 

@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, fsum
+from math import comb, factorial, fsum, sqrt
 
 from shufflemix.exact import (
     DenseDistribution,
@@ -22,10 +22,10 @@ from shufflemix.exact import (
     spectrum,
     tv_distance,
 )
-from shufflemix.flows import CayleyPath
+from shufflemix.flows import CayleyPath, letter_perm
 from shufflemix.measures import SparseMeasure, convolve_measures, delta_e
 # cycle_generator and transposition appear only in the doctests below
-from shufflemix.perms import Permutation, compose, cycle_generator, identity, transposition
+from shufflemix.perms import Permutation, compose, cycle_generator, identity, rank, transposition
 
 
 def o_cycle(l, n):
@@ -95,6 +95,21 @@ def brute_lp(dist, n, p):
         acc += (w / u - 1) ** 2 * u
     acc += (size - len(dist)) * u
     return acc
+
+
+def scalar_tv(d):
+    """TV to uniform of a dense distribution (``.n``, ``.probs``), one Python
+    float term at a time into fsum."""
+    u = 1.0 / factorial(d.n)
+    return 0.5 * fsum(abs(x - u) for x in d.probs.tolist())
+
+
+def scalar_lp(d, p):
+    """L1 or L2 distance to uniform, one Python float term at a time."""
+    size = factorial(d.n)
+    if p == 1:
+        return fsum(abs(size * x - 1.0) for x in d.probs.tolist()) / size
+    return sqrt(fsum((size * x - 1.0) ** 2 for x in d.probs.tolist()) / size)
 
 
 def brute_mixing_time(pairs, n, metric, m_max=60):
@@ -506,6 +521,19 @@ def path_endpoint(path: CayleyPath) -> Permutation:
     True
     """
     return path.endpoint
+
+
+def congestion_from_weights(flow) -> tuple[Fraction, dict[int, Fraction]]:
+    """A(eta) and the term of every generator rank, from each path's own
+    Fraction weight unit * c added once per letter: no tallies, no classes."""
+    traffic: dict[int, Fraction] = {}
+    for path, c in flow.paths.items():
+        w = flow.unit * c
+        for name in path.word:
+            r = rank(letter_perm(name, flow.n))
+            traffic[r] = traffic.get(r, Fraction(0)) + w * len(path.word)
+    terms = {r: traffic.get(r, Fraction(0)) / qs for r, qs in flow.q.atoms.items()}
+    return max(terms.values()), terms
 
 
 def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:

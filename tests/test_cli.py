@@ -405,6 +405,11 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
      3, "capacity"),
     (["flow", "--builder", "general", "--n", "12", "--k", "3", "--dirichlet", "1"],
      3, "capacity"),
+    (["transfer", "--n", "3", "--k", "2", "--eps-grid", ","], 2, "error"),
+    (["flow", "--builder", "general", "--n", "4", "--k", "2", "--dirichlet", "0"],
+     2, "error"),
+    (["flow", "--builder", "general", "--n", "4", "--k", "2", "--dirichlet", "-1"],
+     2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

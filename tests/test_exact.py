@@ -10,6 +10,8 @@ from oracles import (
     densify,
     distance_profile,
     l2_from_spectrum,
+    scalar_lp,
+    scalar_tv,
     tbk_pairs,
 )
 from shufflemix.errors import CapacityError
@@ -106,6 +108,20 @@ def test_lp_examples():
     assert abs(lp_distance(point_mass(3), 2) - math.sqrt(5)) < 1e-14
     with pytest.raises(ValueError):
         lp_distance(uniform(3), 3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_vectorised_distances_equal_scalar_sums(n):
+    # the array terms must hand fsum exactly the doubles of the per-term sums
+    for k in (2, n):
+        q = top_to_bottom_k(n, k)
+        for walk in (q, symmetrize(q), lazy(q, Fraction(1, 2))):
+            d = point_mass(n)
+            for _ in range(8):
+                assert tv_distance(d) == scalar_tv(d)
+                assert lp_distance(d, 1) == scalar_lp(d, 1)
+                assert lp_distance(d, 2) == scalar_lp(d, 2)
+                d = convolve_step(d, walk)
 
 
 def test_l1_is_twice_tv():
@@ -299,6 +315,11 @@ def test_cayley_distances_mark_a_proper_subgroup():
 def test_transfer_rejects_bad_eps(eps):
     with pytest.raises(ValueError, match="eps"):
         transfer_checks(3, 2, eps_grid=(0.5, eps))
+
+
+def test_transfer_rejects_empty_eps_grid():
+    with pytest.raises(ValueError, match="eps"):
+        transfer_checks(3, 2, eps_grid=())
 
 
 def test_transfer_checks_4_4():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances_nx, dirichlet_form_operator, o_compose, path_endpoint
+from oracles import (
+    bfs_distances_nx,
+    congestion_from_weights,
+    dirichlet_form_operator,
+    o_compose,
+    path_endpoint,
+)
 from shufflemix.errors import CapacityError, UnreachableTargetError
 from shufflemix.exact import group_table, least_eigenvalue_formula, mixing_time, spectrum
 from shufflemix.flows import (
@@ -92,8 +98,8 @@ def test_empty_word_is_identity():
 
 
 def test_generator_loops_close():
-    for n in (3, 5, 8):
-        for l in range(2, n + 1):
+    for n in (1, 3, 5, 8):
+        for l in range(1, n + 1):
             p = CayleyPath(n, (f"s{l}",) * l)
             assert p.endpoint.is_identity()
             assert p.length == l
@@ -116,7 +122,7 @@ def test_endpoint_matches_oracle_fold(word):
 
 def test_endpoint_is_cached_and_word_hashable():
     p = CayleyPath(6, ("s4", "s4inv"))
-    assert p.endpoint is p.endpoint
+    assert p.endpoint == p.endpoint == identity(6)
     assert hash(p) == hash(CayleyPath(6, ("s4", "s4inv")))
 
 
@@ -128,24 +134,40 @@ def test_flow_rejects_letter_outside_support():
     q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
     target = SparseMeasure(5, {rank(cycle_generator(2, 5)): Fraction(1)})
     with pytest.raises(ValueError, match="support"):
-        Flow(target=target, q=q, paths={CayleyPath(5, ("s2",)): Fraction(1)})
+        Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(5, ("s2",)): 1})
 
 
 def test_flow_rejects_negative_weight_and_size_mismatch():
     q = symmetrize(top_to_bottom_k(4, 2))
-    with pytest.raises(ValueError):
-        Flow(target=random_transposition(4), q=q,
-             paths={CayleyPath(4, ("s3",)): Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="multiplicity"):
+        Flow(target=random_transposition(4), q=q, unit=Fraction(1, 2),
+             paths={CayleyPath(4, ("s3",)): -1})
     with pytest.raises(ValueError, match="size"):
-        Flow(target=random_transposition(5), q=q, paths={})
+        Flow(target=random_transposition(5), q=q, unit=Fraction(1), paths={})
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 2), 1.0, 0.5])
+def test_flow_rejects_non_int_multiplicity(c):
+    q = symmetrize(top_to_bottom_k(4, 2))
+    with pytest.raises(ValueError, match="multiplicity"):
+        Flow(target=random_transposition(4), q=q, unit=Fraction(1, 16),
+             paths={CayleyPath(4, ("s3",)): c})
+
+
+@pytest.mark.parametrize("unit", [Fraction(0), Fraction(-1, 16), 0, 1, 0.0625])
+def test_flow_rejects_unit_other_than_a_positive_fraction(unit):
+    q = symmetrize(top_to_bottom_k(4, 2))
+    with pytest.raises(ValueError, match="unit"):
+        Flow(target=random_transposition(4), q=q, unit=unit,
+             paths={CayleyPath(4, ("s3",)): 1})
 
 
 def test_verify_flow_flags_half_weights():
     # routing each transposition at half its target mass must be reported as
     # a discrepancy for every transposition, not an error
     flow = build_flow_general(5, 3)
-    halved = {p: (w if not p.word else w / 2) for p, w in flow.paths.items()}
-    report = verify_flow(Flow(target=flow.target, q=flow.q, paths=halved))
+    halved = {p: (c if p.word else 2 * c) for p, c in flow.paths.items()}
+    report = verify_flow(Flow(target=flow.target, q=flow.q, unit=flow.unit / 2, paths=halved))
     assert not report.exact
     assert len(report.discrepancies) == 10
     got, want = report.discrepancies[0][1], report.discrepancies[0][2]
@@ -156,8 +178,10 @@ def test_verify_single_path_per_atom_passes():
     g = cycle_generator(3, 4)
     target = SparseMeasure(4, {rank(g): Fraction(2, 3), rank(identity(4)): Fraction(1, 3)})
     q = symmetrize(top_to_bottom_k(4, 4))
-    flow = Flow(target=target, q=q,
-                paths={CayleyPath(4, ("s3",)): Fraction(2, 3), CayleyPath(4, ()): Fraction(1, 3)})
+    flow = Flow(target=target, q=q, unit=Fraction(1, 3),
+                paths={CayleyPath(4, ("s3",)): 2, CayleyPath(4, ()): 1})
+    assert {p.word: flow.unit * c for p, c in flow.paths.items()} == {
+        ("s3",): Fraction(2, 3), (): Fraction(1, 3)}
     assert verify_flow(flow).exact
 
 
@@ -169,7 +193,8 @@ def test_congestion_single_path_formula():
     # one path of length 1 through s with weight w: A = w / q(s)
     q = symmetrize(top_to_bottom_k(3, 3))
     target = SparseMeasure(3, {rank(cycle_generator(3, 3)): Fraction(1)})
-    flow = Flow(target=target, q=q, paths={CayleyPath(3, ("s3",)): Fraction(1)})
+    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(3, ("s3",)): 1})
+    assert flow.unit * flow.paths[CayleyPath(3, ("s3",))] == 1
     rep = congestion_A(flow)
     assert rep.a_value == Fraction(1) / q.weight(cycle_generator(3, 3)) == 6
     terms = {name: term for name, _, term in rep.per_generator}
@@ -179,8 +204,37 @@ def test_congestion_single_path_formula():
 def test_congestion_empty_path_contributes_nothing():
     q = symmetrize(top_to_bottom_k(4, 4))
     target = SparseMeasure(4, {rank(identity(4)): Fraction(1)})
-    flow = Flow(target=target, q=q, paths={CayleyPath(4, ()): Fraction(1)})
+    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(4, ()): 1})
+    assert flow.unit * flow.paths[CayleyPath(4, ())] == 1
     assert congestion_A(flow).a_value == 0
+
+
+BUILDERS = {"general": build_flow_general, "large-k": build_flow_large_k,
+            "odd": build_odd_flow_tbk, "rudvalis": build_flow_rudvalis}
+
+
+@pytest.mark.parametrize("builder,n,k", [
+    ("general", 5, 3),
+    ("general", 6, 2),
+    ("general", 6, 6),
+    ("general", 9, 4),
+    ("large-k", 7, 1),            # k is C here
+    ("large-k", 9, 2),
+    ("odd", 5, 3),
+    ("odd", 5, 5),                # l = 1: the identity letter s1
+    ("odd", 6, 6),
+    ("rudvalis", 2, 2),           # sigma_2^{+-1} and tau merge into one atom
+    ("rudvalis", 6, 3),
+    ("rudvalis", 6, 6),
+])
+def test_congestion_equals_per_path_weight_sum(builder, n, k):
+    flow = BUILDERS[builder](n, k)
+    a, terms = congestion_from_weights(flow)
+    rep = congestion_A(flow)
+    assert rep.a_value == a
+    assert [(name, qs) for name, qs, _ in rep.per_generator] == [
+        (generator_name(g), qs) for g, qs in flow.q.items()]
+    assert [t for _, _, t in rep.per_generator] == [terms[r] for r in sorted(terms)]
 
 
 def test_congestion_lower_bound_support_case():
@@ -225,9 +279,16 @@ def test_odd_flow_5_3_values():
     assert verify_flow(flow).exact
     assert len(flow.paths) == 4
     assert all(p.length % 2 == 1 for p in flow.paths)
-    weights = sorted(flow.paths.values())
+    weights = sorted(flow.unit * c for c in flow.paths.values())
     assert weights == [Fraction(9, 68)] * 2 + [Fraction(25, 68)] * 2
     assert congestion_A(flow).a_value == Fraction(1350, 68)
+    # at k = n both directions of l = 1 merge into the one identity letter
+    flow = build_odd_flow_tbk(5, 5)
+    assert verify_flow(flow).exact
+    assert {p.word: flow.unit * c for p, c in flow.paths.items()} == {
+        ("s1",): Fraction(225, 259),
+        ("s3",) * 3: Fraction(25, 518), ("s3inv",) * 3: Fraction(25, 518),
+        ("s5",) * 5: Fraction(9, 518), ("s5inv",) * 5: Fraction(9, 518)}
 
 
 def test_odd_flow_bound_5_3():
@@ -262,8 +323,9 @@ def test_odd_flow_bound_below_exact_beta_min(n):
 
 def test_odd_flow_even_path_rejected_by_bound():
     q = symmetrize(top_to_bottom_k(4, 2))
-    flow = Flow(target=random_transposition(4), q=q,
-                paths={CayleyPath(4, ("s3", "s4")): Fraction(1)})
+    flow = Flow(target=random_transposition(4), q=q, unit=Fraction(1),
+                paths={CayleyPath(4, ("s3", "s4")): 1})
+    assert flow.unit * flow.paths[CayleyPath(4, ("s3", "s4"))] == 1
     with pytest.raises(ValueError, match="odd"):
         odd_flow_eigenvalue_bound(flow, 1)
 
@@ -303,7 +365,7 @@ def test_general_flow_marginals_and_lengths():
         flow = build_flow_general(n, k)
         assert verify_flow(flow).exact
         assert max(p.length for p in flow.paths) <= 2 * n + 12
-        assert flow.paths[CayleyPath(n, ())] == Fraction(1, n)
+        assert flow.unit * flow.paths[CayleyPath(n, ())] == Fraction(1, n)
 
 
 def test_general_flow_strips_identity_letters_at_k_n():
@@ -325,6 +387,7 @@ def test_large_k_flow_marginals_and_constant():
     for n, C in ((6, 0), (7, 1), (9, 2), (12, 3)):
         flow = build_flow_large_k(n, C)
         assert verify_flow(flow).exact
+        assert flow.unit * flow.paths[CayleyPath(n, ())] == Fraction(1, n)
     a = congestion_A(build_flow_large_k(12, 3)).a_value
     assert a <= large_k_congestion_bound(3) == 608
     assert a == Fraction(227, 2)
@@ -354,7 +417,7 @@ def test_rudvalis_flow_marginals_and_bound():
         assert rep.a_value <= rudvalis_congestion_bound(n, k), (n, k)
     # identity atom at k = n rides the empty path
     flow = build_flow_rudvalis(8, 8)
-    assert flow.paths[CayleyPath(8, ())] == Fraction(1, 8)
+    assert flow.unit * flow.paths[CayleyPath(8, ())] == Fraction(1, 8)
 
 
 def test_lower_bound_never_beats_congestion():
@@ -418,7 +481,7 @@ def test_comparison_bound_report_5_3():
 def test_comparison_bound_nonnegative_spectrum_drops_third_term():
     base = build_flow_general(4, 2)
     lazy_q = lazy(base.q, Fraction(1, 2))
-    flow = Flow(target=base.target, q=lazy_q, paths=base.paths)
+    flow = Flow(target=base.target, q=lazy_q, unit=base.unit, paths=base.paths)
     t2_rt = mixing_time(random_transposition(4), "l2").mixing_time
     rep = comparison_bound_report(flow, t2_rt)
     assert rep.term_beta == 0.0
