@@ -157,6 +157,8 @@ def _tail_points(args) -> list[float]:
 
 
 def _cmd_couple(args, sink: _Sink) -> str:
+    if args.tail_grid is not None and args.tail_grid < 0:
+        raise ValueError(f"--tail-grid must be nonnegative, got {args.tail_grid}")
     stats = coupling_trials(args.n, args.k, args.kind, args.trials,
                             seed=args.seed, cap=args.cap)
     if args.lazy_p is not None:

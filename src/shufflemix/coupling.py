@@ -135,7 +135,7 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
 
     kind is "bottom_k_to_top" or "top_insert".  Trials are pure functions of
     (n, k, kind, seed, trial); censoring at cap (default 50 n^3) is flagged,
-    never dropped.
+    never dropped.  trials and cap must be at least 1.
     """
     if kind not in ("bottom_k_to_top", "top_insert"):
         raise ValueError(f"unknown coupling kind {kind!r}")
@@ -143,6 +143,8 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
         raise ValueError(f"k={k} outside (1, {n}]")
     if cap is None:
         cap = DEFAULT_CAP_FACTOR * n**3
+    if trials < 1 or cap < 1:
+        raise ValueError(f"need trials >= 1 and cap >= 1, got trials={trials}, cap={cap}")
     return [_trial(n, k, kind, t, seed, cap) for t in range(trials)]
 
 

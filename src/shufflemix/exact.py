@@ -4,10 +4,11 @@ Distributions live on the full n!-point state space indexed by lexicographic
 permutation rank.  Distance sums run through math.fsum (exact compensated
 summation), because n! terms of magnitude ~1/n! lose digits under naive
 accumulation.  This module owns every computation over the whole group:
-the rank-indexed multiplication tables, dense convolution, the breadth-first
-search for word lengths in the Cayley graph (:func:`cayley_distances`), and
-the spectrum.  One dense cap, n <= 8, covers everything built on the group
-tables (convolution, Cayley-graph distances, and the Dirichlet forms in
+the rank-indexed multiplication tables (built with the one group product,
+:func:`shufflemix.perms.right_multiplier`), dense convolution, the BFS for
+word lengths in the Cayley graph (:func:`cayley_distances`), and the
+spectrum.  One dense cap, n <= 8, covers everything built on the group tables
+(convolution, Cayley-graph distances, and the Dirichlet forms in
 :mod:`shufflemix.flows`); eigendecomposition stops at n <= 6, with n = 7
 behind an explicit opt-in because it allocates a 5040 x 5040 matrix.
 """
@@ -31,7 +32,7 @@ from .measures import (
     reversal,
     top_to_bottom_k,
 )
-from .perms import inverse
+from .perms import inverse, right_multiplier
 
 DENSE_CAP = 8
 EIGEN_CAP = 6
@@ -54,9 +55,8 @@ class GroupTable:
         """J with J[i] = rank(perm_i * s); a bijection of ranks."""
         tbl = self._right.get(s)
         if tbl is None:
-            idx = self.index
             tbl = np.fromiter(
-                (idx[tuple(p[x - 1] for x in s)] for p in self.perms),
+                map(self.index.__getitem__, map(right_multiplier(s), self.perms)),
                 dtype=np.int64,
                 count=self.size,
             )
@@ -152,8 +152,10 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
     """First step m with distance(q^m, pi) <= threshold, plus the profile.
 
     Thresholds are 1/(2e) for TV and 1/e for the L2 distance.  Saturation
-    (threshold not reached by m_max) is a reported outcome, not an error.
+    (threshold not reached by m_max >= 0) is a reported outcome, not an error.
     """
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     dist_fn, threshold = _metric_fn(metric)
     d = point_mass(q.n)
     profile = [(0, dist_fn(d))]

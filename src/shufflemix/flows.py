@@ -16,7 +16,9 @@ instead: beta_min >= -1 + (1 + beta~_min)/A.
 Word lengths for the distance-squared congestion floor come from
 :func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms run over
 the group tables of :mod:`shufflemix.exact`, so both share its dense cap
-n <= 8; flows themselves are exact and have no size cap.
+n <= 8; flows themselves are exact, have no size cap, and never convert to
+ranks.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
+through one table per n, and endpoints and letters are keyed by Permutation.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -35,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,14 +55,24 @@ from .perms import (
     Permutation,
     cycle_generator,
     inverse,
-    rank,
+    right_multiplier,
     serialize,
     transposition,
-    unrank,
 )
 
 
 @lru_cache(maxsize=None)
+def _letters(n: int) -> dict:
+    """Names s1, s1inv, ..., sn, sninv, tau (n > 1) -> (perm, right multiplier)."""
+    gens = {}
+    for l in range(1, n + 1):
+        gens[f"s{l}"] = cycle_generator(l, n)
+        gens[f"s{l}inv"] = inverse(gens[f"s{l}"])
+    if n > 1:
+        gens["tau"] = transposition(1, n, n)
+    return {name: (g, right_multiplier(g.map)) for name, g in gens.items()}
+
+
 def letter_perm(name: str, n: int) -> Permutation:
     """Resolve a generator name: "s{l}" / "s{l}inv" are the cycles sigma_l
     and their inverses, "tau" is the transposition (1, n).
@@ -71,21 +82,10 @@ def letter_perm(name: str, n: int) -> Permutation:
     >>> letter_perm("s3inv", 3) == inverse(letter_perm("s3", 3))
     True
     """
-    if name == "tau":
-        return transposition(1, n, n)
-    if name.startswith("s"):
-        body = name[1:-3] if name.endswith("inv") else name[1:]
-        if body.isdigit():
-            g = cycle_generator(int(body), n)
-            return inverse(g) if name.endswith("inv") else g
-    raise ValueError(f"unknown generator name {name!r}")
-
-
-@lru_cache(maxsize=None)
-def _letter_step(name: str, n: int):
-    """Right multiplication by a letter as a map on one-line tuples (at n = 1,
-    where itemgetter of one index would return a bare label, the identity)."""
-    return itemgetter(*(x - 1 for x in letter_perm(name, n).map)) if n > 1 else tuple
+    try:
+        return _letters(n)[name][0]
+    except KeyError:
+        raise ValueError(f"unknown generator name {name!r} at n={n}") from None
 
 
 def invert_letter(name: str) -> str:
@@ -95,18 +95,11 @@ def invert_letter(name: str) -> str:
 
 
 def generator_name(g: Permutation) -> str:
-    """Canonical display name for a permutation: e, s{l}, s{l}inv, or tau."""
+    """Canonical display name for a permutation: e, the first generator name
+    resolving to it (s{l}, s{l}inv, or tau), otherwise its one-line form."""
     if g.is_identity():
         return "e"
-    for l in range(2, g.n + 1):
-        c = cycle_generator(l, g.n)
-        if g == c:
-            return f"s{l}"
-        if g == inverse(c):
-            return f"s{l}inv"
-    if g == transposition(1, g.n, g.n):
-        return "tau"
-    return serialize(g)
+    return next((name for name, (h, _) in _letters(g.n).items() if h == g), serialize(g))
 
 
 @dataclass(frozen=True)
@@ -130,9 +123,13 @@ class CayleyPath:
     def endpoint(self) -> Permutation:
         # fold one-line tuples directly; Permutation validation per step
         # would dominate at tens of thousands of paths
+        letters = _letters(self.n)
         cur = tuple(range(1, self.n + 1))
-        for name in self.word:
-            cur = _letter_step(name, self.n)(cur)
+        try:
+            for name in self.word:
+                cur = letters[name][1](cur)
+        except KeyError as exc:
+            raise ValueError(f"unknown generator name {exc.args[0]!r} at n={self.n}") from None
         return Permutation(self.n, cur)
 
 
@@ -183,38 +180,37 @@ def verify_flow(flow: Flow) -> FlowVerification:
     """Exact rational check that path-endpoint marginals equal the target."""
     routed: Counter = Counter()
     for p, c in flow.paths.items():
-        routed[rank(p.endpoint)] += c
+        routed[p.endpoint] += c
+    target = dict(flow.target.items())
     bad = []
-    for r in sorted(set(routed) | set(flow.target.atoms)):
-        got = flow.unit * routed[r]
-        want = flow.target.atoms.get(r, Fraction(0))
+    for g in sorted(routed.keys() | target.keys(), key=lambda g: g.map):
+        got = flow.unit * routed[g]
+        want = target.get(g, Fraction(0))
         if got != want:
-            bad.append((serialize(unrank(r, flow.n)), got, want))
+            bad.append((serialize(g), got, want))
     return FlowVerification(exact=not bad, discrepancies=tuple(bad))
 
 
 @dataclass(frozen=True)
 class FlowReport:
     a_value: Fraction
-    per_generator: tuple            # (name, q(s), term) in rank order
+    per_generator: tuple            # (name, q(s), term) in lexicographic order
 
 
 def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
-    Traffic c * |delta| * N(s, delta) is an int tally per letter name, merged
-    by rank (sigma_2^{+-1} and tau coincide at n = 2) and scaled by the unit
-    once per generator.
+    Traffic c * |delta| * N(s, delta) is an int tally per letter permutation
+    (sigma_2^{+-1} and tau coincide at n = 2, so their traffic merges),
+    scaled by the unit once per generator.
     """
-    tally: Counter = Counter()
+    letters = _letters(flow.n)
+    traffic: Counter = Counter()
     for p, c in flow.paths.items():
         load = c * p.length
         for name, m in Counter(p.word).items():
-            tally[name] += load * m
-    traffic: Counter = Counter()
-    for name, t in tally.items():
-        traffic[rank(letter_perm(name, flow.n))] += t
-    rows = tuple((generator_name(g), qs, flow.unit * traffic[rank(g)] / qs)
+            traffic[letters[name][0]] += load * m
+    rows = tuple((generator_name(g), qs, flow.unit * traffic[g] / qs)
                  for g, qs in flow.q.items())
     a = max(t for _, _, t in rows)
     return FlowReport(a_value=a, per_generator=rows)
@@ -226,9 +222,10 @@ def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
     Distances are word lengths from :func:`shufflemix.exact.cayley_distances`.
     """
     dist = cayley_distances(target.n, generators)
+    index = group_table(target.n).index
     acc = Fraction(0)
     for g, w in target.items():
-        d = int(dist[rank(g)])
+        d = int(dist[index[g.map]])
         if d < 0:
             raise UnreachableTargetError(
                 f"target atom {serialize(g)} not reachable from the generators"
@@ -391,12 +388,16 @@ def build_flow_rudvalis(n: int, k: int) -> Flow:
     target = symmetrize(top_to_bottom_k(n, k))
     q = rudvalis_symmetric(n)
     unit = Fraction(1, 2 * k)
+    words = {"e": ()}
+    for l in range(max(2, n - k + 1), n + 1):
+        words[f"s{l}"] = rudvalis_generator_word(n, l)
+        words[f"s{l}inv"] = tuple(invert_letter(x) for x in reversed(words[f"s{l}"]))
     paths: dict[CayleyPath, int] = {}
     for g, w in target.items():
         c = w / unit
         if c.denominator != 1:
             raise ValueError(f"atom {serialize(g)} of mass {w} is not a multiple of {unit}")
-        paths[CayleyPath(n, _rudvalis_word_for(g, n))] = c.numerator
+        paths[CayleyPath(n, words[generator_name(g)])] = c.numerator
     return Flow(target=target, q=q, unit=unit, paths=paths)
 
 
@@ -407,18 +408,6 @@ def rudvalis_generator_word(n: int, l: int) -> tuple[str, ...]:
         raise ValueError(f"cycle length {l} outside 2..{n}")
     m = n - l
     return (f"s{n}",) + (f"s{n}inv", "tau") * m + (f"s{n}",) * m
-
-
-def _rudvalis_word_for(g: Permutation, n: int) -> tuple[str, ...]:
-    if g.is_identity():
-        return ()
-    for l in range(2, n + 1):
-        c = cycle_generator(l, n)
-        if g == c:
-            return rudvalis_generator_word(n, l)
-        if g == inverse(c):
-            return tuple(invert_letter(x) for x in reversed(rudvalis_generator_word(n, l)))
-    raise ValueError(f"{serialize(g)} is not a shuffle generator")
 
 
 def rudvalis_congestion_bound(n: int, k: int) -> Fraction:
@@ -506,7 +495,7 @@ def comparison_bound_report(flow: Flow, reference_t2: int,
 
 
 def flow_to_json_obj(flow: Flow) -> dict:
-    items = sorted(flow.paths.items(), key=lambda kv: (rank(kv[0].endpoint), kv[0].word))
+    items = sorted(flow.paths.items(), key=lambda kv: (kv[0].endpoint.map, kv[0].word))
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),

@@ -5,9 +5,9 @@ label held at position i+1, matching the convention "position i holds the
 card with label sigma(i)".  Positions and labels are 1-based in every public
 interface; storage is 0-based.
 
-Composition is (a * b)(i) = a(b(i)).  The shuffle walk multiplies generators
-on the right, so right multiplication by the cycle ``sigma_l`` moves the
-current top card to position l:
+The product (a * b)(i) = a(b(i)) has one implementation, right_multiplier.
+The shuffle walk multiplies generators on the right, so right multiplication
+by the cycle ``sigma_l`` moves the current top card to position l:
 
 >>> deck = identity(4)
 >>> moved = compose(deck, cycle_generator(3, 4))
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,16 @@ def transposition(i: int, j: int, n: int) -> Permutation:
     return Permutation(n, tuple(m))
 
 
+def right_multiplier(s: tuple[int, ...]):
+    """Right multiplication by the one-line map s: ``f(a.map) == (a * s).map``.
+    At n = 1 (itemgetter of one index returns a bare label) it is ``tuple``.
+
+    >>> right_multiplier((2, 3, 1))((1, 3, 2))
+    (3, 2, 1)
+    """
+    return itemgetter(*(x - 1 for x in s)) if len(s) > 1 else tuple
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """(a * b)(i) = a(b(i)).
 
@@ -90,7 +101,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    return Permutation(a.n, tuple(a.map[x - 1] for x in b.map))
+    return Permutation(a.n, right_multiplier(b.map)(a.map))
 
 
 def inverse(a: Permutation) -> Permutation:

@@ -59,8 +59,6 @@ def jsonable(obj):
     """Recursively convert report objects to JSON-safe structures."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):

@@ -24,18 +24,28 @@ chi_0 = 2/((3 lambda - w)(3 lambda - 2 w)) make the boundary cases of the
 eigenvalue equation hold, and a third constraint, chi_0 + chi_1 w^{-1} +
 w^{-2} = 3 lambda^{n-2}, certifies the root independently.  From gamma =
 1 - Re(lambda), a bound R on the expected squared increment of Psi, and
-Psi_max = sum |v|, the walk is still far from uniform (total variation at
-least 1 - eps) for
+Psi_start = |Psi(X_0)|, the walk is still far from uniform (total variation
+at least 1 - eps) for
 
-    t <= (log Psi_max + (1/2) log(gamma eps / (4 R))) / (-log(1 - gamma))
+    t <= (log Psi_start + (1/2) log(gamma eps / (4 R))) / (-log(1 - gamma))
 
-steps (Wilson, Ann. Appl. Probab. 14, 2004).  The lemma needs R to bound
-the sup over all lifted states, and the eigenfunction relation must hold in
-every state.  Both are certified in O(n), not sampled: under a fixed slot a
-card's move and winding shift depend only on its position, and positions
-form a bijection, so the triangle inequality bounds the increment of Psi
-and the residual of E[Psi'] - lambda Psi over all states at once.  The
-residual certifies the algebra rather than trusting it; see tests.
+steps (Wilson, Ann. Appl. Probab. 14, 2004, Lemma 5).  Every winding starts
+at 0, so Psi(X_0) = sum v for every start state; Psi_max = sum |v|, the sup
+of |Psi|, is reported but attained by no start state.  The lemma's
+hypotheses are each checked where :class:`WilsonParams` is built:
+
+    0 < gamma < 1         "gamma ... outside (0, 1)"
+    Re(lambda) >= 1/2     "Re(lam) ... below 1/2"
+    R > 0                 "r_bound ... must be positive"
+    0 < eps < 1           "eps ... outside (0, 1)"
+
+The lemma also needs R to bound the sup over all lifted states, and the
+eigenfunction relation must hold in every state.  Both are certified in
+O(n), not sampled: under a fixed slot a card's move and winding shift depend
+only on its position, and positions form a bijection, so the triangle
+inequality bounds the increment of Psi and the residual of E[Psi'] -
+lambda Psi over all states at once.  The residual certifies the algebra
+rather than trusting it; see tests.
 """
 
 from __future__ import annotations
@@ -177,7 +187,8 @@ class WilsonParams:
     """Everything the step bound needs, frozen after certification.
 
     gamma may be set directly (the lazy transfer halves it exactly), so it is
-    only required to match 1 - Re(lam) to rounding.
+    only required to match 1 - Re(lam) to rounding.  The checks below enforce
+    the lemma's hypotheses listed in the module docstring.
     """
 
     n: int
@@ -187,6 +198,7 @@ class WilsonParams:
     chi1: complex
     gamma: float
     psi_max: float
+    psi_start: float
     r_bound: float
     eps: float
     v: np.ndarray = field(compare=False, repr=False)
@@ -200,6 +212,8 @@ class WilsonParams:
             raise ValueError(f"Re(lam)={self.lam.real} below 1/2")
         if not self.psi_max > 1:
             raise ValueError(f"psi_max={self.psi_max} must exceed 1")
+        if not self.psi_start > 1:
+            raise ValueError(f"psi_start={self.psi_start} must exceed 1")
         if not self.r_bound > 0:
             raise ValueError(f"r_bound={self.r_bound} must be positive")
         if not 0 < self.eps < 1:
@@ -254,7 +268,8 @@ def eigenfunction_residual(params: WilsonParams, lam: complex | None = None) -> 
 
 
 def compute_params(n: int, eps: float = 0.9, tol: float | None = None) -> WilsonParams:
-    """Newton root, boundary coefficients, Psi_max = sum |v|, certified R.
+    """Newton root, boundary coefficients, Psi_max = sum |v|, Psi_start =
+    |sum v| (Psi at every start state), certified R.
 
     R = (1/3) sum_l B_l^2 with B_l = sum_x |t_l(x) - v(x)|; by the triangle
     inequality |Psi_l' - Psi| <= B_l in every state, so R bounds the sup of
@@ -269,22 +284,22 @@ def compute_params(n: int, eps: float = 0.9, tol: float | None = None) -> Wilson
             trace={"residuals": chi.residuals},
         )
     v = v_list(n, root.lam, chi.chi0, chi.chi1)
-    psi_max = float(np.abs(v).sum())
     r = sum(float(np.abs(t - v).sum()) ** 2 for t in _slot_images(v, n)) / 3
     return WilsonParams(
         n=n, w=w, lam=root.lam, chi0=chi.chi0, chi1=chi.chi1,
-        gamma=1 - root.lam.real, psi_max=psi_max, r_bound=r, eps=eps, v=v,
+        gamma=1 - root.lam.real, psi_max=float(np.abs(v).sum()),
+        psi_start=float(abs(v.sum())), r_bound=r, eps=eps, v=v,
     )
 
 
 def step_bound(params: WilsonParams) -> int:
-    """Largest t with t <= (log Psi_max + (1/2) log(gamma eps/(4R))) / (-log(1-gamma)).
+    """Largest t with t <= (log Psi_start + (1/2) log(gamma eps/(4R))) / (-log(1-gamma)).
 
     Up to step t the walk is guaranteed at total variation distance at least
     1 - eps from uniform.  A nonpositive numerator yields 0: the bound is
     then uninformative, not an error.
     """
-    num = math.log(params.psi_max) + 0.5 * math.log(
+    num = math.log(params.psi_start) + 0.5 * math.log(
         params.gamma * params.eps / (4 * params.r_bound)
     )
     if num <= 0:
@@ -295,8 +310,9 @@ def step_bound(params: WilsonParams) -> int:
 def lazy_transfer(params: WilsonParams) -> WilsonParams:
     """Parameters for the half-lazy walk: lam -> 1/2 + lam/2, gamma and R halve.
 
-    Psi is unchanged, so psi_max carries over.  gamma is halved exactly (set
-    directly rather than recomputed from the new lam, which could round).
+    Psi is unchanged, so psi_max and psi_start carry over.  gamma is halved
+    exactly (set directly rather than recomputed from the new lam, which
+    could round).
     The halving of gamma and R cancels inside the bound's numerator, so the
     lazy bound differs from the plain one only through -log(1 - gamma/2).
     """
@@ -308,6 +324,7 @@ def lazy_transfer(params: WilsonParams) -> WilsonParams:
         chi1=params.chi1,
         gamma=params.gamma / 2,
         psi_max=params.psi_max,
+        psi_start=params.psi_start,
         r_bound=params.r_bound / 2,
         eps=params.eps,
         v=params.v,
@@ -327,6 +344,7 @@ def wilson_report(n: int, eps: float = 0.9) -> dict:
         "chi1": {"re": params.chi1.real, "im": params.chi1.imag},
         "chi_residuals": list(chi.residuals),
         "psi_max": params.psi_max,
+        "psi_start": params.psi_start,
         "R": params.r_bound,
         "residual": resid,
         "eps": eps,

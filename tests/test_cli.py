@@ -410,6 +410,11 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
      2, "error"),
     (["flow", "--builder", "general", "--n", "4", "--k", "2", "--dirichlet", "-1"],
      2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "3", "--cap", "-5"], 2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "3", "--cap", "0"], 2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail-grid", "-2"], 2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "0"], 2, "error"),
+    (["exact", "--n", "4", "--k", "2", "--mmax", "-3"], 2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

@@ -401,3 +401,6 @@ def test_deck_pair_validation():
         coupling_trials(5, 1, "top_insert", 3)
     with pytest.raises(ValueError):
         coupling_trials(5, 3, "sideways", 3)
+    for trials, cap in ((0, None), (3, 0), (3, -5)):
+        with pytest.raises(ValueError, match="trials >= 1 and cap >= 1"):
+            coupling_trials(5, 3, "top_insert", trials, cap=cap)

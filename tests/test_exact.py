@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,10 @@ from oracles import (
     densify,
     distance_profile,
     l2_from_spectrum,
+    o_compose,
+    o_cycle,
+    o_inverse,
+    o_transposition,
     scalar_lp,
     scalar_tv,
     tbk_pairs,
@@ -153,6 +158,11 @@ def test_mixing_profile_non_increasing():
 def test_saturation_reported():
     rep = mixing_time(top_to_bottom_k(5, 2), "tv", 2)
     assert rep.saturated and rep.mixing_time is None
+    # m_max = 0 profiles the start state alone; below 0 there is no profile
+    rep = mixing_time(top_to_bottom_k(5, 2), "tv", 0)
+    assert rep.saturated and rep.profile == ((0, tv_distance(point_mass(5))),)
+    with pytest.raises(ValueError, match="m_max"):
+        mixing_time(top_to_bottom_k(5, 2), "tv", -1)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -339,11 +349,18 @@ def test_transfer_constant_dominates_at_tiny_n():
 
 
 def test_group_table_right_mul_bijection():
-    t = group_table(4)
-    q = top_to_bottom_k(4, 4)
-    for g, _ in q.items():
-        j = t.right_mul(g.map)
-        assert sorted(j.tolist()) == list(range(24))
+    # every letter's table, n = 1 included, is the oracle product over the
+    # itertools.permutations (rank) order
+    for n in range(1, 6):
+        t = group_table(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        cycles = [o_cycle(l, n) for l in range(1, n + 1)]
+        letters = cycles + [o_inverse(c) for c in cycles]
+        letters += [o_transposition(1, n, n)] if n > 1 else []
+        for s in letters:
+            j = t.right_mul(s).tolist()
+            assert sorted(j) == list(range(len(perms)))
+            assert [perms[r] for r in j] == [o_compose(p, s) for p in perms], (n, s)
 
 
 def test_dense_distribution_validation():

@@ -11,6 +11,7 @@ from oracles import (
     congestion_from_weights,
     dirichlet_form_operator,
     o_compose,
+    parse,
     path_endpoint,
 )
 from shufflemix.errors import CapacityError, UnreachableTargetError
@@ -48,6 +49,7 @@ from shufflemix.measures import (
     top_to_bottom_k,
 )
 from shufflemix.perms import (
+    Permutation,
     cycle_generator,
     identity,
     inverse,
@@ -66,9 +68,11 @@ def test_letter_names_resolve():
     assert letter_perm("s3", 5) == cycle_generator(3, 5)
     assert letter_perm("s3inv", 5) == inverse(cycle_generator(3, 5))
     assert letter_perm("tau", 5) == transposition(1, 5, 5)
-    for bad in ("x3", "s", "sinv", "e", "s0x"):
+    for bad in ("x3", "s", "sinv", "e", "s0x", "s0", "s6", "s03"):
         with pytest.raises(ValueError):
             letter_perm(bad, 5)
+    with pytest.raises(ValueError):
+        letter_perm("tau", 1)
 
 
 def test_invert_letter_involution():
@@ -78,11 +82,24 @@ def test_invert_letter_involution():
 
 
 def test_generator_name_roundtrip():
-    for name in ("s2", "s5", "s5inv", "e"):
-        assert generator_name(letter_perm(name, 5) if name != "e" else identity(5)) == name
+    # every letter name maps back to itself except where two names share a
+    # permutation: s1 = s1inv = e, sigma_2 is an involution, and at n = 2
+    # (1, n) is sigma_2; the first name in table order wins
+    merged = {"s1": "e", "s1inv": "e", "s2inv": "s2"}
+    for n in range(1, 7):
+        names = [f"s{l}{suf}" for l in range(1, n + 1) for suf in ("", "inv")]
+        names += ["tau"] if n > 1 else []
+        for name in names:
+            g = letter_perm(name, n)
+            got = generator_name(g)
+            assert got == ("s2" if (n, name) == (2, "tau") else merged.get(name, name)), (n, name)
+            assert g == (identity(n) if got == "e" else letter_perm(got, n))
+    assert generator_name(identity(5)) == "e"
     # (1, n) only gets the tau name when it is not already a cycle
     assert generator_name(transposition(1, 6, 6)) == "tau"
     assert generator_name(transposition(1, 2, 2)) == "s2"
+    # a non-generator falls back to its one-line form
+    assert generator_name(Permutation(4, (2, 1, 4, 3))) == "2,1,4,3"
 
 
 def test_endpoint_convention_pin():
@@ -172,6 +189,9 @@ def test_verify_flow_flags_half_weights():
     assert len(report.discrepancies) == 10
     got, want = report.discrepancies[0][1], report.discrepancies[0][2]
     assert got == Fraction(1, 25) and want == Fraction(2, 25)
+    # discrepancies come in lexicographic (equivalently rank) order
+    maps = [parse(text, 5).map for text, _, _ in report.discrepancies]
+    assert maps == sorted(maps) and len(set(maps)) == 10
 
 
 def test_verify_single_path_per_atom_passes():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import compose_word, parse
+from oracles import compose_word, o_compose, parse
 from shufflemix.perms import (
     Permutation,
     compose,
@@ -12,6 +12,7 @@ from shufflemix.perms import (
     identity,
     inverse,
     rank,
+    right_multiplier,
     serialize,
     transposition,
     unrank,
@@ -46,6 +47,22 @@ def test_compose_square_of_cycle():
     s3 = cycle_generator(3, 3)
     assert compose(s3, s3).map == (3, 1, 2)
     assert compose(s3, compose(s3, s3)) == identity(3)
+
+
+@st.composite
+def perm_pair(draw):
+    n = draw(st.integers(1, 7))
+    a, b = (tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(2))
+    return a, b
+
+
+@given(perm_pair())
+def test_right_multiplier_is_compose_and_the_oracle_product(pair):
+    # n = 1 included: there right_multiplier is tuple, not an itemgetter
+    a, b = pair
+    got = right_multiplier(b)(a)
+    assert type(got) is tuple
+    assert got == compose(Permutation(len(a), a), Permutation(len(b), b)).map == o_compose(a, b)
 
 
 def test_compose_size_mismatch():

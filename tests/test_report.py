@@ -70,6 +70,18 @@ def test_jsonable_conversions():
     json.dumps(out)
 
 
+def test_json_float_text_pinned():
+    # JSON doubles are the shortest repr that round-trips, edge values and
+    # numpy scalars included
+    vals = [-0.0, 5e-324, float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3,
+            1e300, -2.5e-308, np.float64(0.1), np.float64(-0.0)]
+    text = json_bytes({"x": vals, "cx": complex(0.5, -0.0)})
+    assert text == (
+        b'{\n  "cx": {\n    "im": -0.0,\n    "re": 0.5\n  },\n  "x": [\n'
+        b"    -0.0,\n    5e-324,\n    Infinity,\n    -Infinity,\n    NaN,\n    0.1,\n"
+        b"    0.3333333333333333,\n    1e+300,\n    -2.5e-308,\n    0.1,\n    -0.0\n  ]\n}\n")
+
+
 def test_emit_roundtrip(tmp_path):
     report = {"value": 1 / 3, "ratio": Fraction(7, 9), "steps": 12}
     path = emit_json(tmp_path / "r.json", report)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -275,20 +276,21 @@ def test_step_bound_monotone_in_inputs():
     p = params_for(64)
     base = step_bound(p)
     worse_r = WilsonParams(p.n, p.w, p.lam, p.chi0, p.chi1, p.gamma,
-                           p.psi_max, p.r_bound * 4, p.eps, v=p.v)
+                           p.psi_max, p.psi_start, p.r_bound * 4, p.eps, v=p.v)
+    # the bound reads psi_start; psi_max is only the reported sup
     bigger_psi = WilsonParams(p.n, p.w, p.lam, p.chi0, p.chi1, p.gamma,
-                              p.psi_max * 10, p.r_bound, p.eps, v=p.v)
+                              p.psi_max * 10, p.psi_start * 10, p.r_bound, p.eps, v=p.v)
     more_eps = WilsonParams(p.n, p.w, p.lam, p.chi0, p.chi1, p.gamma,
-                            p.psi_max, p.r_bound, 0.99, v=p.v)
-    assert step_bound(worse_r) <= base
-    assert step_bound(bigger_psi) >= base
-    assert step_bound(more_eps) >= base
+                            p.psi_max, p.psi_start, p.r_bound, 0.99, v=p.v)
+    assert step_bound(worse_r) < base
+    assert step_bound(bigger_psi) > base
+    assert step_bound(more_eps) > base
 
 
 def test_step_bound_zero_on_nonpositive_numerator():
     p = params_for(64)
     tiny = WilsonParams(p.n, p.w, p.lam, p.chi0, p.chi1, p.gamma,
-                        1.0001, p.r_bound * 1e6, p.eps, v=p.v)
+                        p.psi_max, 1.0001, p.r_bound * 1e6, p.eps, v=p.v)
     assert step_bound(tiny) == 0
     # n = 16 with eps = 0.9 lands there naturally: R dwarfs gamma at this size
     assert step_bound(params_for(16)) == 0
@@ -300,9 +302,10 @@ def test_lazy_transfer_identities():
     assert lz.gamma == p.gamma / 2
     assert lz.r_bound == p.r_bound / 2
     assert lz.psi_max == p.psi_max
+    assert lz.psi_start == p.psi_start
     assert abs(lz.lam - (0.5 + 0.5 * p.lam)) == 0
     # halved gamma and R cancel in the numerator, so only the denominator moves
-    num = math.log(p.psi_max) + 0.5 * math.log(p.gamma * p.eps / (4 * p.r_bound))
+    num = math.log(p.psi_start) + 0.5 * math.log(p.gamma * p.eps / (4 * p.r_bound))
     direct = int(math.floor(num / -math.log1p(-p.gamma / 2)))
     assert step_bound(lz) == direct
 
@@ -330,8 +333,8 @@ def test_doubling_ratio_decreases_toward_eight():
 
 def test_certified_step_bounds():
     # bound_t from the certified R over the whole supported range
-    expected = {16: 0, 32: 15, 64: 1044, 128: 14980, 256: 170893,
-                512: 1768306, 1024: 17324536}
+    expected = {16: 0, 32: 14, 64: 1043, 128: 14979, 256: 170892,
+                512: 1768305, 1024: 17324535}
     assert {n: step_bound(params_for(n)) for n in expected} == expected
 
 
@@ -339,8 +342,16 @@ def test_wilson_report_payload():
     rep = wilson_report(32)
     assert set(rep) == {
         "n", "lambda", "gamma", "chi0", "chi1", "chi_residuals",
-        "psi_max", "R", "residual", "eps", "bound_t", "lazy_bound_t",
+        "psi_max", "psi_start", "R", "residual", "eps", "bound_t", "lazy_bound_t",
     }
     assert rep["lambda"]["re"] >= 0.5
     assert rep["residual"] <= 1e-9
     assert rep["bound_t"] > 0
+
+
+def test_params_enforce_the_lemma_hypotheses():
+    p = params_for(64)
+    for bad in (dict(gamma=0.0), dict(lam=0.4 + 0j, gamma=0.6), dict(r_bound=0.0),
+                dict(eps=0.0), dict(eps=1.0), dict(psi_max=1.0), dict(psi_start=1.0)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, **bad)
