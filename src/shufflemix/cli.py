@@ -35,7 +35,7 @@ from .coupling import (
 )
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
-    EIGEN_CAP,
+    DENSE_CAP,
     group_table,
     least_eigenvalue_formula,
     mixing_time,
@@ -129,7 +129,7 @@ def _cmd_exact(args, sink: _Sink) -> str:
 
 def _cmd_spectrum(args, sink: _Sink) -> str:
     q, label, tag = _build_measure(args)
-    rep = spectrum(q, allow_n7=args.allow_n7)
+    rep = spectrum(q)
     payload = {
         "n": args.n,
         "measure": label,
@@ -159,10 +159,12 @@ def _tail_points(args) -> list[float]:
 def _cmd_couple(args, sink: _Sink) -> str:
     if args.tail_grid is not None and args.tail_grid < 0:
         raise ValueError(f"--tail-grid must be nonnegative, got {args.tail_grid}")
+    if args.lazy_p is not None and not 0 < args.lazy_p <= 1:
+        raise ValueError(f"--lazy-p must lie in (0, 1], got {args.lazy_p}")
     stats = coupling_trials(args.n, args.k, args.kind, args.trials,
                             seed=args.seed, cap=args.cap)
     if args.lazy_p is not None:
-        stats = [lazy_trial_wrapper(s, args.lazy_p, args.seed) for s in stats]
+        stats = [lazy_trial_wrapper(s, args.lazy_p) for s in stats]
     times = [s.coupling_time for s in stats]
     payload = {
         "n": args.n,
@@ -292,7 +294,7 @@ def _cmd_flow(args, sink: _Sink) -> str:
         bound = odd_flow_eigenvalue_bound(flow)
         payload["eigenvalue_bound"] = bound
         payload["eigenvalue_bound_float"] = float(bound)
-        if args.n <= EIGEN_CAP:
+        if args.n <= DENSE_CAP:
             exact = spectrum(flow.q).beta_min
             payload["exact_beta_min"] = exact
             payload["bound_le_exact"] = float(bound) <= exact + 1e-12
@@ -385,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     # default here
     p = add("spectrum", "full transition spectrum at small n")
     measure_flags(p, "sym")
-    p.add_argument("--allow-n7", action="store_true",
-                   help="permit the 5040-state eigendecomposition")
 
     p = add("couple", "Monte Carlo coupling times", seeded=True)
     p.add_argument("--n", type=int, required=True)

@@ -278,16 +278,17 @@ def single_card_lower_bound(n: int, k: int, l: int) -> SingleCardReport:
     return SingleCardReport(n, k, l, occupancy, pi_a, abs(occupancy - pi_a))
 
 
-def lazy_trial_wrapper(stats: TrialStats, p: float, seed: int = 0) -> TrialStats:
+def lazy_trial_wrapper(stats: TrialStats, p: float) -> TrialStats:
     """Coupling time of the p-lazy chain: each effective step waits a
-    geometric number of clock ticks.  p = 1 returns the trial unchanged."""
+    geometric number of clock ticks, drawn from a stream keyed by the
+    trial's own seed.  p = 1 returns the trial unchanged."""
     if not 0 < p <= 1:
         raise ValueError(f"p={p} outside (0, 1]")
     if p == 1:
         return stats
     # jumped stream: same key as the inner trial but disjoint draws, so the
     # thinning is independent of the deck initialization
-    bg = np.random.Philox(key=np.array([seed, stats.trial], dtype=np.uint64)).jumped()
+    bg = np.random.Philox(key=np.array([stats.seed, stats.trial], dtype=np.uint64)).jumped()
     rng = np.random.Generator(bg)
     if stats.coupling_time > 0:
         waits = stats.coupling_time + int(

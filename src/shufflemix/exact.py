@@ -1,4 +1,4 @@
-"""Dense evolution of shuffle walks over all of S_n at small n.
+"""Dense evolution of shuffle walks over all of S_n at small n, and spectra.
 
 Distributions live on the full n!-point state space indexed by lexicographic
 permutation rank.  Distance sums run through math.fsum (exact compensated
@@ -7,10 +7,11 @@ accumulation.  This module owns every computation over the whole group:
 the rank-indexed multiplication tables (built with the one group product,
 :func:`shufflemix.perms.right_multiplier`), dense convolution, the BFS for
 word lengths in the Cayley graph (:func:`cayley_distances`), and the
-spectrum.  One dense cap, n <= 8, covers everything built on the group tables
-(convolution, Cayley-graph distances, and the Dirichlet forms in
-:mod:`shufflemix.flows`); eigendecomposition stops at n <= 6, with n = 7
-behind an explicit opt-in because it allocates a 5040 x 5040 matrix.
+spectrum, split over the irreducible representations lambda of S_n (Diaconis
+1988, ch. 3) into the eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g),
+each repeated d_lambda times, with rho_lambda in Young's orthogonal form.  One
+dense cap, n <= 8, covers every output of size n! (convolution, Cayley-graph
+distances, spectra, and the Dirichlet forms in :mod:`shufflemix.flows`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .measures import (
 from .perms import inverse, right_multiplier
 
 DENSE_CAP = 8
-EIGEN_CAP = 6
 
 TV_THRESHOLD = 1 / (2 * math.e)
 LP_THRESHOLD = 1 / math.e
@@ -182,28 +182,72 @@ class SpectrumReport:
     spectral_gap: float = 0.0
 
 
-def spectrum(q: SparseMeasure, allow_n7: bool = False) -> SpectrumReport:
+def _tableaux(n: int) -> list[list[tuple]]:
+    """The standard tableaux of each shape of n as content vectors: entry i - 1
+    is column - row of the box holding i, which identifies the tableau."""
+    grown = {(): [()]}
+    for _ in range(n):
+        nxt = {}
+        for shape, tabs in grown.items():
+            for r, row in enumerate(shape + (0,)):
+                if r == 0 or row < shape[r - 1]:
+                    new = shape[:r] + (row + 1,) + shape[r + 1:]
+                    nxt.setdefault(new, []).extend(t + (row - r,) for t in tabs)
+        grown = nxt
+    return list(grown.values())
+
+
+def _adjacent_matrices(tabs: list[tuple]) -> list[np.ndarray]:
+    """Young's orthogonal form of s_i = (i, i+1), i = 1..n-1, on one shape:
+    rho(s_i) e_T = e_T / r + sqrt(1 - 1/r^2) e_{s_i T}, r = c(i+1) - c(i)."""
+    index = {t: j for j, t in enumerate(tabs)}
+    mats = []
+    for i in range(len(tabs[0]) - 1):
+        m = np.zeros((len(tabs), len(tabs)))
+        for j, t in enumerate(tabs):
+            r = t[i + 1] - t[i]
+            m[j, j] = 1 / r
+            if abs(r) > 1:  # else s_i T is not standard
+                m[index[t[:i] + (t[i + 1], t[i]) + t[i + 2:]], j] = math.sqrt(1 - 1 / r**2)
+        mats.append(m)
+    return mats
+
+
+def _rho(g, mats: list[np.ndarray], d: int) -> np.ndarray:
+    """rho(g^{-1}): the product of the rho(s_i) met, in order, while
+    bubble-sorting g.map (each swap right-multiplies by s_i)."""
+    a, out = list(g.map), np.eye(d)
+    for end in range(len(a) - 1, 0, -1):
+        for i in range(end):
+            if a[i] > a[i + 1]:
+                a[i], a[i + 1] = a[i + 1], a[i]
+                out = out @ mats[i]
+    return out
+
+
+def spectrum(q: SparseMeasure) -> SpectrumReport:
     """Full real spectrum of the transition matrix M(x, y) = q(x^{-1} y).
 
     Only symmetric measures are accepted (q equal to its reversal makes M
-    symmetric); nonreversible spectra are out of scope.
+    symmetric); nonreversible spectra are out of scope.  Each block is
+    sum_g q(g) rho(g^{-1}) = q^(lambda)^T, checked symmetric because eigvalsh
+    reads only one triangle.
     """
+    if q.n > DENSE_CAP:
+        raise CapacityError(f"n={q.n} exceeds dense cap {DENSE_CAP}")
     if q != reversal(q):
         raise ValueError("spectrum requires a symmetric measure (q == reversal(q))")
-    cap = 7 if allow_n7 else EIGEN_CAP
-    if q.n > cap:
-        raise CapacityError(f"n={q.n} exceeds eigen cap {cap}")
-    t = group_table(q.n)
-    m = np.zeros((t.size, t.size))
-    rows = np.arange(t.size)
-    for g, w in q.items():
-        m[rows, t.right_mul(g.map)] += float(w)
-    if not np.array_equal(m, m.T):
-        raise ValueError("transition matrix not symmetric; measure weights inconsistent")
-    eig = np.linalg.eigvalsh(m)
+    blocks = []
+    for tabs in _tableaux(q.n):
+        d, mats = len(tabs), _adjacent_matrices(tabs)
+        q_hat = sum(float(w) * _rho(g, mats, d) for g, w in q.items())
+        if not np.allclose(q_hat, q_hat.T, rtol=0, atol=1e-12):
+            raise ValueError("Fourier block not symmetric; representation inconsistent")
+        blocks.append(np.repeat(np.linalg.eigvalsh(q_hat), d))
+    eig = np.sort(np.concatenate(blocks))
     if abs(eig[-1] - 1.0) > 1e-10:
         raise ValueError(f"top eigenvalue {eig[-1]} != 1")
-    gap = 1.0 - eig[-2] if t.size > 1 else 1.0
+    gap = 1.0 - eig[-2] if eig.size > 1 else 1.0
     return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap))
 
 

@@ -313,19 +313,21 @@ def build_odd_flow_tbk(n: int, k: int) -> Flow:
     return Flow(target=delta_e(n), q=q, unit=Fraction(1, sum(paths.values())), paths=paths)
 
 
-def odd_flow_eigenvalue_bound(flow: Flow, beta_tilde_min=1) -> Fraction:
+def odd_flow_eigenvalue_bound(flow: Flow) -> Fraction:
     """Least-eigenvalue bound -1 + (1 + beta~_min)/A(eta) from an odd flow.
 
-    beta~_min is the least eigenvalue of the target walk; the point mass at e
-    drives the identity chain, whose spectrum is {1}.
+    beta~_min is the least eigenvalue of the target walk; the target must be
+    the point mass at e, which drives the identity chain (spectrum {1}).
     """
     for p in flow.paths:
         if p.length % 2 == 0:
             raise ValueError(f"even-length path {p.word!r}: bound needs odd loops only")
+    if flow.target != delta_e(flow.n):
+        raise ValueError("odd-flow bound needs the point mass at e as its target")
     a = congestion_A(flow).a_value
     if a == 0:
         raise ValueError("flow carries no traffic; congestion is zero")
-    return -1 + (1 + Fraction(beta_tilde_min)) / a
+    return -1 + 2 / a
 
 
 def build_flow_large_k(n: int, C: int) -> Flow:
@@ -461,8 +463,11 @@ def comparison_bound_report(flow: Flow, reference_t2: int,
 
         T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
 
-    beta_- = max(0, -beta_min(q)).  Checked against the exact T2 of q.
+    beta_- = max(0, -beta_min(q)).  Checked against the exact T2 of q.  Any
+    target's T2 is at least 1: at m = 0 its L2 distance is sqrt(n! - 1) > 1/e.
     """
+    if reference_t2 < 1:
+        raise ValueError(f"reference T2 must be at least 1, got {reference_t2}")
     a = float(congestion_A(flow).a_value)
     beta_minus = max(0.0, -spectrum(flow.q).beta_min)
     if beta_minus >= 1.0:

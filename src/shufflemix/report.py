@@ -2,8 +2,8 @@
 
 Output contract: CSV is RFC-4180 style (comma separated, header row, LF line
 endings); JSON uses UTF-8 with sorted keys.  Rationals render as "p/q"
-strings, doubles with 17 significant digits so emitted values roundtrip
-exactly.  Payload files carry no timestamps; manifests do, so replaying a
+strings.  Doubles roundtrip exactly: CSV cells carry 17 significant digits,
+JSON the shortest round-trip form json.dumps writes.  Payload files carry no timestamps; manifests do, so replaying a
 manifest reproduces byte-identical payloads while the manifest itself may
 differ in its clock fields.
 """

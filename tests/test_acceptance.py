@@ -180,7 +180,7 @@ def test_criterion_04_increasing_bottom_level():
 
 def test_criterion_05_lazy_doubling_trend(full_deck_stats):
     """Half-speed walk at n = 200, k = n: tail at 2.5 n ln n under 0.1."""
-    stats = [lazy_trial_wrapper(s, 0.5, SEED) for s in full_deck_stats(200)]
+    stats = [lazy_trial_wrapper(s, 0.5) for s in full_deck_stats(200)]
     p_hat, _ = tail_estimate(stats, 2.5 * 200 * math.log(200))
     assert p_hat <= 0.1, p_hat
 

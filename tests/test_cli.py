@@ -123,8 +123,19 @@ def test_spectrum_sym_formula_block(tmp_path):
 
 
 def test_spectrum_capacity_exit_code(tmp_path, capsys):
-    assert run(["spectrum", "--n", "8", "--k", "2", "--out", str(tmp_path)]) == 3
+    assert run(["spectrum", "--n", "9", "--k", "2", "--out", str(tmp_path)]) == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_spectrum_runs_to_the_dense_cap(tmp_path, capsys):
+    assert run(["spectrum", "--n", "7", "--k", "3", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "spectrum_n7_k3_sym.json")
+    assert payload["count"] == 5040
+    assert payload["formula_holds"] is True
+    # the opt-in that used to unlock n = 7 is gone
+    assert run(["spectrum", "--n", "5", "--k", "2", "--allow-n7",
+                "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
 
 
 def test_couple_payload_and_trials(tmp_path):
@@ -155,6 +166,19 @@ def test_couple_bad_kind_is_usage_error(capsys, tmp_path):
     assert run(["couple", "--n", "8", "--k", "2", "--kind", "zigzag",
                 "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("lazy_p", ["0", "-0.5", "1.5"])
+def test_couple_lazy_p_checked_before_any_trial(tmp_path, capsys, monkeypatch, lazy_p):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("coupling_trials ran before --lazy-p was checked")
+    monkeypatch.setattr(cli, "coupling_trials", no_trials)
+    assert run(["couple", "--n", "100", "--k", "100", "--trials", "300",
+                "--lazy-p", lazy_p, "--out", str(tmp_path)]) == 2
+    assert "--lazy-p" in capsys.readouterr().err
+    manifest = read_json(tmp_path / "couple.manifest.json")
+    assert manifest["status"] == "error"
+    assert manifest["outputs"] == {}
 
 
 def test_couple_lazy_wrapper_inflates_times(tmp_path):
@@ -285,6 +309,12 @@ def test_flow_odd_reports_eigenvalue_bound(tmp_path):
     payload = read_json(tmp_path / "flow_odd_n5_k3.json")
     assert Fraction(payload["eigenvalue_bound"]) == Fraction(-607, 675)
     assert payload["bound_le_exact"] is True
+    # exact beta_min is reported up to the dense cap
+    assert run(["flow", "--builder", "odd", "--n", "8", "--k", "3",
+                "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "flow_odd_n8_k3.json")
+    assert payload["bound_le_exact"] is True
+    assert payload["exact_beta_min"] == spectrum(symmetrize(top_to_bottom_k(8, 3))).beta_min
 
 
 def test_flow_rudvalis_exact_bound(tmp_path):
@@ -399,7 +429,7 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("argv,code,status", [
     (["wilson", "--n", "16", "--eps", "1.5"], 2, "error"),
-    (["spectrum", "--n", "7", "--k", "3"], 3, "capacity"),
+    (["spectrum", "--n", "9", "--k", "3"], 3, "capacity"),
     (["transfer", "--n", "3", "--k", "2", "--eps-grid", "0"], 2, "error"),
     (["flow", "--builder", "general", "--n", "9", "--k", "3", "--lower-bound"],
      3, "capacity"),
@@ -415,6 +445,10 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
     (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail-grid", "-2"], 2, "error"),
     (["couple", "--n", "6", "--k", "3", "--trials", "0"], 2, "error"),
     (["exact", "--n", "4", "--k", "2", "--mmax", "-3"], 2, "error"),
+    (["flow", "--builder", "general", "--n", "5", "--k", "3", "--compare-t2", "-5"],
+     2, "error"),
+    (["flow", "--builder", "general", "--n", "5", "--k", "3", "--compare-t2", "0"],
+     2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -386,10 +387,13 @@ def test_single_card_position_step_is_a_valid_position():
 
 def test_lazy_wrapper_identity_and_scaling():
     inner = coupling_trials(32, 32, "bottom_k_to_top", 60, seed=13)
-    assert [lazy_trial_wrapper(s, 1.0, seed=13) for s in inner] == inner
-    lazy = [lazy_trial_wrapper(s, 0.5, seed=13) for s in inner]
-    again = [lazy_trial_wrapper(s, 0.5, seed=13) for s in inner]
+    assert [lazy_trial_wrapper(s, 1.0) for s in inner] == inner
+    lazy = [lazy_trial_wrapper(s, 0.5) for s in inner]
+    again = [lazy_trial_wrapper(s, 0.5) for s in inner]
     assert lazy == again
+    # the thinning stream is keyed by each trial's own seed
+    reseeded = [lazy_trial_wrapper(dataclasses.replace(s, seed=14), 0.5) for s in inner]
+    assert [s.coupling_time for s in reseeded] != [s.coupling_time for s in lazy]
     ratio = sum(s.coupling_time for s in lazy) / sum(s.coupling_time for s in inner)
     assert 1.7 <= ratio <= 2.3
 

@@ -10,6 +10,7 @@ from oracles import (
     brute_power,
     densify,
     distance_profile,
+    eigen_matrix,
     l2_from_spectrum,
     o_compose,
     o_cycle,
@@ -222,9 +223,30 @@ def test_spectrum_rejects_asymmetric():
 
 def test_spectrum_cap():
     with pytest.raises(CapacityError):
-        spectrum(random_transposition(7))
-    with pytest.raises(CapacityError):
-        spectrum(random_transposition(8), allow_n7=True)
+        spectrum(random_transposition(9))
+
+
+def _spectrum_cases():
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            yield f"sym{n}_{k}", lambda n=n, k=k: symmetrize(top_to_bottom_k(n, k))
+    for n in range(2, 6):
+        yield f"rt{n}", lambda n=n: random_transposition(n)
+    for n in range(2, 7):
+        yield f"rudvalis{n}", lambda n=n: rudvalis_symmetric(n)
+    yield "lazy_sym4_4", lambda: lazy(symmetrize(top_to_bottom_k(4, 4)), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("make", [pytest.param(m, id=name) for name, m in _spectrum_cases()])
+def test_spectrum_matches_dense_oracle(make):
+    # the representation split against eigvalsh of the n! x n! matrix built
+    # with the independent oracle product
+    q = make()
+    pairs = [(g.map, w) for g, w in q.items()]
+    want = np.linalg.eigvalsh(eigen_matrix(pairs, q.n))
+    got = spectrum(q).eigenvalues
+    assert got.shape == want.shape == (math.factorial(q.n),)
+    assert np.allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_least_eigenvalue_formula_values():
@@ -239,7 +261,7 @@ def test_beta_min_bound_5_3(frozen):
     assert beta_min >= float(least_eigenvalue_formula(5, 3)) - 1e-12
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_beta_min_bound_grid(n):
     for k in range(2, n + 1):
         beta_min = spectrum(symmetrize(top_to_bottom_k(n, k))).beta_min
@@ -252,12 +274,17 @@ def test_l2_from_spectrum_m0():
 
 
 def test_l2_from_spectrum_matches_convolution():
-    q = symmetrize(top_to_bottom_k(4, 2))
-    val = l2_from_spectrum(q, 10)
-    d = point_mass(4)
-    for _ in range(10):
-        d = convolve_step(d, q)
-    assert abs(val - lp_distance(d, 2) ** 2) < 1e-8
+    # Plancherel; at n = 7 and 8 no dense eigendecomposition is affordable,
+    # so this is the check of the whole spectrum there
+    for n, k, m in [(4, 2, 10), (7, 3, 10), (8, 4, 12)]:
+        q = symmetrize(top_to_bottom_k(n, k))
+        val = l2_from_spectrum(q, m)
+        d = point_mass(n)
+        for _ in range(m):
+            d = convolve_step(d, q)
+        ref = lp_distance(d, 2) ** 2
+        assert abs(val - ref) < 1e-8, (n, k, m)
+        assert abs(val - ref) <= 1e-9 * ref, (n, k, m, val, ref)
 
 
 def test_l2_from_spectrum_decays():

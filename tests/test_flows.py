@@ -313,7 +313,7 @@ def test_odd_flow_5_3_values():
 
 def test_odd_flow_bound_5_3():
     flow = build_odd_flow_tbk(5, 3)
-    bound = odd_flow_eigenvalue_bound(flow, 1)
+    bound = odd_flow_eigenvalue_bound(flow)
     assert bound == Fraction(-607, 675)
     assert bound >= Fraction(-35, 36)
 
@@ -323,18 +323,18 @@ def test_odd_flow_2_2_is_tight():
     # half of the symmetrized measure; the bound equals beta_min exactly
     flow = build_odd_flow_tbk(2, 2)
     assert [p.word for p in flow.paths] == [("s1",)]
-    bound = odd_flow_eigenvalue_bound(flow, 1)
+    bound = odd_flow_eigenvalue_bound(flow)
     exact = spectrum(symmetrize(top_to_bottom_k(2, 2))).beta_min
     assert abs(float(bound) - exact) <= 1e-9
     assert bound == 0
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_odd_flow_bound_below_exact_beta_min(n):
     for k in range(2, n + 1):
         flow = build_odd_flow_tbk(n, k)
         assert verify_flow(flow).exact
-        bound = odd_flow_eigenvalue_bound(flow, 1)
+        bound = odd_flow_eigenvalue_bound(flow)
         exact = spectrum(symmetrize(top_to_bottom_k(n, k))).beta_min
         assert float(bound) <= exact + 1e-12, (n, k, float(bound), exact)
         # and it can only improve on the closed-form estimate
@@ -347,7 +347,16 @@ def test_odd_flow_even_path_rejected_by_bound():
                 paths={CayleyPath(4, ("s3", "s4")): 1})
     assert flow.unit * flow.paths[CayleyPath(4, ("s3", "s4"))] == 1
     with pytest.raises(ValueError, match="odd"):
-        odd_flow_eigenvalue_bound(flow, 1)
+        odd_flow_eigenvalue_bound(flow)
+
+
+def test_odd_flow_bound_needs_the_identity_target():
+    # odd loops, but beta~_min of a random-transposition target is not 1
+    q = symmetrize(top_to_bottom_k(4, 4))
+    flow = Flow(target=random_transposition(4), q=q, unit=Fraction(1),
+                paths={CayleyPath(4, ("s3",) * 3): 1})
+    with pytest.raises(ValueError, match="point mass at e"):
+        odd_flow_eigenvalue_bound(flow)
 
 
 # ---------------------------------------------------------------------------
