@@ -39,6 +39,7 @@ from .exact import (
     group_table,
     least_eigenvalue_formula,
     mixing_time,
+    require_dense,
     spectrum,
     transfer_checks,
 )
@@ -98,6 +99,7 @@ def _build_measure(args):
     """(measure, label, stem tag) from --measure / --n / --k / --p."""
     name = args.measure
     n = args.n
+    require_dense(n)
     if name in ("tbk", "sym", "lazy"):
         if args.k is None:
             raise ValueError(f"--k is required for measure {name!r}")
@@ -270,6 +272,8 @@ def _build_flow(args):
 def _cmd_flow(args, sink: _Sink) -> str:
     if args.dirichlet is not None and args.dirichlet < 1:
         raise ValueError(f"--dirichlet needs at least 1 trial, got {args.dirichlet}")
+    if args.lower_bound or args.dirichlet is not None or args.compare_t2 is not None:
+        require_dense(args.n)
     flow, bounds, tag = _build_flow(args)
     rep = congestion_A(flow)
     a_float = float(rep.a_value)
@@ -335,7 +339,7 @@ def _cmd_flow(args, sink: _Sink) -> str:
 
 def _cmd_transfer(args, sink: _Sink) -> str:
     eps_grid = tuple(float(x) for x in args.eps_grid.split(",") if x)
-    rep = transfer_checks(args.n, args.k, Fraction(args.p), eps_grid, args.mmax)
+    rep = transfer_checks(args.n, args.k, Fraction(args.p), eps_grid)
     stem = f"transfer_n{args.n}_k{args.k}"
     sink.json(f"{stem}.json", rep)
     sink.csv(f"{stem}.csv", ("eps", "lazy_t", "bound", "holds"), rep.lazy_rows)
@@ -371,22 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         return p
 
-    def measure_flags(p, default):
+    def measure_flags(p, choices):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int)
-        p.add_argument("--measure", default=default,
-                       choices=("tbk", "sym", "lazy", "rt", "rudvalis"))
-        p.add_argument("--p", default="1/2", help="laziness, a fraction like 1/2")
+        p.add_argument("--measure", default=choices[0], choices=choices)
 
     p = add("exact", "dense distance profile and mixing time")
-    measure_flags(p, "tbk")
+    measure_flags(p, ("tbk", "sym", "lazy", "rt", "rudvalis"))
+    p.add_argument("--p", default="1/2", help="laziness, a fraction like 1/2")
     p.add_argument("--metric", choices=("tv", "l2"), default="tv")
     p.add_argument("--mmax", type=int, default=200)
 
-    # the spectrum is for reversible walks, so the symmetrized measure is the
-    # default here
+    # the spectrum is for reversible walks, so only symmetric measures are
+    # offered, the symmetrized shuffle first
     p = add("spectrum", "full transition spectrum at small n")
-    measure_flags(p, "sym")
+    measure_flags(p, ("sym", "rt", "rudvalis"))
 
     p = add("couple", "Monte Carlo coupling times", seeded=True)
     p.add_argument("--n", type=int, required=True)
@@ -453,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", default="1/2", help="laziness, a fraction like 1/2")
     p.add_argument("--eps-grid", default="0.1,0.5,0.9")
-    p.add_argument("--mmax", type=int, default=400)
 
     return parser
 

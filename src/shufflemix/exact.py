@@ -5,13 +5,16 @@ permutation rank.  Distance sums run through math.fsum (exact compensated
 summation), because n! terms of magnitude ~1/n! lose digits under naive
 accumulation.  This module owns every computation over the whole group:
 the rank-indexed multiplication tables (built with the one group product,
-:func:`shufflemix.perms.right_multiplier`), dense convolution, the BFS for
-word lengths in the Cayley graph (:func:`cayley_distances`), and the
-spectrum, split over the irreducible representations lambda of S_n (Diaconis
-1988, ch. 3) into the eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g),
-each repeated d_lambda times, with rho_lambda in Young's orthogonal form.  One
-dense cap, n <= 8, covers every output of size n! (convolution, Cayley-graph
-distances, spectra, and the Dirichlet forms in :mod:`shufflemix.flows`).
+:func:`shufflemix.perms.right_multiplier`), dense convolution (one walk
+loop, :func:`_walk`, read up to a fixed step by :func:`mixing_time` and up
+to the threshold by :func:`hitting_time`), the BFS for word lengths in the
+Cayley graph (:func:`cayley_distances`), and the spectrum, split over the
+irreducible representations lambda of S_n (Diaconis 1988, ch. 3) into the
+eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g), each repeated d_lambda
+times, with rho_lambda in Young's orthogonal form.  One dense cap, n <= 8,
+covers every output of size n! (convolution, Cayley-graph distances, spectra,
+and the Dirichlet forms in :mod:`shufflemix.flows`); :func:`require_dense` is
+its one check.
 """
 
 from __future__ import annotations
@@ -64,10 +67,15 @@ class GroupTable:
         return tbl
 
 
-@lru_cache(maxsize=None)
-def group_table(n: int) -> GroupTable:
+def require_dense(n: int) -> None:
+    """Raise CapacityError unless n is within the dense cap."""
     if n > DENSE_CAP:
         raise CapacityError(f"n={n} exceeds dense cap {DENSE_CAP}")
+
+
+@lru_cache(maxsize=None)
+def group_table(n: int) -> GroupTable:
+    require_dense(n)
     return GroupTable(n)
 
 
@@ -147,6 +155,31 @@ def _metric_fn(metric: str):
     raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
 
 
+def _walk(q: SparseMeasure):
+    """q^0 = delta_e, q^1, q^2, ...: the walk driven by q, one step per item.
+
+    The only loop over :func:`convolve_step`; a step is taken only when the
+    next item is requested.
+    """
+    d = point_mass(q.n)
+    while True:
+        yield d
+        d = convolve_step(d, q)
+
+
+def hitting_time(q: SparseMeasure, metric: str) -> int:
+    """First step m with distance(q^m, pi) <= threshold (as in :func:`mixing_time`).
+
+    There is no step budget.  Precondition: q drives a mixing walk, i.e. its
+    support generates S_n and lies in no coset of a proper normal subgroup;
+    then q^m tends to uniform and the loop ends.  Otherwise it never ends.
+    """
+    dist_fn, threshold = _metric_fn(metric)
+    for m, d in enumerate(_walk(q)):
+        if dist_fn(d) <= threshold:
+            return m
+
+
 def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
                 label: str | None = None) -> MixingReport:
     """First step m with distance(q^m, pi) <= threshold, plus the profile.
@@ -157,20 +190,15 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     dist_fn, threshold = _metric_fn(metric)
-    d = point_mass(q.n)
-    profile = [(0, dist_fn(d))]
-    hit = 0 if profile[0][1] <= threshold else None
-    for m in range(1, m_max + 1):
-        d = convolve_step(d, q)
-        profile.append((m, dist_fn(d)))
-        if hit is None and profile[-1][1] <= threshold:
-            hit = m
+    profile = tuple((m, dist_fn(d))
+                    for m, d in enumerate(itertools.islice(_walk(q), m_max + 1)))
+    hit = next((m for m, dist in profile if dist <= threshold), None)
     return MixingReport(
         measure=label or f"measure(n={q.n})",
         metric=metric,
         threshold=threshold,
         mixing_time=hit,
-        profile=tuple(profile),
+        profile=profile,
         saturated=hit is None,
     )
 
@@ -233,8 +261,7 @@ def spectrum(q: SparseMeasure) -> SpectrumReport:
     sum_g q(g) rho(g^{-1}) = q^(lambda)^T, checked symmetric because eigvalsh
     reads only one triangle.
     """
-    if q.n > DENSE_CAP:
-        raise CapacityError(f"n={q.n} exceeds dense cap {DENSE_CAP}")
+    require_dense(q.n)
     if q != reversal(q):
         raise ValueError("spectrum requires a symmetric measure (q == reversal(q))")
     blocks = []
@@ -304,7 +331,7 @@ class TransferReport:
 
 
 def transfer_checks(n: int, k: int, p=Fraction(1, 2),
-                    eps_grid=(0.1, 0.5, 0.9), m_max: int = 400) -> TransferReport:
+                    eps_grid=(0.1, 0.5, 0.9)) -> TransferReport:
     """Mixing-time transfer inequalities for q = top_to_bottom_k(n, k).
 
     Checks T <= T2, the reversed-convolution doubling bound
@@ -317,28 +344,28 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     substantive instance is the lazy one, lazy(q)* (*) lazy(q), which always
     generates; it is checked as well.  The eps grid must be nonempty, and
     every eps finite and positive.
+
+    Every mixing time is a :func:`hitting_time`, which ends because each walk
+    mixes.  Since 2 <= k <= n, q holds sigma_{n-1} and sigma_n, an (n-1)-cycle
+    and an n-cycle: they generate S_n (sigma_{n-1}^{-1} sigma_n = (n-1, n)),
+    and they have opposite signs, so they lie in no coset of A_n, which holds
+    every proper normal subgroup of S_n.  lazy(q) and lazy(q)* (*) lazy(q)
+    hold e and the support of lazy(q).  At k = n, q * q* holds e and every
+    sigma_l = sigma_l sigma_1^{-1}.
     """
+    require_dense(n)
     if not eps_grid or not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
         raise ValueError(f"need a nonempty grid of finite positive eps, got {tuple(eps_grid)}")
     q = top_to_bottom_k(n, k)
-    t_tv = mixing_time(q, "tv", m_max).mixing_time
-    t_l2 = mixing_time(q, "l2", m_max).mixing_time
-    qq = convolve_measures(q, reversal(q))
-    if (cayley_distances(n, qq.support()) >= 0).all():
-        t_qq = mixing_time(qq, "l2", m_max).mixing_time
-        vacuous = False
-    else:
-        t_qq = None
-        vacuous = True
+    t_tv = hitting_time(q, "tv")
+    t_l2 = hitting_time(q, "l2")
+    vacuous = k < n
+    t_qq = None if vacuous else hitting_time(convolve_measures(q, reversal(q)), "l2")
     p = Fraction(p)
     lazy_q = lazy(q, p)
-    t_tv_lazy = mixing_time(lazy_q, "tv", m_max).mixing_time
-    t_l2_lazy = mixing_time(lazy_q, "l2", m_max).mixing_time
-    lazy_pair = convolve_measures(reversal(lazy_q), lazy_q)
-    t_pair = mixing_time(lazy_pair, "l2", m_max).mixing_time
-    needed = [t_tv, t_l2, t_tv_lazy, t_l2_lazy, t_pair] + ([] if vacuous else [t_qq])
-    if any(v is None for v in needed):
-        raise ValueError(f"m_max={m_max} too small to reach thresholds at n={n}, k={k}")
+    t_tv_lazy = hitting_time(lazy_q, "tv")
+    t_l2_lazy = hitting_time(lazy_q, "l2")
+    t_pair = hitting_time(convolve_measures(reversal(lazy_q), lazy_q), "l2")
     rows = []
     for eps in eps_grid:
         bound = max((2 + eps) / float(p) * t_tv, 80.0 / (float(p) * eps * eps))

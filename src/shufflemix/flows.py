@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, group_table, mixing_time, spectrum
+from .exact import cayley_distances, group_table, hitting_time, spectrum
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -457,31 +457,34 @@ class ComparisonBoundReport:
     slack: float
 
 
-def comparison_bound_report(flow: Flow, reference_t2: int,
-                            m_max: int = 200) -> ComparisonBoundReport:
+def comparison_bound_report(flow: Flow, reference_t2: int) -> ComparisonBoundReport:
     """L2 mixing bound for the flow's comparison walk q:
 
         T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
 
     beta_- = max(0, -beta_min(q)).  Checked against the exact T2 of q.  Any
     target's T2 is at least 1: at m = 0 its L2 distance is sqrt(n! - 1) > 1/e.
+
+    The exact T2 is a :func:`shufflemix.exact.hitting_time`, which ends
+    because q mixes: q is symmetric (spectrum checks it), so the squared L2
+    distance of q^m is the sum of beta^(2m) over the nontrivial eigenvalues,
+    and a spectral gap above 0 with beta_min above -1 makes every such
+    |beta| < 1.  A walk failing either test raises ValueError: a q whose
+    support does not generate has gap 0, and a periodic q has beta_min = -1.
     """
     if reference_t2 < 1:
         raise ValueError(f"reference T2 must be at least 1, got {reference_t2}")
     a = float(congestion_A(flow).a_value)
-    beta_minus = max(0.0, -spectrum(flow.q).beta_min)
-    if beta_minus >= 1.0:
-        term_beta = math.inf
-    elif beta_minus == 0.0:
-        term_beta = 0.0
-    else:
-        term_beta = 1.0 / (-math.log(beta_minus))
+    spec = spectrum(flow.q)
+    if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
+        raise ValueError(f"comparison walk does not mix: spectral gap {spec.spectral_gap}, "
+                         f"beta_min {spec.beta_min}")
+    beta_minus = max(0.0, -spec.beta_min)
+    term_beta = 0.0 if beta_minus == 0.0 else 1.0 / (-math.log(beta_minus))
     term_reference = a * reference_t2
     term_entropy = a * math.log(math.factorial(flow.n))
     bound = max(term_reference, term_entropy, term_beta)
-    t2 = mixing_time(flow.q, "l2", m_max).mixing_time
-    if t2 is None:
-        raise ValueError(f"m_max={m_max} too small to reach the L2 threshold")
+    t2 = hitting_time(flow.q, "l2")
     return ComparisonBoundReport(
         a_value=a,
         reference_t2=reference_t2,

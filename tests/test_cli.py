@@ -18,7 +18,13 @@ from shufflemix.coupling import (
 from shufflemix.errors import NumericError
 from shufflemix.exact import mixing_time, spectrum
 from shufflemix.flows import build_flow_general, flow_to_json_obj
-from shufflemix.measures import symmetrize, top_to_bottom_k
+from shufflemix.measures import (
+    convolve_measures,
+    lazy,
+    reversal,
+    symmetrize,
+    top_to_bottom_k,
+)
 from shufflemix.report import json_bytes, run_env, sha256_hex
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -396,6 +402,52 @@ def test_transfer_payload(tmp_path):
     assert header == ["eps", "lazy_t", "bound", "holds"]
     assert [float(r[0]) for r in rows] == [0.1, 0.5, 0.9]
     assert all(r[3] == "true" for r in rows)
+
+
+def test_transfer_has_no_step_budget(tmp_path):
+    # these walks need more than the 400 steps the removed --mmax allowed
+    assert run(["transfer", "--n", "4", "--k", "2", "--p", "1/100",
+                "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "transfer_n4_k2.json")
+    lq = lazy(top_to_bottom_k(4, 2), Fraction(1, 100))
+    pair = convolve_measures(reversal(lq), lq)
+    want = {"t_tv_lazy": (lq, "tv", 403), "t_l2_lazy": (lq, "l2", 435),
+            "t_l2_lazy_pair": (pair, "l2", 312)}
+    for key, (walk, metric, t) in want.items():
+        assert payload[key] == mixing_time(walk, metric, 1000).mixing_time == t
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--n", "4", "--k", "2", "--mmax", "10"],
+    ["spectrum", "--n", "4", "--k", "2", "--measure", "tbk"],
+    ["spectrum", "--n", "4", "--k", "2", "--measure", "lazy"],
+    ["spectrum", "--n", "4", "--k", "2", "--p", "1/2"],
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,builder", [
+    (["exact", "--n", "200", "--measure", "rt"], "random_transposition"),
+    (["spectrum", "--n", "400", "--k", "400"], "top_to_bottom_k"),
+    (["flow", "--builder", "general", "--n", "40", "--k", "20", "--lower-bound"],
+     "build_flow_general"),
+    (["flow", "--builder", "general", "--n", "40", "--k", "20", "--dirichlet", "1"],
+     "build_flow_general"),
+    (["flow", "--builder", "general", "--n", "40", "--k", "20", "--compare-t2", "3"],
+     "build_flow_general"),
+])
+def test_dense_cap_refused_before_any_build(tmp_path, capsys, monkeypatch, argv, builder):
+    def no_build(*args):
+        raise AssertionError(f"{builder} ran above the dense cap")
+    monkeypatch.setattr(cli, builder, no_build)
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    assert "capacity" in capsys.readouterr().err
+    manifest = read_json(tmp_path / f"{argv[0]}.manifest.json")
+    assert manifest["status"] == "capacity"
+    assert manifest["outputs"] == {}
 
 
 def test_numeric_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import shufflemix.exact as exact
 from oracles import (
     bfs_distances_nx,
     brute_power,
@@ -26,6 +27,7 @@ from shufflemix.exact import (
     cayley_distances,
     convolve_step,
     group_table,
+    hitting_time,
     least_eigenvalue_formula,
     lp_distance,
     mixing_time,
@@ -406,3 +408,55 @@ def test_unrank_consistent_with_table():
     t = group_table(4)
     for r in (0, 5, 17, 23):
         assert unrank(r, 4).map == t.perms[r]
+
+
+def _transfer_walks(n, k, p):
+    """The walks transfer_checks times, with their metrics; q * q* only at
+    k = n, where it generates."""
+    q = top_to_bottom_k(n, k)
+    lq = lazy(q, p)
+    walks = [(q, "tv"), (q, "l2"), (lq, "tv"), (lq, "l2"),
+             (convolve_measures(reversal(lq), lq), "l2")]
+    if k == n:
+        walks.append((convolve_measures(q, reversal(q)), "l2"))
+    return walks
+
+
+_TRANSFER_CASES = [(n, k, Fraction(1, 2)) for n in range(2, 8) for k in range(2, n + 1)]
+_TRANSFER_CASES += [(3, 2, Fraction(1, 3)), (5, 3, Fraction(1, 3)), (6, 6, Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("n,k,p", [
+    pytest.param(n, k, p, id=f"n{n}k{k}p{p.numerator}-{p.denominator}")
+    for n, k, p in _TRANSFER_CASES])
+def test_hitting_time_matches_the_profile(n, k, p):
+    # with t <= 400, the first hit of the 400-step profile is t exactly when
+    # the first hit of the t-step profile is t; the shorter profile is cheaper
+    for walk, metric in _transfer_walks(n, k, p):
+        t = hitting_time(walk, metric)
+        assert t <= 400
+        assert mixing_time(walk, metric, t).mixing_time == t
+
+
+def test_transfer_times_are_hitting_times():
+    rep = transfer_checks(5, 5, Fraction(1, 3))
+    times = [hitting_time(w, m) for w, m in _transfer_walks(5, 5, Fraction(1, 3))]
+    assert times == [rep.t_tv, rep.t_l2, rep.t_tv_lazy, rep.t_l2_lazy,
+                     rep.t_l2_lazy_pair, rep.t_l2_qq_star]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pair_generates_exactly_when_k_is_n(n):
+    # transfer_checks sets doubling_vacuous = k < n on this fact, with no BFS
+    for k in range(2, n + 1):
+        q = top_to_bottom_k(n, k)
+        qq = convolve_measures(q, reversal(q))
+        assert (cayley_distances(n, qq.support()) >= 0).all() == (k == n)
+
+
+def test_transfer_refuses_the_dense_cap_before_building(monkeypatch):
+    def no_measure(*args):
+        raise AssertionError("measure built above the dense cap")
+    monkeypatch.setattr(exact, "top_to_bottom_k", no_measure)
+    with pytest.raises(CapacityError):
+        transfer_checks(9, 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shufflemix.flows as flows
 from oracles import (
     bfs_distances_nx,
     congestion_from_weights,
@@ -42,6 +43,7 @@ from shufflemix.flows import (
 )
 from shufflemix.measures import (
     SparseMeasure,
+    delta_e,
     lazy,
     random_transposition,
     rudvalis_symmetric,
@@ -515,6 +517,26 @@ def test_comparison_bound_nonnegative_spectrum_drops_third_term():
     rep = comparison_bound_report(flow, t2_rt)
     assert rep.term_beta == 0.0
     assert rep.holds
+
+
+def _uniform(n, perms):
+    return SparseMeasure(n, {rank(g): Fraction(1, len(perms)) for g in perms})
+
+
+@pytest.mark.parametrize("q", [
+    # support in a proper subgroup: the eigenvalue 1 repeats, gap 0
+    pytest.param(_uniform(3, [identity(3), transposition(1, 2, 3)]), id="gap0"),
+    # every step odd: the walk is periodic, beta_min = -1
+    pytest.param(_uniform(3, [transposition(1, 2, 3), transposition(2, 3, 3)]),
+                 id="periodic"),
+])
+def test_comparison_bound_refuses_a_walk_that_never_mixes(q, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("T2 searched for a walk that never mixes")
+    monkeypatch.setattr(flows, "hitting_time", no_walk)
+    flow = Flow(target=delta_e(3), q=q, unit=Fraction(1), paths={CayleyPath(3, ()): 1})
+    with pytest.raises(ValueError, match="does not mix"):
+        comparison_bound_report(flow, 1)
 
 
 # ---------------------------------------------------------------------------
