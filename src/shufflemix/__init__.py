@@ -52,7 +52,7 @@ from .measures import (
     top_to_bottom_k,
 )
 from .perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition, unrank
-from .report import FixtureStore, RunManifest, emit_json
+from .report import RunManifest, emit_json
 from .wilson import compute_params, lazy_transfer, step_bound, wilson_report
 
 __all__ = [
@@ -102,7 +102,6 @@ __all__ = [
     "dirichlet_form",
     "odd_flow_eigenvalue_bound",
     "verify_flow",
-    "FixtureStore",
     "RunManifest",
     "emit_json",
     "__version__",

@@ -272,7 +272,7 @@ def _build_flow(args):
 def _cmd_flow(args, sink: _Sink) -> str:
     if args.dirichlet is not None and args.dirichlet < 1:
         raise ValueError(f"--dirichlet needs at least 1 trial, got {args.dirichlet}")
-    if args.lower_bound or args.dirichlet is not None or args.compare_t2 is not None:
+    if args.lower_bound or args.dirichlet is not None or args.compare_t2:
         require_dense(args.n)
     flow, bounds, tag = _build_flow(args)
     rep = congestion_A(flow)
@@ -327,8 +327,8 @@ def _cmd_flow(args, sink: _Sink) -> str:
             "violations": violations,
             "max_ratio_over_a": worst,
         }
-    if args.compare_t2 is not None:
-        payload["comparison"] = comparison_bound_report(flow, args.compare_t2)
+    if args.compare_t2:
+        payload["comparison"] = comparison_bound_report(flow)
     stem = f"flow_{args.builder}_n{args.n}_{tag}"
     sink.json(f"{stem}.json", payload)
     sink.csv(f"{stem}.csv", ("generator", "q_weight", "term"), rep.per_generator)
@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the distance-squared congestion floor")
     p.add_argument("--dirichlet", type=int, default=None,
                    help="check E_target <= A E_letters on this many seeded f")
-    p.add_argument("--compare-t2", type=int, default=None,
-                   help="reference T2 of the target walk; emits the full bound")
+    p.add_argument("--compare-t2", action="store_true",
+                   help="L2 mixing bound for q from the target walk's exact T2")
     p.add_argument("--export-paths", action="store_true",
                    help="also write the flow's paths as JSON")
 

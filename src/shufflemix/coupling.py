@@ -149,9 +149,13 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
 
 
 def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
-    """(empirical P(T > m), binomial standard error); censored trials count
-    as exceeding any m below the cap."""
-    hits = sum(s.coupling_time > m for s in stats)
+    """(empirical P(T > m), binomial standard error).
+
+    A censored trial counts as exceeding every m: its true T exceeds the cap
+    its recorded time equals.  Beyond the cap this errs toward a larger
+    P(T > m), the safe side of the bound P(T > m) >= TV.
+    """
+    hits = sum(s.censored or s.coupling_time > m for s in stats)
     trials = len(stats)
     p = hits / trials
     return p, math.sqrt(p * (1 - p) / trials)
@@ -288,8 +292,7 @@ def lazy_trial_wrapper(stats: TrialStats, p: float) -> TrialStats:
         return stats
     # jumped stream: same key as the inner trial but disjoint draws, so the
     # thinning is independent of the deck initialization
-    bg = np.random.Philox(key=np.array([stats.seed, stats.trial], dtype=np.uint64)).jumped()
-    rng = np.random.Generator(bg)
+    rng = np.random.Generator(trial_rng(stats.seed, stats.trial).bit_generator.jumped())
     if stats.coupling_time > 0:
         waits = stats.coupling_time + int(
             rng.negative_binomial(stats.coupling_time, p))

@@ -10,6 +10,8 @@ atom's mass exactly.  The congestion constant
 (N counts how often the generator s appears in the path) then bounds the
 target's Dirichlet form by A times the comparison form, which converts known
 mixing or spectral information about one walk into bounds for the other.
+The L2 mixing bound for q takes the target walk's exact T2 as its reference,
+so it is computed, not supplied, and a target that never mixes is refused.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
@@ -106,7 +108,7 @@ def generator_name(g: Permutation) -> str:
 class CayleyPath:
     """Word of generator names, walked left to right from e by right
     multiplication; the endpoint is the product of the letters in written
-    order.  Hash and equality use the word only, so paths key flow dicts.
+    order.  Hash and equality use (n, word), so paths key flow dicts.
     """
 
     n: int
@@ -447,7 +449,7 @@ def dirichlet_form(f, q: SparseMeasure) -> float:
 @dataclass(frozen=True)
 class ComparisonBoundReport:
     a_value: float
-    reference_t2: int
+    reference_t2: int            # exact T2 of the flow's target walk
     term_reference: float        # A * T2 of the flow's target walk
     term_entropy: float          # A * log n!
     term_beta: float             # 1/(-log beta_-); 0 when the spectrum is nonnegative
@@ -457,30 +459,35 @@ class ComparisonBoundReport:
     slack: float
 
 
-def comparison_bound_report(flow: Flow, reference_t2: int) -> ComparisonBoundReport:
+def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
     """L2 mixing bound for the flow's comparison walk q:
 
         T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
 
-    beta_- = max(0, -beta_min(q)).  Checked against the exact T2 of q.  Any
-    target's T2 is at least 1: at m = 0 its L2 distance is sqrt(n! - 1) > 1/e.
+    beta_- = max(0, -beta_min(q)).  The reference T2(target) is the target
+    walk's exact T2, computed here, so every input of the bound is exact; the
+    bound is checked against the exact T2 of q.
 
-    The exact T2 is a :func:`shufflemix.exact.hitting_time`, which ends
-    because q mixes: q is symmetric (spectrum checks it), so the squared L2
-    distance of q^m is the sum of beta^(2m) over the nontrivial eigenvalues,
-    and a spectral gap above 0 with beta_min above -1 makes every such
-    |beta| < 1.  A walk failing either test raises ValueError: a q whose
-    support does not generate has gap 0, and a periodic q has beta_min = -1.
+    Both T2 values are :func:`shufflemix.exact.hitting_time` searches, which
+    end because each walk mixes: it is symmetric (spectrum checks it), so the
+    squared L2 distance of its m-th power is the sum of beta^(2m) over the
+    nontrivial eigenvalues, and a spectral gap above 0 with beta_min above -1
+    makes every such |beta| < 1.  q is tested first, then the target; a walk
+    failing either test raises ValueError: one whose support does not
+    generate has gap 0 (the point mass at e among them), and a periodic one
+    has beta_min = -1.
     """
-    if reference_t2 < 1:
-        raise ValueError(f"reference T2 must be at least 1, got {reference_t2}")
     a = float(congestion_A(flow).a_value)
-    spec = spectrum(flow.q)
-    if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
-        raise ValueError(f"comparison walk does not mix: spectral gap {spec.spectral_gap}, "
-                         f"beta_min {spec.beta_min}")
-    beta_minus = max(0.0, -spec.beta_min)
+    spectra = []
+    for role, walk in (("comparison", flow.q), ("target", flow.target)):
+        spec = spectrum(walk)
+        if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
+            raise ValueError(f"{role} walk does not mix: spectral gap {spec.spectral_gap}, "
+                             f"beta_min {spec.beta_min}")
+        spectra.append(spec)
+    beta_minus = max(0.0, -spectra[0].beta_min)
     term_beta = 0.0 if beta_minus == 0.0 else 1.0 / (-math.log(beta_minus))
+    reference_t2 = hitting_time(flow.target, "l2")
     term_reference = a * reference_t2
     term_entropy = a * math.log(math.factorial(flow.n))
     bound = max(term_reference, term_entropy, term_beta)

@@ -35,16 +35,6 @@ class Permutation:
         if len(self.map) != self.n or sorted(self.map) != list(range(1, self.n + 1)):
             raise ValueError(f"map {self.map!r} is not a bijection of 1..{self.n}")
 
-    def __call__(self, position: int) -> int:
-        """Label held at a 1-based position.
-
-        >>> cycle_generator(3, 3)(1)
-        2
-        """
-        if not 1 <= position <= self.n:
-            raise ValueError(f"position {position} outside 1..{self.n}")
-        return self.map[position - 1]
-
     def is_identity(self) -> bool:
         return all(self.map[i] == i + 1 for i in range(self.n))
 

@@ -60,6 +60,8 @@ from .errors import NumericError
 
 NEWTON_N_MIN = 16
 NEWTON_N_MAX = 1024
+NEWTON_MAX_ITER = 64
+NEWTON_TOL_PER_N = 1e-12       # stop once |f| <= NEWTON_TOL_PER_N * n
 
 POLY_N_MIN = 5
 
@@ -111,7 +113,7 @@ class NewtonResult:
     residuals: tuple[float, ...]
 
 
-def newton_root(n: int, tol: float | None = None, max_iter: int = 64) -> NewtonResult:
+def newton_root(n: int) -> NewtonResult:
     """Newton iteration from z = 1 for the eigenvalue polynomial.
 
     Supported only for n in [16, 1024]: below, the starting point is not
@@ -119,12 +121,11 @@ def newton_root(n: int, tol: float | None = None, max_iter: int = 64) -> NewtonR
     """
     if not NEWTON_N_MIN <= n <= NEWTON_N_MAX:
         raise ValueError(f"n={n} outside supported range [{NEWTON_N_MIN}, {NEWTON_N_MAX}]")
-    if tol is None:
-        tol = 1e-12 * n
+    tol = NEWTON_TOL_PER_N * n
     z = 1 + 0j
     iterates = [z]
     residuals = []
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, fp = wilson_poly(z, n)
         residuals.append(abs(f))
         if abs(f) <= tol:
@@ -134,7 +135,7 @@ def newton_root(n: int, tol: float | None = None, max_iter: int = 64) -> NewtonR
         z = z - f / fp
         iterates.append(z)
     raise NumericError(
-        f"Newton did not reach |f| <= {tol:g} in {max_iter} iterations at n={n}",
+        f"Newton did not reach |f| <= {tol:g} in {NEWTON_MAX_ITER} iterations at n={n}",
         trace={"iterates": tuple(iterates), "residuals": tuple(residuals)},
     )
 
@@ -267,7 +268,7 @@ def eigenfunction_residual(params: WilsonParams, lam: complex | None = None) -> 
     return float(np.abs(mean - lam * params.v).sum())
 
 
-def compute_params(n: int, eps: float = 0.9, tol: float | None = None) -> WilsonParams:
+def compute_params(n: int, eps: float = 0.9) -> WilsonParams:
     """Newton root, boundary coefficients, Psi_max = sum |v|, Psi_start =
     |sum v| (Psi at every start state), certified R.
 
@@ -275,7 +276,7 @@ def compute_params(n: int, eps: float = 0.9, tol: float | None = None) -> Wilson
     inequality |Psi_l' - Psi| <= B_l in every state, so R bounds the sup of
     E|Psi' - Psi|^2 under a uniform slot, as Wilson's lemma needs.
     """
-    root = newton_root(n, tol)
+    root = newton_root(n)
     w = unit_root(n)
     chi = chi_values(root.lam, w, n)
     if chi.residuals[2] > 1e-8:

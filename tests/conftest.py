@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from shufflemix.report import FixtureStore
+from fixture_store import FixtureStore
 
 FIXTURES = Path(__file__).parent / "fixtures.json"
 

@@ -28,7 +28,7 @@ from oracles import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
-from shufflemix.report import FixtureStore
+from fixture_store import FixtureStore
 
 STORE = Path(__file__).parent / "fixtures.json"
 

@@ -21,6 +21,7 @@ from shufflemix.flows import build_flow_general, flow_to_json_obj
 from shufflemix.measures import (
     convolve_measures,
     lazy,
+    random_transposition,
     reversal,
     symmetrize,
     top_to_bottom_k,
@@ -168,6 +169,15 @@ def test_couple_payload_and_trials(tmp_path):
     assert float(tail_rows[0][1]) == 1.0    # every coupling takes > 0 steps
 
 
+def test_couple_tail_counts_censored_trials(tmp_path):
+    assert run(["couple", "--n", "6", "--k", "3", "--trials", "200", "--seed", "1",
+                "--cap", "5", "--tail", "5", "--tail", "10", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "couple_bottom_k_to_top_n6_k3.json")
+    assert payload["censored"] == 157
+    assert [t["m"] for t in payload["tails"]] == [5.0, 10.0]
+    assert all(t["p_hat"] >= 157 / 200 for t in payload["tails"])
+
+
 def test_couple_bad_kind_is_usage_error(capsys, tmp_path):
     assert run(["couple", "--n", "8", "--k", "2", "--kind", "zigzag",
                 "--out", str(tmp_path)]) == 2
@@ -235,6 +245,16 @@ def test_lowerbound_increasing_bottom(tmp_path):
     est = increasing_bottom_statistic(30, 30, 3, 0.5 * 30 * math.log(30))
     assert payload["estimate"] == {"estimate": est.estimate, "p_hat": est.p_hat}
     assert not {"trials", "seed"} & set(payload)
+
+
+def test_lowerbound_increasing_bottom_at_a_step_count(tmp_path):
+    assert run(["lowerbound", "--method", "increasing-bottom", "--n", "50",
+                "--k", "20", "--j", "3", "--m", "30", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "lowerbound_increasing-bottom_n50_k20.json")
+    assert payload["m"] == 30.0
+    est = increasing_bottom_statistic(50, 20, 3, 30)
+    assert est.estimate == 0.5449156964769682
+    assert payload["estimate"] == {"estimate": est.estimate, "p_hat": est.p_hat}
 
 
 @pytest.mark.parametrize("argv", [
@@ -334,9 +354,11 @@ def test_flow_rudvalis_exact_bound(tmp_path):
 
 def test_flow_comparison_block(tmp_path):
     assert run(["flow", "--builder", "general", "--n", "5", "--k", "3",
-                "--compare-t2", "5", "--out", str(tmp_path)]) == 0
+                "--compare-t2", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "flow_general_n5_k3.json")
     comp = payload["comparison"]
+    # the exact T2 of random transposition at n = 5
+    assert comp["reference_t2"] == 5
     assert comp["holds"] is True
     assert comp["t2_exact"] == 7
     assert comp["bound"] == max(comp["term_reference"], comp["term_entropy"],
@@ -347,16 +369,28 @@ def test_flow_comparison_block(tmp_path):
 
 def test_flow_comparison_block_large_k(tmp_path):
     assert run(["flow", "--builder", "large-k", "--n", "6", "--C", "1",
-                "--compare-t2", "10", "--out", str(tmp_path)]) == 0
+                "--compare-t2", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "flow_large-k_n6_C1.json")
     assert payload["n"] == 6 and payload["C"] == 1 and "k" not in payload
     comp = payload["comparison"]
     assert not {"n", "k"} & set(comp)
     assert comp["a_value"] == payload["a_float"]
+    assert comp["reference_t2"] == mixing_time(random_transposition(6), "l2").mixing_time == 7
     assert comp["term_entropy"] == payload["a_float"] * math.log(math.factorial(6))
     assert comp["t2_exact"] == mixing_time(
         symmetrize(top_to_bottom_k(6, 5)), "l2").mixing_time
     assert comp["holds"] is True
+
+
+def test_flow_comparison_refuses_the_odd_target(tmp_path, capsys):
+    # the odd flow's target is the point mass at e, which never mixes
+    assert run(["flow", "--builder", "odd", "--n", "5", "--k", "3", "--compare-t2",
+                "--out", str(tmp_path)]) == 2
+    assert "target walk does not mix" in capsys.readouterr().err
+    manifest = read_json(tmp_path / "flow.manifest.json")
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("target walk does not mix")
+    assert manifest["outputs"] == {}
 
 
 def test_flow_export_paths(tmp_path):
@@ -422,6 +456,7 @@ def test_transfer_has_no_step_budget(tmp_path):
     ["spectrum", "--n", "4", "--k", "2", "--measure", "tbk"],
     ["spectrum", "--n", "4", "--k", "2", "--measure", "lazy"],
     ["spectrum", "--n", "4", "--k", "2", "--p", "1/2"],
+    ["flow", "--builder", "general", "--n", "6", "--k", "3", "--compare-t2", "5"],
 ])
 def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -436,7 +471,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
      "build_flow_general"),
     (["flow", "--builder", "general", "--n", "40", "--k", "20", "--dirichlet", "1"],
      "build_flow_general"),
-    (["flow", "--builder", "general", "--n", "40", "--k", "20", "--compare-t2", "3"],
+    (["flow", "--builder", "general", "--n", "40", "--k", "20", "--compare-t2"],
      "build_flow_general"),
 ])
 def test_dense_cap_refused_before_any_build(tmp_path, capsys, monkeypatch, argv, builder):
@@ -460,9 +495,7 @@ def test_numeric_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch):
-    newton = wilson.newton_root
-    monkeypatch.setattr(wilson, "newton_root",
-                        lambda n, tol=None: newton(n, tol, max_iter=2))
+    monkeypatch.setattr(wilson, "NEWTON_MAX_ITER", 2)
     argv = ["wilson", "--n", "64", "--out", str(tmp_path)]
     assert run(argv) == 4
     assert "numeric" in capsys.readouterr().err
@@ -497,10 +530,7 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
     (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail-grid", "-2"], 2, "error"),
     (["couple", "--n", "6", "--k", "3", "--trials", "0"], 2, "error"),
     (["exact", "--n", "4", "--k", "2", "--mmax", "-3"], 2, "error"),
-    (["flow", "--builder", "general", "--n", "5", "--k", "3", "--compare-t2", "-5"],
-     2, "error"),
-    (["flow", "--builder", "general", "--n", "5", "--k", "3", "--compare-t2", "0"],
-     2, "error"),
+    (["flow", "--builder", "odd", "--n", "5", "--k", "3", "--compare-t2"], 2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

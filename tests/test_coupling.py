@@ -153,6 +153,14 @@ def test_censoring_is_flagged_not_dropped():
     assert censored and all(s.coupling_time == 3 for s in censored)
 
 
+def test_censored_trials_exceed_every_m():
+    # a censored trial's recorded time is the cap, but its true T exceeds it
+    out = coupling_trials(6, 3, "bottom_k_to_top", 200, seed=1, cap=5)
+    assert sum(s.censored for s in out) == 157
+    for m in (5, 10):
+        assert tail_estimate(out, m)[0] >= 157 / 200
+
+
 def test_bottom_step_moves_each_block_card_uniformly():
     # deck2's moved card must be uniform on its bottom block whatever the
     # overlap with deck1's block; this is the reversed-walk marginal

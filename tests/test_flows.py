@@ -16,7 +16,13 @@ from oracles import (
     path_endpoint,
 )
 from shufflemix.errors import CapacityError, UnreachableTargetError
-from shufflemix.exact import group_table, least_eigenvalue_formula, mixing_time, spectrum
+from shufflemix.exact import (
+    group_table,
+    hitting_time,
+    least_eigenvalue_formula,
+    mixing_time,
+    spectrum,
+)
 from shufflemix.flows import (
     CayleyPath,
     Flow,
@@ -502,7 +508,8 @@ def test_dirichlet_comparison_both_directions():
 
 def test_comparison_bound_report_5_3():
     t2_rt = mixing_time(random_transposition(5), "l2").mixing_time
-    rep = comparison_bound_report(build_flow_general(5, 3), t2_rt)
+    rep = comparison_bound_report(build_flow_general(5, 3))
+    assert rep.reference_t2 == t2_rt
     assert rep.holds
     assert rep.slack > 0
     assert rep.bound == max(rep.term_reference, rep.term_entropy, rep.term_beta)
@@ -514,7 +521,8 @@ def test_comparison_bound_nonnegative_spectrum_drops_third_term():
     lazy_q = lazy(base.q, Fraction(1, 2))
     flow = Flow(target=base.target, q=lazy_q, unit=base.unit, paths=base.paths)
     t2_rt = mixing_time(random_transposition(4), "l2").mixing_time
-    rep = comparison_bound_report(flow, t2_rt)
+    rep = comparison_bound_report(flow)
+    assert rep.reference_t2 == t2_rt
     assert rep.term_beta == 0.0
     assert rep.holds
 
@@ -523,20 +531,51 @@ def _uniform(n, perms):
     return SparseMeasure(n, {rank(g): Fraction(1, len(perms)) for g in perms})
 
 
-@pytest.mark.parametrize("q", [
+NEVER_MIXES = [
     # support in a proper subgroup: the eigenvalue 1 repeats, gap 0
     pytest.param(_uniform(3, [identity(3), transposition(1, 2, 3)]), id="gap0"),
     # every step odd: the walk is periodic, beta_min = -1
     pytest.param(_uniform(3, [transposition(1, 2, 3), transposition(2, 3, 3)]),
                  id="periodic"),
-])
+]
+
+
+@pytest.mark.parametrize("q", NEVER_MIXES)
 def test_comparison_bound_refuses_a_walk_that_never_mixes(q, monkeypatch):
     def no_walk(*args):
         raise AssertionError("T2 searched for a walk that never mixes")
     monkeypatch.setattr(flows, "hitting_time", no_walk)
     flow = Flow(target=delta_e(3), q=q, unit=Fraction(1), paths={CayleyPath(3, ()): 1})
-    with pytest.raises(ValueError, match="does not mix"):
-        comparison_bound_report(flow, 1)
+    with pytest.raises(ValueError, match="comparison walk does not mix"):
+        comparison_bound_report(flow)
+
+
+@pytest.mark.parametrize("target", NEVER_MIXES)
+def test_comparison_bound_refuses_a_target_that_never_mixes(target, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("T2 searched for a walk that never mixes")
+    monkeypatch.setattr(flows, "hitting_time", no_walk)
+    flow = Flow(target=target, q=symmetrize(top_to_bottom_k(3, 3)), unit=Fraction(1), paths={})
+    with pytest.raises(ValueError, match="target walk does not mix"):
+        comparison_bound_report(flow)
+
+
+COMPARISON_FLOWS = (
+    [("general", n, k) for n in range(3, 7) for k in range(2, n + 1)]
+    + [("rudvalis", n, k) for n in range(3, 7) for k in range(2, n + 1)]
+    + [("large-k", n, c) for c in range(3) for n in range(2 * c + 3, 7)]
+)
+_BUILDERS = {"general": build_flow_general, "rudvalis": build_flow_rudvalis,
+             "large-k": build_flow_large_k}
+
+
+# the third field is k, or C for the large-k builder
+@pytest.mark.parametrize("builder,n,size", COMPARISON_FLOWS)
+def test_comparison_bound_reference_is_the_exact_target_t2(builder, n, size):
+    flow = _BUILDERS[builder](n, size)
+    rep = comparison_bound_report(flow)
+    assert rep.reference_t2 == hitting_time(flow.target, "l2")
+    assert rep.holds
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fixture_store import FixtureStore
 from shufflemix.report import (
-    FixtureStore,
     RunManifest,
     csv_bytes,
     emit_json,

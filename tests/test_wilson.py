@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shufflemix.wilson as wilson
 from oracles import LiftedState, card_update, lifted_start, lifted_step, psi
 from shufflemix.errors import NumericError
 from shufflemix.wilson import (
@@ -96,9 +97,11 @@ def test_newton_domain_limits():
         newton_root(1025)
 
 
-def test_newton_nonconvergence_attaches_trace():
+def test_newton_nonconvergence_attaches_trace(monkeypatch):
+    monkeypatch.setattr(wilson, "NEWTON_TOL_PER_N", 1e-30 / 256)
+    monkeypatch.setattr(wilson, "NEWTON_MAX_ITER", 3)
     with pytest.raises(NumericError) as exc:
-        newton_root(256, tol=1e-30, max_iter=3)
+        newton_root(256)
     assert len(exc.value.trace["iterates"]) >= 1
     assert len(exc.value.trace["residuals"]) == 3
 
