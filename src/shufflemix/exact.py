@@ -7,14 +7,14 @@ accumulation.  This module owns every computation over the whole group:
 the rank-indexed multiplication tables (built with the one group product,
 :func:`shufflemix.perms.right_multiplier`), dense convolution (one walk
 loop, :func:`_walk`, read up to a fixed step by :func:`mixing_time` and up
-to the threshold by :func:`hitting_time`), the BFS for word lengths in the
+to both thresholds by :func:`tv_l2_times`), the BFS for word lengths in the
 Cayley graph (:func:`cayley_distances`), and the spectrum, split over the
 irreducible representations lambda of S_n (Diaconis 1988, ch. 3) into the
 eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g), each repeated d_lambda
-times, with rho_lambda in Young's orthogonal form.  One dense cap, n <= 8,
-covers every output of size n! (convolution, Cayley-graph distances, spectra,
-and the Dirichlet forms in :mod:`shufflemix.flows`); :func:`require_dense` is
-its one check.
+times, with rho_lambda in Young's orthogonal form; a symmetric walk's T2 is
+read off it (:func:`spectral_t2`).  One dense cap, n <= 8, covers every output
+of size n! (convolution, Cayley-graph distances, spectra, and the Dirichlet
+forms in :mod:`shufflemix.flows`); :func:`require_dense` is its one check.
 """
 
 from __future__ import annotations
@@ -147,14 +147,6 @@ class MixingReport:
     saturated: bool
 
 
-def _metric_fn(metric: str):
-    if metric == "tv":
-        return tv_distance, TV_THRESHOLD
-    if metric == "l2":
-        return lambda d: lp_distance(d, 2), LP_THRESHOLD
-    raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
-
-
 def _walk(q: SparseMeasure):
     """q^0 = delta_e, q^1, q^2, ...: the walk driven by q, one step per item.
 
@@ -167,17 +159,21 @@ def _walk(q: SparseMeasure):
         d = convolve_step(d, q)
 
 
-def hitting_time(q: SparseMeasure, metric: str) -> int:
-    """First step m with distance(q^m, pi) <= threshold (as in :func:`mixing_time`).
+def tv_l2_times(q: SparseMeasure) -> tuple[int, int]:
+    """(T, T2): the first steps at or below the TV and L2 thresholds (as in
+    :func:`mixing_time`), read from one walk that stops once both are met.
 
-    There is no step budget.  Precondition: q drives a mixing walk, i.e. its
-    support generates S_n and lies in no coset of a proper normal subgroup;
-    then q^m tends to uniform and the loop ends.  Otherwise it never ends.
+    No step budget: q must drive a mixing walk (its support generates S_n and
+    lies in no coset of a proper normal subgroup), or the loop never ends.
     """
-    dist_fn, threshold = _metric_fn(metric)
+    t_tv = t_l2 = None
     for m, d in enumerate(_walk(q)):
-        if dist_fn(d) <= threshold:
-            return m
+        if t_tv is None and tv_distance(d) <= TV_THRESHOLD:
+            t_tv = m
+        if t_l2 is None and lp_distance(d, 2) <= LP_THRESHOLD:
+            t_l2 = m
+        if t_tv is not None and t_l2 is not None:
+            return t_tv, t_l2
 
 
 def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
@@ -189,7 +185,10 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    dist_fn, threshold = _metric_fn(metric)
+    if metric not in ("tv", "l2"):
+        raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
+    dist_fn, threshold = ((tv_distance, TV_THRESHOLD) if metric == "tv"
+                          else (lambda d: lp_distance(d, 2), LP_THRESHOLD))
     profile = tuple((m, dist_fn(d))
                     for m, d in enumerate(itertools.islice(_walk(q), m_max + 1)))
     hit = next((m for m, dist in profile if dist <= threshold), None)
@@ -278,6 +277,21 @@ def spectrum(q: SparseMeasure) -> SpectrumReport:
     return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap))
 
 
+def spectral_t2(spec: SpectrumReport) -> int:
+    """T2 of a symmetric walk: the first m >= 0 with L2 distance
+    sqrt(sum beta^(2m)) <= 1/e, over all eigenvalues but one copy of the top 1
+    (Diaconis 1988, ch. 3), each distinct square weighted by its multiplicity.
+    The one test that a walk mixes: ValueError unless the gap exceeds 0 (the
+    support generates) and beta_min exceeds -1 (aperiodic), each by 1e-9.
+    """
+    if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
+        raise ValueError(f"walk does not mix: spectral gap {spec.spectral_gap}, "
+                         f"beta_min {spec.beta_min}")
+    squares, counts = np.unique(spec.eigenvalues[:-1] ** 2, return_counts=True)
+    return next(m for m in itertools.count()
+                if math.sqrt(math.fsum((counts * squares**m).tolist())) <= LP_THRESHOLD)
+
+
 def least_eigenvalue_formula(n: int, k: int) -> Fraction:
     """Closed-form lower bound -1 + (k-1)/(k(n-k+2)(n+1)) for beta_min."""
     return -1 + Fraction(k - 1, k * (n - k + 2) * (n + 1))
@@ -336,36 +350,30 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
 
     Checks T <= T2, the reversed-convolution doubling bound
     T2(q) <= 2 T2(q * q*), and the lazy-walk transfer
-    T(lazy_p(q)) <= max(((2+eps)/p) T(q), 80/(p eps^2)) over an eps grid.
+    T(lazy_p(q)) <= max(((2+eps)/p) T(q), 80/(p eps^2)) over a nonempty grid
+    of finite positive eps.
 
-    For k < n the measure q * q* fixes the card at position 2 (every atom
-    sigma_a sigma_b^{-1} has a, b >= 2), so it lives on a proper subgroup and
-    T2(q * q*) is infinite: the doubling bound holds vacuously.  The
-    substantive instance is the lazy one, lazy(q)* (*) lazy(q), which always
-    generates; it is checked as well.  The eps grid must be nonempty, and
-    every eps finite and positive.
-
-    Every mixing time is a :func:`hitting_time`, which ends because each walk
-    mixes.  Since 2 <= k <= n, q holds sigma_{n-1} and sigma_n, an (n-1)-cycle
-    and an n-cycle: they generate S_n (sigma_{n-1}^{-1} sigma_n = (n-1, n)),
-    and they have opposite signs, so they lie in no coset of A_n, which holds
-    every proper normal subgroup of S_n.  lazy(q) and lazy(q)* (*) lazy(q)
-    hold e and the support of lazy(q).  At k = n, q * q* holds e and every
-    sigma_l = sigma_l sigma_1^{-1}.
+    For k < n, q * q* fixes the card at position 2 (every atom
+    sigma_a sigma_b^{-1} has a, b >= 2), so T2(q * q*) is infinite and the
+    doubling bound holds vacuously; the lazy pair lazy(q)* (*) lazy(q) always
+    generates and is checked too.  Both pair walks are symmetric and take T2
+    from :func:`spectral_t2`.  q and lazy(q) are walked once each by
+    :func:`tv_l2_times`, which ends because both mix: since 2 <= k <= n, q
+    holds sigma_{n-1} and sigma_n, which generate S_n ((n-1, n) =
+    sigma_{n-1}^{-1} sigma_n) and have opposite signs, so they lie in no
+    coset of A_n, which holds every proper normal subgroup; lazy(q) adds e.
     """
     require_dense(n)
     if not eps_grid or not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
         raise ValueError(f"need a nonempty grid of finite positive eps, got {tuple(eps_grid)}")
     q = top_to_bottom_k(n, k)
-    t_tv = hitting_time(q, "tv")
-    t_l2 = hitting_time(q, "l2")
+    t_tv, t_l2 = tv_l2_times(q)
     vacuous = k < n
-    t_qq = None if vacuous else hitting_time(convolve_measures(q, reversal(q)), "l2")
+    t_qq = None if vacuous else spectral_t2(spectrum(convolve_measures(q, reversal(q))))
     p = Fraction(p)
     lazy_q = lazy(q, p)
-    t_tv_lazy = hitting_time(lazy_q, "tv")
-    t_l2_lazy = hitting_time(lazy_q, "l2")
-    t_pair = hitting_time(convolve_measures(reversal(lazy_q), lazy_q), "l2")
+    t_tv_lazy, t_l2_lazy = tv_l2_times(lazy_q)
+    t_pair = spectral_t2(spectrum(convolve_measures(reversal(lazy_q), lazy_q)))
     rows = []
     for eps in eps_grid:
         bound = max((2 + eps) / float(p) * t_tv, 80.0 / (float(p) * eps * eps))

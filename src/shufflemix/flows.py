@@ -10,14 +10,14 @@ atom's mass exactly.  The congestion constant
 (N counts how often the generator s appears in the path) then bounds the
 target's Dirichlet form by A times the comparison form, which converts known
 mixing or spectral information about one walk into bounds for the other.
-The L2 mixing bound for q takes the target walk's exact T2 as its reference,
-so it is computed, not supplied, and a target that never mixes is refused.
+The L2 mixing bound for q takes the target walk's exact T2, read off its
+spectrum like q's, as its reference; a walk that never mixes is refused.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
 Word lengths for the distance-squared congestion floor come from
-:func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms run over
-the group tables of :mod:`shufflemix.exact`, so both share its dense cap
+:func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms and
+spectra come from :mod:`shufflemix.exact`, so all share its dense cap
 n <= 8; flows themselves are exact, have no size cap, and never convert to
 ranks.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
 through one table per n, and endpoints and letters are keyed by Permutation.
@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, group_table, hitting_time, spectrum
+from .exact import cayley_distances, group_table, spectral_t2, spectrum
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -464,34 +464,29 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
 
         T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
 
-    beta_- = max(0, -beta_min(q)).  The reference T2(target) is the target
-    walk's exact T2, computed here, so every input of the bound is exact; the
-    bound is checked against the exact T2 of q.
-
-    Both T2 values are :func:`shufflemix.exact.hitting_time` searches, which
-    end because each walk mixes: it is symmetric (spectrum checks it), so the
-    squared L2 distance of its m-th power is the sum of beta^(2m) over the
-    nontrivial eigenvalues, and a spectral gap above 0 with beta_min above -1
-    makes every such |beta| < 1.  q is tested first, then the target; a walk
-    failing either test raises ValueError: one whose support does not
-    generate has gap 0 (the point mass at e among them), and a periodic one
-    has beta_min = -1.
+    beta_- = max(0, -beta_min(q)).  beta_- and the exact T2 of both walks
+    (the target's is the reference, q's is checked against the bound) come
+    from one spectrum per walk, q first; :func:`shufflemix.exact.spectral_t2`
+    refuses a walk that never mixes, and a flow that does not route its
+    target (:func:`verify_flow`) gives no comparison constant: ValueError.
     """
     a = float(congestion_A(flow).a_value)
-    spectra = []
+    spectra, t2 = [], []
     for role, walk in (("comparison", flow.q), ("target", flow.target)):
-        spec = spectrum(walk)
-        if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
-            raise ValueError(f"{role} walk does not mix: spectral gap {spec.spectral_gap}, "
-                             f"beta_min {spec.beta_min}")
-        spectra.append(spec)
+        spectra.append(spectrum(walk))
+        try:
+            t2.append(spectral_t2(spectra[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{role} {exc}") from None
+    wrong = verify_flow(flow).discrepancies
+    if wrong:
+        raise ValueError(f"flow marginals disagree with the target on {len(wrong)} atoms")
     beta_minus = max(0.0, -spectra[0].beta_min)
     term_beta = 0.0 if beta_minus == 0.0 else 1.0 / (-math.log(beta_minus))
-    reference_t2 = hitting_time(flow.target, "l2")
+    t2_exact, reference_t2 = t2
     term_reference = a * reference_t2
     term_entropy = a * math.log(math.factorial(flow.n))
     bound = max(term_reference, term_entropy, term_beta)
-    t2 = hitting_time(flow.q, "l2")
     return ComparisonBoundReport(
         a_value=a,
         reference_t2=reference_t2,
@@ -499,9 +494,9 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
         term_entropy=term_entropy,
         term_beta=term_beta,
         bound=bound,
-        t2_exact=t2,
-        holds=t2 <= bound,
-        slack=bound - t2,
+        t2_exact=t2_exact,
+        holds=t2_exact <= bound,
+        slack=bound - t2_exact,
     )
 
 

@@ -253,19 +253,16 @@ def _slot_images(v: np.ndarray, n: int) -> list[np.ndarray]:
     return out
 
 
-def eigenfunction_residual(params: WilsonParams, lam: complex | None = None) -> float:
+def eigenfunction_residual(params: WilsonParams) -> float:
     """sum_x |(1/3) sum_l t_l(x) - lam v(x)|, a bound on sup |E[Psi'] - lam Psi|.
 
     The sup runs over all lifted states, so the value also bounds the same
     difference relative to max(1, |Psi|).  This is the certificate for the
     whole construction: the case table, the v-list indexing, and the root
-    must all be right for it to vanish.  lam may be overridden to
-    demonstrate sensitivity.
+    must all be right for it to vanish.
     """
-    if lam is None:
-        lam = params.lam
     mean = sum(_slot_images(params.v, params.n)) / 3
-    return float(np.abs(mean - lam * params.v).sum())
+    return float(np.abs(mean - params.lam * params.v).sum())
 
 
 def compute_params(n: int, eps: float = 0.9) -> WilsonParams:

@@ -14,6 +14,8 @@ from itertools import permutations, product
 from math import comb, factorial, fsum, sqrt
 
 from shufflemix.exact import (
+    LP_THRESHOLD,
+    TV_THRESHOLD,
     DenseDistribution,
     convolve_step,
     group_table,
@@ -577,6 +579,19 @@ def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, flo
         d = convolve_step(d, q)
         rows.append((m, tv_distance(d), lp_distance(d, 2)))
     return rows
+
+
+def hitting_time(q: SparseMeasure, metric: str) -> int:
+    """First m with distance(q^m, pi) <= threshold, by stepping the dense walk
+    for one metric: the reference the spectral and single-pass mixing times
+    are compared against.  It never ends unless q drives a mixing walk.
+    """
+    dist_fn, threshold = {"tv": (tv_distance, TV_THRESHOLD),
+                          "l2": (lambda d: lp_distance(d, 2), LP_THRESHOLD)}[metric]
+    d, m = point_mass(q.n), 0
+    while dist_fn(d) > threshold:
+        d, m = convolve_step(d, q), m + 1
+    return m
 
 
 def l2_from_spectrum(q: SparseMeasure, m: int) -> float:

@@ -12,6 +12,7 @@ from oracles import (
     densify,
     distance_profile,
     eigen_matrix,
+    hitting_time,
     l2_from_spectrum,
     o_compose,
     o_cycle,
@@ -27,14 +28,15 @@ from shufflemix.exact import (
     cayley_distances,
     convolve_step,
     group_table,
-    hitting_time,
     least_eigenvalue_formula,
     lp_distance,
     mixing_time,
     point_mass,
+    spectral_t2,
     spectrum,
     transfer_checks,
     tv_distance,
+    tv_l2_times,
 )
 from shufflemix.measures import (
     convolve_measures,
@@ -410,16 +412,21 @@ def test_unrank_consistent_with_table():
         assert unrank(r, 4).map == t.perms[r]
 
 
-def _transfer_walks(n, k, p):
-    """The walks transfer_checks times, with their metrics; q * q* only at
-    k = n, where it generates."""
+def _symmetric_walks(n, k, p):
+    """The symmetric pair walks transfer_checks times at (n, k, p); q * q*
+    only at k = n, where it generates."""
     q = top_to_bottom_k(n, k)
     lq = lazy(q, p)
-    walks = [(q, "tv"), (q, "l2"), (lq, "tv"), (lq, "l2"),
-             (convolve_measures(reversal(lq), lq), "l2")]
-    if k == n:
-        walks.append((convolve_measures(q, reversal(q)), "l2"))
-    return walks
+    return [convolve_measures(reversal(lq), lq)] + (
+        [convolve_measures(q, reversal(q))] if k == n else [])
+
+
+def _transfer_walks(n, k, p):
+    """The walks transfer_checks times, with their metrics."""
+    q = top_to_bottom_k(n, k)
+    lq = lazy(q, p)
+    return [(q, "tv"), (q, "l2"), (lq, "tv"), (lq, "l2")] + [
+        (walk, "l2") for walk in _symmetric_walks(n, k, p)]
 
 
 _TRANSFER_CASES = [(n, k, Fraction(1, 2)) for n in range(2, 8) for k in range(2, n + 1)]
@@ -443,6 +450,49 @@ def test_transfer_times_are_hitting_times():
     times = [hitting_time(w, m) for w, m in _transfer_walks(5, 5, Fraction(1, 3))]
     assert times == [rep.t_tv, rep.t_l2, rep.t_tv_lazy, rep.t_l2_lazy,
                      rep.t_l2_lazy_pair, rep.t_l2_qq_star]
+
+
+_HALF_AND_THIRD = [(n, k, p) for n in range(2, 8) for k in range(2, n + 1)
+                   for p in (Fraction(1, 2), Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("n,k,p", [
+    pytest.param(n, k, p, id=f"n{n}k{k}p{p.numerator}-{p.denominator}")
+    for n, k, p in _HALF_AND_THIRD])
+def test_transfer_engines_match_the_dense_oracle(n, k, p):
+    q = top_to_bottom_k(n, k)
+    for walk in (q, lazy(q, p)):
+        assert tv_l2_times(walk) == (hitting_time(walk, "tv"), hitting_time(walk, "l2"))
+    for walk in _symmetric_walks(n, k, p):
+        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+
+
+def test_spectral_t2_matches_the_dense_oracle_at_8():
+    for walk in _symmetric_walks(8, 8, Fraction(1, 2)):
+        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_spectral_t2_of_the_comparison_walks_matches_the_dense_oracle(n):
+    walks = [random_transposition(n), rudvalis_symmetric(n)]
+    walks += [symmetrize(top_to_bottom_k(n, k)) for k in range(2, n + 1)]
+    for walk in walks:
+        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+
+
+@pytest.mark.parametrize("n,k,steps", [(6, 6, 28), (6, 3, 23)])
+def test_transfer_walks_q_and_lazy_q_once_each(n, k, steps, monkeypatch):
+    # max(T, T2) steps for q plus the same for lazy(q); no pair walk is stepped
+    calls = []
+    step = exact.convolve_step
+
+    def counted(d, q):
+        calls.append(q)
+        return step(d, q)
+    monkeypatch.setattr(exact, "convolve_step", counted)
+    rep = transfer_checks(n, k)
+    assert len(calls) == steps
+    assert steps == max(rep.t_tv, rep.t_l2) + max(rep.t_tv_lazy, rep.t_l2_lazy)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import shufflemix.flows as flows
+import shufflemix.exact as exact
 from oracles import (
     bfs_distances_nx,
     congestion_from_weights,
     dirichlet_form_operator,
+    hitting_time,
     o_compose,
     parse,
     path_endpoint,
@@ -18,13 +19,13 @@ from oracles import (
 from shufflemix.errors import CapacityError, UnreachableTargetError
 from shufflemix.exact import (
     group_table,
-    hitting_time,
     least_eigenvalue_formula,
     mixing_time,
     spectrum,
 )
 from shufflemix.flows import (
     CayleyPath,
+    ComparisonBoundReport,
     Flow,
     build_flow_general,
     build_flow_large_k,
@@ -544,7 +545,7 @@ NEVER_MIXES = [
 def test_comparison_bound_refuses_a_walk_that_never_mixes(q, monkeypatch):
     def no_walk(*args):
         raise AssertionError("T2 searched for a walk that never mixes")
-    monkeypatch.setattr(flows, "hitting_time", no_walk)
+    monkeypatch.setattr(exact, "convolve_step", no_walk)
     flow = Flow(target=delta_e(3), q=q, unit=Fraction(1), paths={CayleyPath(3, ()): 1})
     with pytest.raises(ValueError, match="comparison walk does not mix"):
         comparison_bound_report(flow)
@@ -554,7 +555,7 @@ def test_comparison_bound_refuses_a_walk_that_never_mixes(q, monkeypatch):
 def test_comparison_bound_refuses_a_target_that_never_mixes(target, monkeypatch):
     def no_walk(*args):
         raise AssertionError("T2 searched for a walk that never mixes")
-    monkeypatch.setattr(flows, "hitting_time", no_walk)
+    monkeypatch.setattr(exact, "convolve_step", no_walk)
     flow = Flow(target=target, q=symmetrize(top_to_bottom_k(3, 3)), unit=Fraction(1), paths={})
     with pytest.raises(ValueError, match="target walk does not mix"):
         comparison_bound_report(flow)
@@ -576,6 +577,37 @@ def test_comparison_bound_reference_is_the_exact_target_t2(builder, n, size):
     rep = comparison_bound_report(flow)
     assert rep.reference_t2 == hitting_time(flow.target, "l2")
     assert rep.holds
+
+
+# reports computed with the dense T2 search, frozen: the spectral T2 must reproduce them
+DENSE_ERA_REPORTS = [
+    ("general", 6, 3, ComparisonBoundReport(
+        a_value=290.6666666666667, reference_t2=7, term_reference=2034.6666666666667,
+        term_entropy=1912.369018957603, term_beta=7.116223507382779,
+        bound=2034.6666666666667, t2_exact=15, holds=True, slack=2019.6666666666667)),
+    ("rudvalis", 6, 6, ComparisonBoundReport(
+        a_value=82.66666666666667, reference_t2=11, term_reference=909.3333333333334,
+        term_entropy=543.8847668595017, term_beta=1.4426950408889634,
+        bound=909.3333333333334, t2_exact=53, holds=True, slack=856.3333333333334)),
+]
+
+
+@pytest.mark.parametrize("builder,n,k,expected", DENSE_ERA_REPORTS)
+def test_comparison_bound_steps_no_dense_walk(builder, n, k, expected, monkeypatch):
+    flow = _BUILDERS[builder](n, k)
+
+    def no_walk(*args):
+        raise AssertionError("dense step taken for a symmetric walk")
+    monkeypatch.setattr(exact, "convolve_step", no_walk)
+    assert comparison_bound_report(flow) == expected
+
+
+def test_comparison_bound_refuses_a_flow_that_does_not_route_its_target():
+    flow = Flow(target=random_transposition(4), q=symmetrize(top_to_bottom_k(4, 4)),
+                unit=Fraction(1), paths={})
+    assert not verify_flow(flow).exact
+    with pytest.raises(ValueError, match="disagree with the target on 7 atoms"):
+        comparison_bound_report(flow)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_eigenfunction_residual_is_tiny_at_the_root():
 
 def test_eigenfunction_residual_detects_perturbed_eigenvalue():
     p = params_for(32)
-    assert eigenfunction_residual(p, lam=p.lam + 1e-3) > 1e-4
+    lam = p.lam + 1e-3
+    assert eigenfunction_residual(dataclasses.replace(p, lam=lam, gamma=1 - lam.real)) > 1e-4
 
 
 @pytest.mark.parametrize("n", (16, 32, 64))
@@ -251,10 +252,12 @@ def test_certificates_bound_sampled_lifted_states(n):
     # R and the residual bound sups over every lifted state; no state the
     # oracle chain visits may exceed them.  The residual is also checked at a
     # perturbed lam, where it is far above rounding; 1e-12 absorbs the
-    # rounding of the n-term sums at the root.
+    # rounding of the n-term sums at the root.  The perturbation lowers Re(lam):
+    # raising it by 1e-3 leaves (0, 1) for gamma at n = 64.
     p = params_for(n)
-    lams = (p.lam, p.lam + 1e-3)
-    certs = [eigenfunction_residual(p, lam=lam) for lam in lams]
+    lams = (p.lam, p.lam - 1e-3)
+    certs = [eigenfunction_residual(dataclasses.replace(p, lam=lam, gamma=1 - lam.real))
+             for lam in lams]
     rng = np.random.default_rng(n)
     worst_r = 0.0
     for _ in range(2_000):
