@@ -16,9 +16,11 @@ single-card bound evolves an n-state position chain.  They take no seed.
 
 Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of
-each block of DRAW_BLOCK steps up front.  Any trial can be replayed in
-isolation, and a trial's coupling time does not depend on which other
-trials run with it.
+each block of DRAW_BLOCK steps up front.  The stream is defined once, by
+:func:`_rekey`: a run re-keys one generator per trial rather than building
+a new one, and :func:`trial_rng` re-keys a fresh generator, so any trial
+can be replayed in isolation and a trial's coupling time does not depend on
+which other trials run with it.
 """
 
 from __future__ import annotations
@@ -33,12 +35,22 @@ DRAW_BLOCK = 64                # steps per draw block; part of the replay
                                # contract, changing it changes every trial
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, trial); replayable in isolation."""
+def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
+    """Reset rng's Philox to the stream of (seed, trial): key (seed, trial),
+    counter 0, no buffered output, exactly as a new Philox(key=...) starts."""
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial must be nonnegative")
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, trial], np.uint64)},
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Counter-based stream keyed by (seed, trial): a fresh generator through
+    :func:`_rekey`, the one stream definition; replayable in isolation."""
+    return _rekey(np.random.Generator(np.random.Philox(0)), seed, trial)
 
 
 def fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
@@ -66,15 +78,15 @@ class TrialStats:
     censored: bool
 
 
-def _trial(n: int, k: int, kind: str, trial: int, seed: int,
-           cap: int) -> TrialStats:
-    """One coupling trial on plain lists.
+def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
+           rng: np.random.Generator) -> TrialStats:
+    """One coupling trial on plain lists, reading rng re-keyed to (seed, trial).
 
     Each block of DRAW_BLOCK steps draws its two arrays up front: for the
     card coupling the block-position picks then the fallback uniforms, for
     the position coupling the leader coins then the slot picks.
     """
-    rng = trial_rng(seed, trial)
+    _rekey(rng, seed, trial)
     deck1 = list(range(1, n + 1))
     # deck2 holds deck1's int objects, so list comparison and search take
     # their identity fast path for cards past the small-int cache (> 256)
@@ -145,7 +157,8 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
         cap = DEFAULT_CAP_FACTOR * n**3
     if trials < 1 or cap < 1:
         raise ValueError(f"need trials >= 1 and cap >= 1, got trials={trials}, cap={cap}")
-    return [_trial(n, k, kind, t, seed, cap) for t in range(trials)]
+    rng = np.random.Generator(np.random.Philox(0))
+    return [_trial(n, k, kind, t, seed, cap, rng) for t in range(trials)]
 
 
 def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:

@@ -4,8 +4,10 @@ Distributions live on the full n!-point state space indexed by lexicographic
 permutation rank.  Distance sums run through math.fsum (exact compensated
 summation), because n! terms of magnitude ~1/n! lose digits under naive
 accumulation.  This module owns every computation over the whole group:
-the rank-indexed multiplication tables (built with the one group product,
-:func:`shufflemix.perms.right_multiplier`), dense convolution (one walk
+the group as one int8 array of one-line maps in rank order, rank-indexed
+multiplication tables computed from it in bulk (its columns permuted by the
+one group product, :func:`shufflemix.perms.right_multiplier`, then ranked by
+Lehmer digits), dense convolution gathering through those tables (one walk
 loop, :func:`_walk`, read up to a fixed step by :func:`mixing_time` and up
 to both thresholds by :func:`tv_l2_times`), the BFS for word lengths in the
 Cayley graph (:func:`cayley_distances`), and the spectrum, split over the
@@ -45,24 +47,33 @@ LP_THRESHOLD = 1 / math.e
 
 
 class GroupTable:
-    """Rank-indexed multiplication tables for one S_n, built lazily."""
+    """S_n in rank (lexicographic) order as one (n!, n) int8 array of
+    one-line maps, and the rank-indexed right-multiplication tables read off
+    it, each built on first use."""
 
     def __init__(self, n: int):
         self.n = n
         self.size = math.factorial(n)
-        self.perms = list(itertools.permutations(range(1, n + 1)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
+        # S_m in rank order: each first label v, then S_{m-1} with every
+        # label >= v shifted up by one
+        maps = np.zeros((1, 0), dtype=np.int8)
+        for m in range(1, n + 1):
+            v = np.arange(1, m + 1, dtype=np.int8)[:, None, None]
+            first = np.broadcast_to(v, (m, len(maps), 1))
+            maps = np.concatenate([first, maps + (maps >= v)], axis=2).reshape(-1, m)
+        self.maps = maps
         self._right: dict[tuple, np.ndarray] = {}
 
     def right_mul(self, s: tuple) -> np.ndarray:
-        """J with J[i] = rank(perm_i * s); a bijection of ranks."""
+        """J with J[i] = rank(perm_i * s); a bijection of ranks.  The columns
+        of perm_i * s are the table's permuted by right_multiplier(s), ranked
+        as sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits)."""
         tbl = self._right.get(s)
         if tbl is None:
-            tbl = np.fromiter(
-                map(self.index.__getitem__, map(right_multiplier(s), self.perms)),
-                dtype=np.int64,
-                count=self.size,
-            )
+            cols = np.array(right_multiplier(s)(self.maps.T))
+            tbl = np.zeros(self.size, dtype=np.int64)
+            for i in range(self.n - 1):
+                tbl += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(self.n - 1 - i)
             self._right[s] = tbl
         return tbl
 
@@ -106,17 +117,17 @@ def point_mass(n: int) -> DenseDistribution:
 
 
 def convolve_step(d: DenseDistribution, q: SparseMeasure) -> DenseDistribution:
-    """One walk step: result(g) = sum_h d(h) q(h^{-1} g).
+    """One walk step: result(g) = sum_h d(h) q(h^{-1} g) = sum_s q(s) d(g s^{-1}).
 
-    Each support atom scatters d along a rank bijection; atoms are applied in
-    sorted rank order so the result is bitwise deterministic.
+    Each support atom s gathers d through the rank table of s^{-1}; atoms are
+    added in sorted rank order so the result is bitwise deterministic.
     """
     if d.n != q.n:
         raise ValueError(f"size mismatch: {d.n} vs {q.n}")
     t = group_table(d.n)
     out = np.zeros(t.size)
     for g, w in q.items():
-        out[t.right_mul(g.map)] += float(w) * d.probs
+        out += float(w) * d.probs[t.right_mul(inverse(g).map)]
     return DenseDistribution(d.n, out)
 
 

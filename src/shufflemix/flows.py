@@ -57,6 +57,7 @@ from .perms import (
     Permutation,
     cycle_generator,
     inverse,
+    rank,
     right_multiplier,
     serialize,
     transposition,
@@ -224,10 +225,9 @@ def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
     Distances are word lengths from :func:`shufflemix.exact.cayley_distances`.
     """
     dist = cayley_distances(target.n, generators)
-    index = group_table(target.n).index
     acc = Fraction(0)
     for g, w in target.items():
-        d = int(dist[index[g.map]])
+        d = int(dist[rank(g)])
         if d < 0:
             raise UnreachableTargetError(
                 f"target atom {serialize(g)} not reachable from the generators"

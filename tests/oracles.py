@@ -10,6 +10,7 @@ its own types that tests use and the package does not.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial, fsum, sqrt
 
@@ -166,6 +167,35 @@ def symmetrized(pairs):
         gi = o_inverse(g)
         acc[gi] = acc.get(gi, Fraction(0)) + w / 2
     return list(acc.items())
+
+
+class DictTable:
+    """S_n as itertools.permutations tuples (lexicographic, so rank order),
+    a dict from tuple to rank, and rank tables built one tuple at a time
+    through that dict: the scalar reference for the package's array tables.
+
+    >>> t = DictTable(3)
+    >>> t.perms[t.index[(2, 3, 1)]]
+    (2, 3, 1)
+    >>> t.right_mul((2, 1, 3))
+    [2, 4, 0, 5, 1, 3]
+    """
+
+    def __init__(self, n):
+        self.perms = list(permutations(range(1, n + 1)))
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self._right = {}
+
+    def right_mul(self, s):
+        """[rank(p * s) for p in rank order], a bijection of ranks."""
+        if s not in self._right:
+            self._right[s] = [self.index[o_compose(p, s)] for p in self.perms]
+        return self._right[s]
+
+
+@lru_cache(maxsize=None)
+def dict_table(n):
+    return DictTable(n)
 
 
 def bfs_distances_nx(gens, n):
@@ -564,11 +594,22 @@ def dirichlet_form_operator(f, q: SparseMeasure) -> float:
 def densify(q: SparseMeasure) -> DenseDistribution:
     """The measure q as a dense rank-indexed distribution."""
     import numpy as np
-    t = group_table(q.n)
-    p = np.zeros(t.size)
+    t = dict_table(q.n)
+    p = np.zeros(len(t.perms))
     for g, w in q.items():
         p[t.index[g.map]] += float(w)
     return DenseDistribution(q.n, p)
+
+
+def scatter_step(d: DenseDistribution, q: SparseMeasure):
+    """One walk step in scatter form: each atom s, in rank order, adds
+    q(s) d(h) at the rank of h s for every h, through the dict tables."""
+    import numpy as np
+    t = dict_table(q.n)
+    out = np.zeros(len(t.perms))
+    for g, w in q.items():
+        out[t.right_mul(g.map)] += float(w) * d.probs
+    return out
 
 
 def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, float]]:

@@ -18,6 +18,7 @@ from oracles import (
     top_insert_move,
 )
 from shufflemix.coupling import (
+    _rekey,
     coupling_trials,
     coupon_collector,
     fisher_yates,
@@ -30,6 +31,44 @@ from shufflemix.coupling import (
 )
 from shufflemix.exact import convolve_step, point_mass, tv_distance
 from shufflemix.measures import symmetrize, top_to_bottom_k
+
+
+def fresh_philox(seed, trial):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+def _same_stream(a, b):
+    assert a.integers(0, 2**32, size=7, dtype=np.uint32).tolist() == \
+        b.integers(0, 2**32, size=7, dtype=np.uint32).tolist()
+    assert a.integers(1000, size=9).tolist() == b.integers(1000, size=9).tolist()
+    assert a.random(size=11).tolist() == b.random(size=11).tolist()
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 0), (3, 7), (7, 3), (2**63, 5), (1, 2**40)])
+def test_rekey_gives_the_fresh_stream(seed, trial):
+    _same_stream(trial_rng(seed, trial), fresh_philox(seed, trial))
+    rng = trial_rng(seed + 1, trial)
+    # an odd number of 32-bit draws leaves a buffered half-word
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    _same_stream(_rekey(rng, seed, trial), fresh_philox(seed, trial))
+    # one 64-bit draw leaves the four-word Philox buffer partly used
+    rng = trial_rng(seed + 1, trial)
+    rng.random()
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 0 and 0 < state["buffer_pos"] < 4
+    _same_stream(_rekey(rng, seed, trial), fresh_philox(seed, trial))
+
+
+@pytest.mark.parametrize("kind", ["bottom_k_to_top", "top_insert"])
+def test_trials_equal_a_replay_through_trial_rng(kind):
+    # the small cap censors trials mid-block, so the shared generator is
+    # re-keyed with partly used buffers
+    for n, k, cap in ((5, 3, None), (12, 6, 40), (12, 12, 70)):
+        out = coupling_trials(n, k, kind, 12, seed=8, cap=cap)
+        limit = 50 * n**3 if cap is None else cap
+        ref = [reference_trial(n, k, kind, 8, t, limit, trial_rng(8, t))[:2] for t in range(12)]
+        assert [(s.coupling_time, s.censored) for s in out] == ref, (n, k)
 
 
 def test_trial_rng_is_keyed_and_validated():
@@ -66,7 +105,7 @@ def test_fisher_yates_reads_the_stream_like_scalar_draws():
         assert a.random(size=3).tolist() == b.random(size=3).tolist()
 
 
-def reference_trial(n, k, kind, seed, trial, cap):
+def reference_trial(n, k, kind, seed, trial, cap, rng=None):
     """(coupling time, censored, tau) of one trial replayed with the oracle
     moves under the draw protocol the package promises: a Philox stream
     keyed by (seed, trial), a back-to-front Fisher-Yates shuffle of deck 2,
@@ -75,9 +114,10 @@ def reference_trial(n, k, kind, seed, trial, cap):
     integers(k) for the position coupling).
 
     tau[c - 1] is the step at which card c last became matched, or -1 while
-    it is unmatched.
+    it is unmatched.  rng, when given, replaces the fresh Philox stream.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    if rng is None:
+        rng = fresh_philox(seed, trial)
     deck2 = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(i + 1))

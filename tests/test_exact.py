@@ -10,6 +10,7 @@ from oracles import (
     bfs_distances_nx,
     brute_power,
     densify,
+    dict_table,
     distance_profile,
     eigen_matrix,
     hitting_time,
@@ -19,6 +20,7 @@ from oracles import (
     o_inverse,
     o_transposition,
     scalar_lp,
+    scatter_step,
     scalar_tv,
     tbk_pairs,
 )
@@ -74,7 +76,7 @@ def test_two_step_matches_word_enumeration(frozen):
     d = point_mass(3)
     q = top_to_bottom_k(3, 3)
     d = convolve_step(convolve_step(d, q), q)
-    t = group_table(3)
+    t = dict_table(3)
     for key, val in expected.items():
         r = t.index[tuple(int(x) for x in key.split(","))]
         assert abs(d.probs[r] - float(Fraction(val))) < 1e-15
@@ -90,7 +92,7 @@ def test_two_step_matches_oracle_directly():
                 q = top_to_bottom_k(n, k)
                 for _ in range(m):
                     d = convolve_step(d, q)
-                t = group_table(n)
+                t = dict_table(n)
                 for g, w in expected.items():
                     assert abs(d.probs[t.index[g]] - float(w)) < 1e-14
 
@@ -324,7 +326,7 @@ def test_transfer_qq_star_fixes_card_two_whenever_k_lt_n():
 def _nx_distances(gens, n):
     # networkx omits unreachable vertices; -1 marks them, as cayley_distances does
     found = bfs_distances_nx([g.map for g in gens], n)
-    return [found.get(p, -1) for p in group_table(n).perms]
+    return [found.get(p, -1) for p in dict_table(n).perms]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -394,6 +396,46 @@ def test_group_table_right_mul_bijection():
             assert [perms[r] for r in j] == [o_compose(p, s) for p in perms], (n, s)
 
 
+def test_group_table_maps_are_the_permutations_in_rank_order():
+    for n in range(1, 9):
+        want = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+        got = group_table(n).maps
+        assert got.dtype == np.int8 and np.array_equal(got, want.reshape(-1, n)), n
+
+
+def _walk_atoms(n):
+    k = n - 2
+    measures = (top_to_bottom_k(n, k), symmetrize(top_to_bottom_k(n, k)),
+                lazy(top_to_bottom_k(n, n), Fraction(1, 2)), rudvalis_symmetric(n),
+                random_transposition(n))
+    return sorted({g.map for q in measures for g in q.support()})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_right_mul_matches_the_dict_oracle_on_all_of_s_n(n):
+    t = group_table(n)
+    for s in dict_table(n).perms:
+        assert t.right_mul(s).tolist() == dict_table(n).right_mul(s), s
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_right_mul_matches_the_dict_oracle_on_walk_atoms(n):
+    t = group_table(n)
+    for s in _walk_atoms(n):
+        assert t.right_mul(s).tolist() == dict_table(n).right_mul(s), s
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_gather_step_is_bitwise_the_scatter_step(n):
+    q = top_to_bottom_k(n, 3)
+    for walk in (q, symmetrize(q), lazy(q, Fraction(1, 2))):
+        d = point_mass(n)
+        for _ in range(20):
+            nxt = convolve_step(d, walk)
+            assert np.array_equal(nxt.probs, scatter_step(d, walk))
+            d = nxt
+
+
 def test_dense_distribution_validation():
     with pytest.raises(ValueError):
         DenseDistribution(3, np.zeros(6))
@@ -407,7 +449,7 @@ def test_dense_distribution_validation():
 
 
 def test_unrank_consistent_with_table():
-    t = group_table(4)
+    t = dict_table(4)
     for r in (0, 5, 17, 23):
         assert unrank(r, 4).map == t.perms[r]
 
