@@ -23,6 +23,7 @@ from .coupling import (
 )
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
+    dirichlet_constants,
     least_eigenvalue_formula,
     mixing_time,
     spectrum,
@@ -36,7 +37,6 @@ from .flows import (
     comparison_bound_report,
     congestion_A,
     congestion_lower_bound,
-    dirichlet_form,
     odd_flow_eigenvalue_bound,
     verify_flow,
 )
@@ -76,6 +76,7 @@ __all__ = [
     "rank",
     "transposition",
     "unrank",
+    "dirichlet_constants",
     "least_eigenvalue_formula",
     "mixing_time",
     "spectrum",
@@ -99,7 +100,6 @@ __all__ = [
     "comparison_bound_report",
     "congestion_A",
     "congestion_lower_bound",
-    "dirichlet_form",
     "odd_flow_eigenvalue_bound",
     "verify_flow",
     "RunManifest",

@@ -31,12 +31,11 @@ from .coupling import (
     lazy_trial_wrapper,
     single_card_lower_bound,
     tail_estimate,
-    trial_rng,
 )
-from .errors import CapacityError, NumericError, UnreachableTargetError
+from .errors import CapacityError, NumericError
 from .exact import (
     DENSE_CAP,
-    group_table,
+    dirichlet_constants,
     least_eigenvalue_formula,
     mixing_time,
     require_dense,
@@ -51,7 +50,6 @@ from .flows import (
     comparison_bound_report,
     congestion_A,
     congestion_lower_bound,
-    dirichlet_form,
     flow_to_json_obj,
     general_congestion_bound,
     large_k_congestion_bound,
@@ -95,6 +93,14 @@ class _Sink:
 # measure selection shared by exact and spectrum
 
 
+def _laziness(text: str) -> Fraction:
+    """--p as a Fraction; a zero denominator is a domain error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--p {text!r} has a zero denominator") from None
+
+
 def _build_measure(args):
     """(measure, label, stem tag) from --measure / --n / --k / --p."""
     name = args.measure
@@ -107,7 +113,7 @@ def _build_measure(args):
         if name == "sym":
             return symmetrize(q), f"sym(n={n},k={args.k})", f"k{args.k}_sym"
         if name == "lazy":
-            p = Fraction(args.p)
+            p = _laziness(args.p)
             label = f"lazy(n={n},k={args.k},p={p})"
             return lazy(q, p), label, f"k{args.k}_lazy{p.numerator}-{p.denominator}"
         return q, f"tbk(n={n},k={args.k})", f"k{args.k}_tbk"
@@ -155,6 +161,8 @@ def _tail_points(args) -> list[float]:
     points = [float(m) for m in (args.tail or [])]
     nlogn = args.n * math.log(args.n)
     points += [mult * nlogn for mult in (args.tail_mult or [])]
+    if not all(map(math.isfinite, points)):
+        raise ValueError(f"tail points must be finite, got {points}")
     return points
 
 
@@ -163,6 +171,7 @@ def _cmd_couple(args, sink: _Sink) -> str:
         raise ValueError(f"--tail-grid must be nonnegative, got {args.tail_grid}")
     if args.lazy_p is not None and not 0 < args.lazy_p <= 1:
         raise ValueError(f"--lazy-p must lie in (0, 1], got {args.lazy_p}")
+    tail_points = _tail_points(args)
     stats = coupling_trials(args.n, args.k, args.kind, args.trials,
                             seed=args.seed, cap=args.cap)
     if args.lazy_p is not None:
@@ -181,7 +190,7 @@ def _cmd_couple(args, sink: _Sink) -> str:
         "n_log_n": args.n * math.log(args.n),
         "tails": [],
     }
-    for m in _tail_points(args):
+    for m in tail_points:
         p_hat, se = tail_estimate(stats, m)
         payload["tails"].append({"m": m, "p_hat": p_hat, "stderr": se})
     stem = f"couple_{args.kind}_n{args.n}_k{args.k}"
@@ -227,6 +236,8 @@ def _cmd_lowerbound(args, sink: _Sink) -> str:
             m = args.m_mult * args.n * math.log(args.n)
         else:
             raise ValueError("one of --m or --m-mult is required")
+        if not math.isfinite(m):
+            raise ValueError(f"the step count must be finite, got {m}")
         est = increasing_bottom_statistic(args.n, args.k, args.j, m)
         payload = {
             "method": args.method,
@@ -271,7 +282,7 @@ def _build_flow(args):
 
 def _cmd_flow(args, sink: _Sink) -> str:
     if args.dirichlet is not None and args.dirichlet < 1:
-        raise ValueError(f"--dirichlet needs at least 1 trial, got {args.dirichlet}")
+        raise ValueError(f"--dirichlet needs a value of at least 1, got {args.dirichlet}")
     if args.lower_bound or args.dirichlet is not None or args.compare_t2:
         require_dense(args.n)
     flow, bounds, tag = _build_flow(args)
@@ -310,22 +321,12 @@ def _cmd_flow(args, sink: _Sink) -> str:
                 f"{len(check.discrepancies)} atoms")
         payload["verified"] = True
     if args.dirichlet is not None:
-        size = group_table(args.n).size
-        violations = 0
-        worst = 0.0
-        for t in range(args.dirichlet):
-            f = trial_rng(args.seed, t).standard_normal(size)
-            e_target = dirichlet_form(f, flow.target)
-            e_letters = dirichlet_form(f, flow.q)
-            if e_target > a_float * e_letters * (1 + 1e-9) + 1e-12:
-                violations += 1
-            if e_letters > 0:
-                worst = max(worst, e_target / (a_float * e_letters))
+        per_shape = dirichlet_constants(flow.target, flow.q).values()
+        a_star = max(per_shape)
         payload["dirichlet"] = {
-            "trials": args.dirichlet,
-            "seed": args.seed,
-            "violations": violations,
-            "max_ratio_over_a": worst,
+            "a_star": a_star,
+            "max_ratio_over_a": a_star / a_float,
+            "violations": sum(c > a_float * (1 + 1e-9) for c in per_shape),
         }
     if args.compare_t2:
         payload["comparison"] = comparison_bound_report(flow)
@@ -339,7 +340,7 @@ def _cmd_flow(args, sink: _Sink) -> str:
 
 def _cmd_transfer(args, sink: _Sink) -> str:
     eps_grid = tuple(float(x) for x in args.eps_grid.split(",") if x)
-    rep = transfer_checks(args.n, args.k, Fraction(args.p), eps_grid)
+    rep = transfer_checks(args.n, args.k, _laziness(args.p), eps_grid)
     stem = f"transfer_n{args.n}_k{args.k}"
     sink.json(f"{stem}.json", rep)
     sink.csv(f"{stem}.csv", ("eps", "lazy_t", "bound", "holds"), rep.lazy_rows)
@@ -368,12 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mixing-time experiments for top to bottom-k shuffles.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_text, seeded=False):
+    def add(name, help_text, seed_help=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=".", help="output directory")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+        if seed_help:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
         return p
+
+    unused_seed = "accepted so old command lines parse; changes no output"
 
     def measure_flags(p, choices):
         p.add_argument("--n", type=int, required=True)
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", "full transition spectrum at small n")
     measure_flags(p, ("sym", "rt", "rudvalis"))
 
-    p = add("couple", "Monte Carlo coupling times", seeded=True)
+    p = add("couple", "Monte Carlo coupling times", "seed of the trial streams")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", default="bottom_k_to_top",
@@ -408,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-grid", type=int, default=None,
                    help="also write P(T > m) for every m up to this bound")
 
-    # collector and lowerbound are exact; they accept --seed only so that
-    # existing command lines keep parsing, and it changes no output byte
-    p = add("collector", "exact coupon-collector stopping-time law", seeded=True)
+    p = add("collector", "exact coupon-collector stopping-time law", unused_seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, default=0,
                    help="stop when all but j labels have been drawn")
 
-    p = add("lowerbound", "exact distance lower bounds", seeded=True)
+    p = add("lowerbound", "exact distance lower bounds", unused_seed)
     p.add_argument("--method", required=True,
                    choices=("single-card", "increasing-bottom"))
     p.add_argument("--n", type=int, required=True)
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.9)
 
-    p = add("flow", "Cayley-graph flow congestion and comparisons", seeded=True)
+    p = add("flow", "Cayley-graph flow congestion and comparisons", unused_seed)
     p.add_argument("--builder", required=True,
                    choices=("general", "large-k", "rudvalis", "odd"))
     p.add_argument("--n", type=int, required=True)
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower-bound", action="store_true",
                    help="include the distance-squared congestion floor")
     p.add_argument("--dirichlet", type=int, default=None,
-                   help="check E_target <= A E_letters on this many seeded f")
+                   help="report A*, the exact best Dirichlet comparison constant; N is unused")
     p.add_argument("--compare-t2", action="store_true",
                    help="L2 mixing bound for q from the target walk's exact T2")
     p.add_argument("--export-paths", action="store_true",
@@ -520,7 +521,7 @@ def _run(argv: list[str]) -> int:
 
 # exception types -> (exit code, manifest status and stderr label)
 _FAILURES = (
-    ((ValueError, UnreachableTargetError), 2, "error"),
+    ((ValueError,), 2, "error"),
     ((CapacityError,), 3, "capacity"),
     ((NumericError,), 4, "numeric"),
 )

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Plain ValueError covers domain errors (bad parameters, size mismatches);
-these two mark conditions the CLI maps to dedicated exit codes.
+Plain ValueError and its subclass UnreachableTargetError cover domain errors;
+the other two mark conditions the CLI maps to dedicated exit codes.
 """
 
 
@@ -17,5 +17,5 @@ class NumericError(Exception):
         self.trace = trace
 
 
-class UnreachableTargetError(Exception):
+class UnreachableTargetError(ValueError):
     """A generator set does not reach part of a target measure's support."""

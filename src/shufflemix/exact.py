@@ -14,9 +14,9 @@ Cayley graph (:func:`cayley_distances`), and the spectrum, split over the
 irreducible representations lambda of S_n (Diaconis 1988, ch. 3) into the
 eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g), each repeated d_lambda
 times, with rho_lambda in Young's orthogonal form; a symmetric walk's T2 is
-read off it (:func:`spectral_t2`).  One dense cap, n <= 8, covers every output
-of size n! (convolution, Cayley-graph distances, spectra, and the Dirichlet
-forms in :mod:`shufflemix.flows`); :func:`require_dense` is its one check.
+read off it (:func:`spectral_t2`), as is A*, the best Dirichlet comparison
+constant (:func:`dirichlet_constants`).  One dense cap, n <= 8, covers all of
+these and every output of size n!; :func:`require_dense` is its one check.
 """
 
 from __future__ import annotations
@@ -220,9 +220,9 @@ class SpectrumReport:
     spectral_gap: float = 0.0
 
 
-def _tableaux(n: int) -> list[list[tuple]]:
-    """The standard tableaux of each shape of n as content vectors: entry i - 1
-    is column - row of the box holding i, which identifies the tableau."""
+def _tableaux(n: int) -> dict[tuple, list[tuple]]:
+    """Shape -> its standard tableaux as content vectors: entry i - 1 is
+    column - row of the box holding i, which identifies the tableau."""
     grown = {(): [()]}
     for _ in range(n):
         nxt = {}
@@ -232,7 +232,7 @@ def _tableaux(n: int) -> list[list[tuple]]:
                     new = shape[:r] + (row + 1,) + shape[r + 1:]
                     nxt.setdefault(new, []).extend(t + (row - r,) for t in tabs)
         grown = nxt
-    return list(grown.values())
+    return grown
 
 
 def _adjacent_matrices(tabs: list[tuple]) -> list[np.ndarray]:
@@ -263,29 +263,53 @@ def _rho(g, mats: list[np.ndarray], d: int) -> np.ndarray:
     return out
 
 
-def spectrum(q: SparseMeasure) -> SpectrumReport:
-    """Full real spectrum of the transition matrix M(x, y) = q(x^{-1} y).
-
-    Only symmetric measures are accepted (q equal to its reversal makes M
-    symmetric); nonreversible spectra are out of scope.  Each block is
-    sum_g q(g) rho(g^{-1}) = q^(lambda)^T, checked symmetric because eigvalsh
-    reads only one triangle.
-    """
+def _blocks(q: SparseMeasure):
+    """(shape lambda, sum_g q(g) rho_lambda(g^{-1})) for every shape of n, for
+    a symmetric q only (q equal to its reversal); each block is checked
+    symmetric because eigvalsh reads only one triangle."""
     require_dense(q.n)
     if q != reversal(q):
-        raise ValueError("spectrum requires a symmetric measure (q == reversal(q))")
-    blocks = []
-    for tabs in _tableaux(q.n):
+        raise ValueError("Fourier blocks need a symmetric measure (q == reversal(q))")
+    for shape, tabs in _tableaux(q.n).items():
         d, mats = len(tabs), _adjacent_matrices(tabs)
         q_hat = sum(float(w) * _rho(g, mats, d) for g, w in q.items())
         if not np.allclose(q_hat, q_hat.T, rtol=0, atol=1e-12):
             raise ValueError("Fourier block not symmetric; representation inconsistent")
-        blocks.append(np.repeat(np.linalg.eigvalsh(q_hat), d))
-    eig = np.sort(np.concatenate(blocks))
+        yield shape, q_hat
+
+
+def spectrum(q: SparseMeasure) -> SpectrumReport:
+    """Full real spectrum of the transition matrix M(x, y) = q(x^{-1} y) of a
+    symmetric q: each block's eigenvalues, repeated d_lambda times."""
+    eig = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), len(b))
+                                  for _, b in _blocks(q)]))
     if abs(eig[-1] - 1.0) > 1e-10:
         raise ValueError(f"top eigenvalue {eig[-1]} != 1")
     gap = 1.0 - eig[-2] if eig.size > 1 else 1.0
     return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap))
+
+
+def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, float]:
+    """Shape lambda -> the best constant in E_target <= A E_q on lambda, the top
+    generalized eigenvalue of (I - T^, I - Q^), read through the Cholesky factor
+    L of I - Q^ as that of L^{-1} (I - T^) L^{-T}.  Both forms split over the
+    irreps (Diaconis & Saloff-Coste 1993), so the maximum A* bounds every flow's
+    A from below.  ValueError unless both measures are symmetric and q's support
+    generates (each nontrivial I - Q^ has least eigenvalue above 1e-9)."""
+    if target.n != q.n:
+        raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
+    out = {}
+    for (shape, t_hat), (_, q_hat) in zip(_blocks(target), _blocks(q)):
+        if shape == (q.n,):
+            continue            # the constants, on which both forms vanish
+        eye = np.eye(len(q_hat))
+        if np.linalg.eigvalsh(eye - q_hat)[0] <= 1e-9:
+            raise ValueError(f"I - q^ not positive definite at shape {shape}: "
+                             "the support of q does not generate S_n")
+        chol = np.linalg.cholesky(eye - q_hat)
+        half = np.linalg.solve(chol, eye - t_hat)
+        out[shape] = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1])
+    return out
 
 
 def spectral_t2(spec: SpectrumReport) -> int:

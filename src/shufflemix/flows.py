@@ -16,11 +16,11 @@ Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
 Word lengths for the distance-squared congestion floor come from
-:func:`shufflemix.exact.cayley_distances`, and the Dirichlet forms and
-spectra come from :mod:`shufflemix.exact`, so all share its dense cap
-n <= 8; flows themselves are exact, have no size cap, and never convert to
-ranks.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
-through one table per n, and endpoints and letters are keyed by Permutation.
+:func:`shufflemix.exact.cayley_distances`, and spectra come from
+:mod:`shufflemix.exact`, so both share its dense cap n <= 8; flows
+themselves are exact, have no size cap, and never convert to ranks.
+Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve through
+one table per n, and endpoints and letters are keyed by Permutation.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -40,10 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, group_table, spectral_t2, spectrum
+from .exact import cayley_distances, spectral_t2, spectrum
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -430,20 +428,7 @@ def large_k_congestion_bound(C: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet forms and the comparison mixing bound
-
-
-def dirichlet_form(f, q: SparseMeasure) -> float:
-    """E_q(f, f) = (1/(2|G|)) sum_{x,y} |f(xy) - f(x)|^2 q(y)."""
-    t = group_table(q.n)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (t.size,):
-        raise ValueError(f"expected f of length {t.size}, got {f.shape}")
-    acc = 0.0
-    for g, w in q.items():
-        diff = f[t.right_mul(g.map)] - f
-        acc += float(w) * float(diff @ diff)
-    return acc / (2 * t.size)
+# the comparison mixing bound
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -314,19 +314,8 @@ def lazy_transfer(params: WilsonParams) -> WilsonParams:
     The halving of gamma and R cancels inside the bound's numerator, so the
     lazy bound differs from the plain one only through -log(1 - gamma/2).
     """
-    return WilsonParams(
-        n=params.n,
-        w=params.w,
-        lam=0.5 + 0.5 * params.lam,
-        chi0=params.chi0,
-        chi1=params.chi1,
-        gamma=params.gamma / 2,
-        psi_max=params.psi_max,
-        psi_start=params.psi_start,
-        r_bound=params.r_bound / 2,
-        eps=params.eps,
-        v=params.v,
-    )
+    return replace(params, lam=0.5 + 0.5 * params.lam, gamma=params.gamma / 2,
+                   r_bound=params.r_bound / 2)
 
 
 def wilson_report(n: int, eps: float = 0.9) -> dict:

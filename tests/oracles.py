@@ -577,8 +577,23 @@ def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:
     return acc
 
 
+def dirichlet_form(f, q: SparseMeasure) -> float:
+    """E_q(f, f) = (1/(2|G|)) sum_{x,y} |f(xy) - f(x)|^2 q(y): the dense
+    reference for the package's Fourier comparison constants."""
+    import numpy as np
+    t = group_table(q.n)
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (t.size,):
+        raise ValueError(f"expected f of length {t.size}, got {f.shape}")
+    acc = 0.0
+    for g, w in q.items():
+        diff = f[t.right_mul(g.map)] - f
+        acc += float(w) * float(diff @ diff)
+    return acc / (2 * t.size)
+
+
 def dirichlet_form_operator(f, q: SparseMeasure) -> float:
-    """<(I - Q)f, f> under the uniform inner product; equals the package's
+    """<(I - Q)f, f> under the uniform inner product; equals
     ``dirichlet_form`` when q is symmetric."""
     import numpy as np
     t = group_table(q.n)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import distance_profile, harmonic_mean_l0, pair_coupling_tail
+from oracles import dirichlet_form, distance_profile, harmonic_mean_l0, pair_coupling_tail
 from shufflemix.coupling import (
     coupling_trials,
     coupon_collector,
@@ -37,7 +37,6 @@ from shufflemix.flows import (
     build_odd_flow_tbk,
     congestion_A,
     congestion_lower_bound,
-    dirichlet_form,
     general_congestion_bound,
     large_k_congestion_bound,
     odd_flow_eigenvalue_bound,

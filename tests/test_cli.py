@@ -16,7 +16,7 @@ from shufflemix.coupling import (
     single_card_lower_bound,
 )
 from shufflemix.errors import NumericError
-from shufflemix.exact import mixing_time, spectrum
+from shufflemix.exact import dirichlet_constants, mixing_time, spectrum
 from shufflemix.flows import build_flow_general, flow_to_json_obj
 from shufflemix.measures import (
     convolve_measures,
@@ -263,6 +263,7 @@ def test_lowerbound_increasing_bottom_at_a_step_count(tmp_path):
      "--j", "4", "--m-mult", "0.75"],
     ["lowerbound", "--method", "single-card", "--n", "40", "--k", "20",
      "--steps", "300"],
+    ["flow", "--builder", "general", "--n", "5", "--k", "3", "--dirichlet", "5"],
 ])
 def test_exact_subcommands_ignore_the_seed(tmp_path, argv):
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -414,7 +415,10 @@ def test_flow_dirichlet_runs_through_the_dense_cap(tmp_path, capsys):
     assert run(["flow", "--builder", "general", "--n", "7", "--k", "3",
                 "--dirichlet", "2", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "flow_general_n7_k3.json")
-    assert payload["dirichlet"]["trials"] == 2
+    flow = build_flow_general(7, 3)
+    a_star = max(dirichlet_constants(flow.target, flow.q).values())
+    assert payload["dirichlet"] == {
+        "a_star": a_star, "max_ratio_over_a": a_star / payload["a_float"], "violations": 0}
     assert payload["dirichlet"]["violations"] == 0
     assert run(["flow", "--builder", "general", "--n", "9", "--k", "3",
                 "--dirichlet", "1", "--out", str(tmp_path)]) == 3
@@ -531,6 +535,14 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
     (["couple", "--n", "6", "--k", "3", "--trials", "0"], 2, "error"),
     (["exact", "--n", "4", "--k", "2", "--mmax", "-3"], 2, "error"),
     (["flow", "--builder", "odd", "--n", "5", "--k", "3", "--compare-t2"], 2, "error"),
+    (["exact", "--n", "4", "--k", "2", "--measure", "lazy", "--p", "1/0"], 2, "error"),
+    (["transfer", "--n", "3", "--k", "2", "--p", "1/0"], 2, "error"),
+    (["lowerbound", "--method", "increasing-bottom", "--n", "20", "--k", "5", "--m", "inf"],
+     2, "error"),
+    (["lowerbound", "--method", "increasing-bottom", "--n", "20", "--k", "5",
+      "--m-mult", "inf"], 2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail", "nan"], 2, "error"),
+    (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail-mult", "inf"], 2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

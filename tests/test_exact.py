@@ -41,6 +41,7 @@ from shufflemix.exact import (
     tv_l2_times,
 )
 from shufflemix.measures import (
+    SparseMeasure,
     convolve_measures,
     delta_e,
     lazy,
@@ -50,7 +51,7 @@ from shufflemix.measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.perms import cycle_generator, identity, inverse, rank, unrank
+from shufflemix.perms import cycle_generator, identity, inverse, rank, transposition, unrank
 
 
 def uniform(n):
@@ -225,6 +226,20 @@ def test_spectrum_top_eigenvalue_one():
 def test_spectrum_rejects_asymmetric():
     with pytest.raises(ValueError):
         spectrum(top_to_bottom_k(3, 3))
+
+
+def test_dirichlet_constants_refuse_asymmetric_or_non_generating_walks():
+    sym = symmetrize(top_to_bottom_k(4, 2))
+    tbk = top_to_bottom_k(4, 2)
+    for target, q in ((tbk, sym), (random_transposition(4), tbk)):
+        with pytest.raises(ValueError, match="symmetric measure"):
+            exact.dirichlet_constants(target, q)
+    # each generates a proper subgroup; in floats the point mass at (2, 4)
+    # leaves a Cholesky pivot of about 1e-16 rather than failing outright
+    swap = SparseMeasure(4, {rank(transposition(2, 4, 4)): 1})
+    for q in (delta_e(4), lazy(swap, Fraction(1, 2)), swap):
+        with pytest.raises(ValueError, match="does not generate"):
+            exact.dirichlet_constants(random_transposition(4), q)
 
 
 def test_spectrum_cap():

@@ -10,6 +10,7 @@ import shufflemix.exact as exact
 from oracles import (
     bfs_distances_nx,
     congestion_from_weights,
+    dirichlet_form,
     dirichlet_form_operator,
     hitting_time,
     o_compose,
@@ -34,7 +35,6 @@ from shufflemix.flows import (
     comparison_bound_report,
     congestion_A,
     congestion_lower_bound,
-    dirichlet_form,
     flow_to_json_obj,
     general_congestion_bound,
     generator_name,
@@ -505,6 +505,62 @@ def test_dirichlet_comparison_both_directions():
             f = rng.standard_normal(group_table(n).size)
             assert dirichlet_form(f, rt) <= a_gen * dirichlet_form(f, qt) * (1 + 1e-12)
             assert dirichlet_form(f, qt) <= a_rud * dirichlet_form(f, rn) * (1 + 1e-12)
+
+
+def _builder_flows(n):
+    """Every flow the builders make at n, with an id."""
+    for k in range(2, n + 1):
+        yield f"general{n}_{k}", build_flow_general(n, k)
+        yield f"rudvalis{n}_{k}", build_flow_rudvalis(n, k)
+        if any(l % 2 for l in range(n - k + 1, n + 1)):
+            yield f"odd{n}_{k}", build_odd_flow_tbk(n, k)
+    for c in range(n):
+        if n > 2 * c + 2:
+            yield f"large_k{n}_C{c}", build_flow_large_k(n, c)
+
+
+def _oracle_form_matrix(q):
+    """The n! x n! matrix of the oracle quadratic form E_q, by polarization
+    over pairs of point masses."""
+    eye = np.eye(group_table(q.n).size)
+    diag = [dirichlet_form(e, q) for e in eye]
+    m = np.diag(diag)
+    for i, j in zip(*np.triu_indices(len(eye), 1)):
+        m[i, j] = m[j, i] = (dirichlet_form(eye[i] + eye[j], q) - diag[i] - diag[j]) / 2
+    return m
+
+
+def test_dirichlet_constants_match_the_dense_generalized_problem():
+    # A* against scipy's generalized eigh of the two oracle forms with the
+    # constants projected out, for every general and Rudvalis flow at n <= 5
+    from scipy import linalg
+    for n in range(2, 6):
+        basis = linalg.null_space(np.ones((1, math.factorial(n))))
+        projected = {}
+        for k in range(2, n + 1):
+            for flow in (build_flow_general(n, k), build_flow_rudvalis(n, k)):
+                for walk in (flow.target, flow.q):
+                    key = frozenset(walk.atoms.items())
+                    if key not in projected:
+                        projected[key] = basis.T @ _oracle_form_matrix(walk) @ basis
+                want = linalg.eigh(projected[frozenset(flow.target.atoms.items())],
+                                   projected[frozenset(flow.q.atoms.items())],
+                                   eigvals_only=True)[-1]
+                got = max(exact.dirichlet_constants(flow.target, flow.q).values())
+                assert got == pytest.approx(want, rel=1e-9, abs=0), (n, k)
+
+
+def test_every_builder_flow_is_at_least_a_star():
+    # A >= A* for every flow the builders make at n <= 7; the odd flows'
+    # target is the point mass at e, whose Dirichlet form is zero
+    for n in range(2, 8):
+        for name, flow in _builder_flows(n):
+            consts = exact.dirichlet_constants(flow.target, flow.q)
+            a_star = max(consts.values())
+            assert float(congestion_A(flow).a_value) >= a_star * (1 - 1e-9), name
+            assert len(consts) == (2, 3, 5, 7, 11, 15)[n - 2] - 1   # partitions of n
+            if name.startswith("odd"):
+                assert a_star == 0.0, name
 
 
 def test_comparison_bound_report_5_3():
