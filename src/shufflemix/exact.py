@@ -7,16 +7,16 @@ accumulation.  This module owns every computation over the whole group:
 the group as one int8 array of one-line maps in rank order, rank-indexed
 multiplication tables computed from it in bulk (its columns permuted by the
 one group product, :func:`shufflemix.perms.right_multiplier`, then ranked by
-Lehmer digits), dense convolution gathering through those tables (one walk
-loop, :func:`_walk`, read up to a fixed step by :func:`mixing_time` and up
-to both thresholds by :func:`tv_l2_times`), the BFS for word lengths in the
-Cayley graph (:func:`cayley_distances`), and the spectrum, split over the
-irreducible representations lambda of S_n (Diaconis 1988, ch. 3) into the
-eigenvalues of q^(lambda) = sum_g q(g) rho_lambda(g), each repeated d_lambda
-times, with rho_lambda in Young's orthogonal form; a symmetric walk's T2 is
-read off it (:func:`spectral_t2`), as is A*, the best Dirichlet comparison
-constant (:func:`dirichlet_constants`).  One dense cap, n <= 8, covers all of
-these and every output of size n!; :func:`require_dense` is its one check.
+Lehmer digits), dense convolution gathering through those tables for TV only
+(one walk loop, :func:`_walk`), the BFS for word lengths in the Cayley graph
+(:func:`cayley_distances`), and the Fourier blocks
+q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
+representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
+orthogonal form.  A symmetric walk's spectrum and A* (the best Dirichlet
+comparison constant, :func:`dirichlet_constants`) are read off them, and
+so, for any walk, are L2 profiles and T2 (:func:`t2`, also the one test that
+a walk mixes).  One dense cap, n <= 8, covers all of these and every output
+of size n!; :func:`require_dense` is its one check.
 """
 
 from __future__ import annotations
@@ -137,17 +137,6 @@ def tv_distance(d: DenseDistribution) -> float:
     return 0.5 * math.fsum(np.abs(d.probs - u).tolist())
 
 
-def lp_distance(d: DenseDistribution, p: int) -> float:
-    """d_{pi,p}(d) = (sum |d(g)/pi(g) - 1|^p pi(g))^{1/p} for p in {1, 2}."""
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    size = math.factorial(d.n)
-    e = size * d.probs - 1.0
-    if p == 1:
-        return math.fsum(np.abs(e).tolist()) / size
-    return math.sqrt(math.fsum((e * e).tolist()) / size)
-
-
 @dataclass(frozen=True)
 class MixingReport:
     measure: str
@@ -161,8 +150,8 @@ class MixingReport:
 def _walk(q: SparseMeasure):
     """q^0 = delta_e, q^1, q^2, ...: the walk driven by q, one step per item.
 
-    The only loop over :func:`convolve_step`; a step is taken only when the
-    next item is requested.
+    The only loop over :func:`convolve_step`, which serves TV only; a step is
+    taken only when the next item is requested.
     """
     d = point_mass(q.n)
     while True:
@@ -170,38 +159,21 @@ def _walk(q: SparseMeasure):
         d = convolve_step(d, q)
 
 
-def tv_l2_times(q: SparseMeasure) -> tuple[int, int]:
-    """(T, T2): the first steps at or below the TV and L2 thresholds (as in
-    :func:`mixing_time`), read from one walk that stops once both are met.
-
-    No step budget: q must drive a mixing walk (its support generates S_n and
-    lies in no coset of a proper normal subgroup), or the loop never ends.
-    """
-    t_tv = t_l2 = None
-    for m, d in enumerate(_walk(q)):
-        if t_tv is None and tv_distance(d) <= TV_THRESHOLD:
-            t_tv = m
-        if t_l2 is None and lp_distance(d, 2) <= LP_THRESHOLD:
-            t_l2 = m
-        if t_tv is not None and t_l2 is not None:
-            return t_tv, t_l2
-
-
 def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
                 label: str | None = None) -> MixingReport:
     """First step m with distance(q^m, pi) <= threshold, plus the profile.
 
-    Thresholds are 1/(2e) for TV and 1/e for the L2 distance.  Saturation
-    (threshold not reached by m_max >= 0) is a reported outcome, not an error.
+    Thresholds are 1/(2e) for TV and 1/e for the L2 distance.  TV steps the
+    dense walk; L2 is read off q's Fourier blocks.  Saturation (threshold not
+    reached by m_max >= 0) is a reported outcome, not an error.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     if metric not in ("tv", "l2"):
         raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
-    dist_fn, threshold = ((tv_distance, TV_THRESHOLD) if metric == "tv"
-                          else (lambda d: lp_distance(d, 2), LP_THRESHOLD))
-    profile = tuple((m, dist_fn(d))
-                    for m, d in enumerate(itertools.islice(_walk(q), m_max + 1)))
+    dists, threshold = ((map(tv_distance, _walk(q)), TV_THRESHOLD) if metric == "tv"
+                        else (_l2_distances(_blocks(q)), LP_THRESHOLD))
+    profile = tuple(enumerate(itertools.islice(dists, m_max + 1)))
     hit = next((m for m, dist in profile if dist <= threshold), None)
     return MixingReport(
         measure=label or f"measure(n={q.n})",
@@ -264,25 +236,63 @@ def _rho(g, mats: list[np.ndarray], d: int) -> np.ndarray:
 
 
 def _blocks(q: SparseMeasure):
-    """(shape lambda, sum_g q(g) rho_lambda(g^{-1})) for every shape of n, for
-    a symmetric q only (q equal to its reversal); each block is checked
-    symmetric because eigvalsh reads only one triangle."""
+    """(shape lambda, q^(lambda) = sum_g q(g) rho_lambda(g^{-1})) for every
+    shape of n, for any measure q; the one-row shape (n) is the trivial one."""
     require_dense(q.n)
-    if q != reversal(q):
-        raise ValueError("Fourier blocks need a symmetric measure (q == reversal(q))")
+    atoms = [(g, float(w)) for g, w in q.items()]
     for shape, tabs in _tableaux(q.n).items():
         d, mats = len(tabs), _adjacent_matrices(tabs)
-        q_hat = sum(float(w) * _rho(g, mats, d) for g, w in q.items())
+        yield shape, sum(w * _rho(g, mats, d) for g, w in atoms)
+
+
+def _symmetric_blocks(q: SparseMeasure):
+    """:func:`_blocks` of a symmetric q (q equal to its reversal), each block
+    checked symmetric because eigvalsh reads only one triangle."""
+    if q != reversal(q):
+        raise ValueError("Fourier blocks need a symmetric measure (q == reversal(q))")
+    for shape, q_hat in _blocks(q):
         if not np.allclose(q_hat, q_hat.T, rtol=0, atol=1e-12):
             raise ValueError("Fourier block not symmetric; representation inconsistent")
         yield shape, q_hat
+
+
+def _l2_distances(blocks):
+    """d_2(q^m, pi) for m = 0, 1, ..., from q's blocks: by Plancherel,
+    d_2(q^m, pi)^2 = sum_{lambda != (n)} d_lambda ||q^(lambda)^m||_F^2
+    (Diaconis 1988, ch. 3), so each block's power takes one product a step."""
+    blocks = [b for shape, b in blocks if len(shape) > 1]
+    powers = [np.eye(len(b)) for b in blocks]
+    while True:
+        yield math.sqrt(math.fsum(len(p) * float(np.vdot(p, p)) for p in powers))
+        powers = [p @ b for p, b in zip(powers, blocks)]
+
+
+def t2(q: SparseMeasure) -> int:
+    """T2: the first m >= 0 with d_2(q^m, pi) <= 1/e, read off q's blocks.
+
+    The one test that a walk mixes: ValueError unless every nontrivial block
+    has spectral radius at most 1 - 1e-9.  For a symmetric q this says the
+    gap exceeds 0 (the support generates) and beta_min exceeds -1 (aperiodic).
+
+    >>> t2(top_to_bottom_k(4, 4))
+    4
+    >>> t2(lazy(top_to_bottom_k(4, 4), Fraction(1, 2)))
+    9
+    """
+    blocks = list(_blocks(q))
+    radius = max((float(np.abs(np.linalg.eigvals(b)).max())
+                  for shape, b in blocks if len(shape) > 1), default=0.0)
+    if radius > 1 - 1e-9:
+        raise ValueError(f"walk does not mix: a nontrivial Fourier block has "
+                         f"spectral radius {radius}")
+    return next(m for m, dist in enumerate(_l2_distances(blocks)) if dist <= LP_THRESHOLD)
 
 
 def spectrum(q: SparseMeasure) -> SpectrumReport:
     """Full real spectrum of the transition matrix M(x, y) = q(x^{-1} y) of a
     symmetric q: each block's eigenvalues, repeated d_lambda times."""
     eig = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), len(b))
-                                  for _, b in _blocks(q)]))
+                                  for _, b in _symmetric_blocks(q)]))
     if abs(eig[-1] - 1.0) > 1e-10:
         raise ValueError(f"top eigenvalue {eig[-1]} != 1")
     gap = 1.0 - eig[-2] if eig.size > 1 else 1.0
@@ -299,7 +309,7 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
     if target.n != q.n:
         raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
     out = {}
-    for (shape, t_hat), (_, q_hat) in zip(_blocks(target), _blocks(q)):
+    for (shape, t_hat), (_, q_hat) in zip(_symmetric_blocks(target), _symmetric_blocks(q)):
         if shape == (q.n,):
             continue            # the constants, on which both forms vanish
         eye = np.eye(len(q_hat))
@@ -310,21 +320,6 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
         half = np.linalg.solve(chol, eye - t_hat)
         out[shape] = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1])
     return out
-
-
-def spectral_t2(spec: SpectrumReport) -> int:
-    """T2 of a symmetric walk: the first m >= 0 with L2 distance
-    sqrt(sum beta^(2m)) <= 1/e, over all eigenvalues but one copy of the top 1
-    (Diaconis 1988, ch. 3), each distinct square weighted by its multiplicity.
-    The one test that a walk mixes: ValueError unless the gap exceeds 0 (the
-    support generates) and beta_min exceeds -1 (aperiodic), each by 1e-9.
-    """
-    if spec.spectral_gap <= 1e-9 or spec.beta_min <= -1 + 1e-9:
-        raise ValueError(f"walk does not mix: spectral gap {spec.spectral_gap}, "
-                         f"beta_min {spec.beta_min}")
-    squares, counts = np.unique(spec.eigenvalues[:-1] ** 2, return_counts=True)
-    return next(m for m in itertools.count()
-                if math.sqrt(math.fsum((counts * squares**m).tolist())) <= LP_THRESHOLD)
 
 
 def least_eigenvalue_formula(n: int, k: int) -> Fraction:
@@ -391,24 +386,25 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     For k < n, q * q* fixes the card at position 2 (every atom
     sigma_a sigma_b^{-1} has a, b >= 2), so T2(q * q*) is infinite and the
     doubling bound holds vacuously; the lazy pair lazy(q)* (*) lazy(q) always
-    generates and is checked too.  Both pair walks are symmetric and take T2
-    from :func:`spectral_t2`.  q and lazy(q) are walked once each by
-    :func:`tv_l2_times`, which ends because both mix: since 2 <= k <= n, q
-    holds sigma_{n-1} and sigma_n, which generate S_n ((n-1, n) =
-    sigma_{n-1}^{-1} sigma_n) and have opposite signs, so they lie in no
-    coset of A_n, which holds every proper normal subgroup; lazy(q) adds e.
+    generates and is checked too.  Every T2 comes from :func:`t2`.  q and
+    lazy(q) are walked densely once each, to their TV thresholds only; the
+    walks end because both mix: since 2 <= k <= n, q holds sigma_{n-1} and
+    sigma_n, which generate S_n ((n-1, n) = sigma_{n-1}^{-1} sigma_n) and
+    have opposite signs, so they lie in no coset of A_n, which holds every
+    proper normal subgroup; lazy(q) adds e.
     """
     require_dense(n)
     if not eps_grid or not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
         raise ValueError(f"need a nonempty grid of finite positive eps, got {tuple(eps_grid)}")
     q = top_to_bottom_k(n, k)
-    t_tv, t_l2 = tv_l2_times(q)
-    vacuous = k < n
-    t_qq = None if vacuous else spectral_t2(spectrum(convolve_measures(q, reversal(q))))
     p = Fraction(p)
     lazy_q = lazy(q, p)
-    t_tv_lazy, t_l2_lazy = tv_l2_times(lazy_q)
-    t_pair = spectral_t2(spectrum(convolve_measures(reversal(lazy_q), lazy_q)))
+    t_tv, t_tv_lazy = (next(m for m, d in enumerate(_walk(w)) if tv_distance(d) <= TV_THRESHOLD)
+                       for w in (q, lazy_q))
+    vacuous = k < n
+    t_l2, t_l2_lazy = t2(q), t2(lazy_q)
+    t_qq = None if vacuous else t2(convolve_measures(q, reversal(q)))
+    t_pair = t2(convolve_measures(reversal(lazy_q), lazy_q))
     rows = []
     for eps in eps_grid:
         bound = max((2 + eps) / float(p) * t_tv, 80.0 / (float(p) * eps * eps))

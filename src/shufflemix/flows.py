@@ -11,16 +11,16 @@ atom's mass exactly.  The congestion constant
 target's Dirichlet form by A times the comparison form, which converts known
 mixing or spectral information about one walk into bounds for the other.
 The L2 mixing bound for q takes the target walk's exact T2, read off its
-spectrum like q's, as its reference; a walk that never mixes is refused.
+Fourier blocks like q's, as its reference; a walk that never mixes is refused.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
 Word lengths for the distance-squared congestion floor come from
-:func:`shufflemix.exact.cayley_distances`, and spectra come from
-:mod:`shufflemix.exact`, so both share its dense cap n <= 8; flows
-themselves are exact, have no size cap, and never convert to ranks.
-Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve through
-one table per n, and endpoints and letters are keyed by Permutation.
+:func:`shufflemix.exact.cayley_distances`, and spectra and T2 come from the
+Fourier blocks of :mod:`shufflemix.exact`, so all share its dense cap
+n <= 8; flows themselves are exact, have no size cap, and never convert to
+ranks.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
+through one table per n, and endpoints and letters are keyed by Permutation.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, spectral_t2, spectrum
+from .exact import cayley_distances, spectrum, t2
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -449,26 +449,26 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
 
         T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
 
-    beta_- = max(0, -beta_min(q)).  beta_- and the exact T2 of both walks
-    (the target's is the reference, q's is checked against the bound) come
-    from one spectrum per walk, q first; :func:`shufflemix.exact.spectral_t2`
-    refuses a walk that never mixes, and a flow that does not route its
-    target (:func:`verify_flow`) gives no comparison constant: ValueError.
+    beta_- = max(0, -beta_min(q)), from q's spectrum.  The exact T2 of both
+    walks (the target's is the reference, q's is checked against the bound)
+    comes from :func:`shufflemix.exact.t2`, q first, which refuses a walk
+    that never mixes; a flow that does not route its target
+    (:func:`verify_flow`) gives no comparison constant: ValueError.
     """
     a = float(congestion_A(flow).a_value)
-    spectra, t2 = [], []
+    beta_min = spectrum(flow.q).beta_min
+    times = []
     for role, walk in (("comparison", flow.q), ("target", flow.target)):
-        spectra.append(spectrum(walk))
         try:
-            t2.append(spectral_t2(spectra[-1]))
+            times.append(t2(walk))
         except ValueError as exc:
             raise ValueError(f"{role} {exc}") from None
     wrong = verify_flow(flow).discrepancies
     if wrong:
         raise ValueError(f"flow marginals disagree with the target on {len(wrong)} atoms")
-    beta_minus = max(0.0, -spectra[0].beta_min)
+    beta_minus = max(0.0, -beta_min)
     term_beta = 0.0 if beta_minus == 0.0 else 1.0 / (-math.log(beta_minus))
-    t2_exact, reference_t2 = t2
+    t2_exact, reference_t2 = times
     term_reference = a * reference_t2
     term_entropy = a * math.log(math.factorial(flow.n))
     bound = max(term_reference, term_entropy, term_beta)

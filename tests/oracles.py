@@ -8,6 +8,7 @@ its own types that tests use and the package does not.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +21,6 @@ from shufflemix.exact import (
     DenseDistribution,
     convolve_step,
     group_table,
-    lp_distance,
     point_mass,
     spectrum,
     tv_distance,
@@ -627,6 +627,18 @@ def scatter_step(d: DenseDistribution, q: SparseMeasure):
     return out
 
 
+def lp_distance(d: DenseDistribution, p: int) -> float:
+    """d_{pi,p}(d) = (sum |d(g)/pi(g) - 1|^p pi(g))^{1/p} for p in {1, 2}."""
+    import numpy as np
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    size = math.factorial(d.n)
+    e = size * d.probs - 1.0
+    if p == 1:
+        return math.fsum(np.abs(e).tolist()) / size
+    return math.sqrt(math.fsum((e * e).tolist()) / size)
+
+
 def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, float]]:
     """(step, tv, l2) rows for steps 0..m_max, one pass of convolution."""
     d = point_mass(q.n)
@@ -639,8 +651,9 @@ def distance_profile(q: SparseMeasure, m_max: int) -> list[tuple[int, float, flo
 
 def hitting_time(q: SparseMeasure, metric: str) -> int:
     """First m with distance(q^m, pi) <= threshold, by stepping the dense walk
-    for one metric: the reference the spectral and single-pass mixing times
-    are compared against.  It never ends unless q drives a mixing walk.
+    for one metric: the reference that T2 from the Fourier blocks and the
+    package's TV mixing times are compared against.  It never ends unless q
+    drives a mixing walk.
     """
     dist_fn, threshold = {"tv": (tv_distance, TV_THRESHOLD),
                           "l2": (lambda d: lp_distance(d, 2), LP_THRESHOLD)}[metric]

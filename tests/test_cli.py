@@ -9,6 +9,7 @@ import pytest
 
 import shufflemix.cli as cli
 import shufflemix.wilson as wilson
+from oracles import hitting_time, lp_distance
 from shufflemix.cli import run
 from shufflemix.coupling import (
     coupon_collector,
@@ -16,13 +17,20 @@ from shufflemix.coupling import (
     single_card_lower_bound,
 )
 from shufflemix.errors import NumericError
-from shufflemix.exact import dirichlet_constants, mixing_time, spectrum
+from shufflemix.exact import (
+    convolve_step,
+    dirichlet_constants,
+    mixing_time,
+    point_mass,
+    spectrum,
+)
 from shufflemix.flows import build_flow_general, flow_to_json_obj
 from shufflemix.measures import (
     convolve_measures,
     lazy,
     random_transposition,
     reversal,
+    rudvalis_symmetric,
     symmetrize,
     top_to_bottom_k,
 )
@@ -91,6 +99,29 @@ def test_payload_bytes_deterministic(tmp_path):
     assert run(argv + ["--out", str(d2)]) == 0
     for name in ("exact_n4_k3_tbk_l2.json", "exact_n4_k3_tbk_l2.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+L2_MEASURES = [
+    (["--measure", "tbk", "--k", "3"], "k3_tbk", top_to_bottom_k(5, 3)),
+    (["--measure", "sym", "--k", "3"], "k3_sym", symmetrize(top_to_bottom_k(5, 3))),
+    (["--measure", "lazy", "--k", "5"], "k5_lazy1-2",
+     lazy(top_to_bottom_k(5, 5), Fraction(1, 2))),
+    (["--measure", "rt"], "rt", random_transposition(5)),
+    (["--measure", "rudvalis"], "rudvalis", rudvalis_symmetric(5)),
+]
+
+
+@pytest.mark.parametrize("flags,tag,q", L2_MEASURES, ids=[t for _, t, _ in L2_MEASURES])
+def test_exact_l2_payload_matches_the_dense_walk(flags, tag, q, tmp_path):
+    # the L2 profile comes from the Fourier blocks; the dense walk is the oracle
+    assert run(["exact", "--n", "5", *flags, "--metric", "l2", "--mmax", "40",
+                "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / f"exact_n5_{tag}_l2.json")
+    d = point_mass(5)
+    for m, dist in payload["profile"]:
+        assert abs(dist - lp_distance(d, 2)) <= 1e-12, m
+        d = convolve_step(d, q)
+    assert payload["mixing_time"] == hitting_time(q, "l2")
 
 
 def test_manifest_replay_cross_directory(tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     eigen_matrix,
     hitting_time,
     l2_from_spectrum,
+    lp_distance,
     o_compose,
     o_cycle,
     o_inverse,
@@ -31,14 +32,12 @@ from shufflemix.exact import (
     convolve_step,
     group_table,
     least_eigenvalue_formula,
-    lp_distance,
     mixing_time,
     point_mass,
-    spectral_t2,
     spectrum,
+    t2,
     transfer_checks,
     tv_distance,
-    tv_l2_times,
 )
 from shufflemix.measures import (
     SparseMeasure,
@@ -518,15 +517,16 @@ _HALF_AND_THIRD = [(n, k, p) for n in range(2, 8) for k in range(2, n + 1)
     for n, k, p in _HALF_AND_THIRD])
 def test_transfer_engines_match_the_dense_oracle(n, k, p):
     q = top_to_bottom_k(n, k)
-    for walk in (q, lazy(q, p)):
-        assert tv_l2_times(walk) == (hitting_time(walk, "tv"), hitting_time(walk, "l2"))
-    for walk in _symmetric_walks(n, k, p):
-        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+    lq = lazy(q, p)
+    for walk in [q, lq] + _symmetric_walks(n, k, p):
+        assert t2(walk) == hitting_time(walk, "l2")
+    rep = transfer_checks(n, k, p)
+    assert (rep.t_tv, rep.t_tv_lazy) == (hitting_time(q, "tv"), hitting_time(lq, "tv"))
 
 
 def test_spectral_t2_matches_the_dense_oracle_at_8():
     for walk in _symmetric_walks(8, 8, Fraction(1, 2)):
-        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+        assert t2(walk) == hitting_time(walk, "l2")
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -534,12 +534,13 @@ def test_spectral_t2_of_the_comparison_walks_matches_the_dense_oracle(n):
     walks = [random_transposition(n), rudvalis_symmetric(n)]
     walks += [symmetrize(top_to_bottom_k(n, k)) for k in range(2, n + 1)]
     for walk in walks:
-        assert spectral_t2(spectrum(walk)) == hitting_time(walk, "l2")
+        assert t2(walk) == hitting_time(walk, "l2")
 
 
-@pytest.mark.parametrize("n,k,steps", [(6, 6, 28), (6, 3, 23)])
+@pytest.mark.parametrize("n,k,steps", [(6, 6, 27), (6, 3, 21)])
 def test_transfer_walks_q_and_lazy_q_once_each(n, k, steps, monkeypatch):
-    # max(T, T2) steps for q plus the same for lazy(q); no pair walk is stepped
+    # T steps for q plus T_lazy for lazy(q), to the TV threshold only; every
+    # T2 comes from the Fourier blocks, so no walk is stepped for L2
     calls = []
     step = exact.convolve_step
 
@@ -549,7 +550,48 @@ def test_transfer_walks_q_and_lazy_q_once_each(n, k, steps, monkeypatch):
     monkeypatch.setattr(exact, "convolve_step", counted)
     rep = transfer_checks(n, k)
     assert len(calls) == steps
-    assert steps == max(rep.t_tv, rep.t_l2) + max(rep.t_tv_lazy, rep.t_l2_lazy)
+    assert steps == rep.t_tv + rep.t_tv_lazy
+
+
+def _l2_walks(n):
+    """tbk, sym and lazy(1/2) at every 2 <= k <= n, plus rt and Rudvalis."""
+    walks = [random_transposition(n), rudvalis_symmetric(n)]
+    for k in range(2, n + 1):
+        q = top_to_bottom_k(n, k)
+        walks += [q, symmetrize(q), lazy(q, Fraction(1, 2))]
+    return walks
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fourier_l2_profile_matches_the_dense_walk(n):
+    for walk in _l2_walks(n):
+        profile = mixing_time(walk, "l2", 60).profile
+        d = point_mass(n)
+        for m, dist in profile:
+            assert abs(dist - lp_distance(d, 2)) <= 1e-12, (walk, m)
+            d = convolve_step(d, walk)
+
+
+def _sigma_n(n):
+    return SparseMeasure(n, {rank(cycle_generator(n, n)): 1})
+
+
+NEVER_MIXES = [pytest.param(_sigma_n(n), id=f"sigma{n}") for n in (3, 5, 8)] + [
+    pytest.param(convolve_measures(q, reversal(q)), id=f"qq_star_n{q.n}")
+    for q in (top_to_bottom_k(4, 2), top_to_bottom_k(6, 5))] + [
+    # generates S_4 but every step is odd: periodic, with the sign block at -1
+    pytest.param(SparseMeasure(4, {rank(transposition(1, 2, 4)): Fraction(1, 2),
+                                   rank(cycle_generator(4, 4)): Fraction(1, 2)}),
+                 id="odd_coset")]
+
+
+@pytest.mark.parametrize("q", NEVER_MIXES)
+def test_t2_refuses_a_walk_that_never_mixes_without_a_dense_step(q, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("dense step taken for T2")
+    monkeypatch.setattr(exact, "convolve_step", no_walk)
+    with pytest.raises(ValueError, match="walk does not mix"):
+        t2(q)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -10,7 +10,7 @@ import shufflemix
 # keep at least one, so losing all of them fails rather than passing empty
 MODULES = ["oracles", "shufflemix"] + sorted(
     f"shufflemix.{m.name}" for m in pkgutil.iter_modules(shufflemix.__path__))
-WITH_EXAMPLES = {"oracles", "shufflemix.perms", "shufflemix.flows"}
+WITH_EXAMPLES = {"oracles", "shufflemix.perms", "shufflemix.flows", "shufflemix.exact"}
 
 
 @pytest.mark.parametrize("module", MODULES)
