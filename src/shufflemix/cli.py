@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirichlet", type=int, default=None,
                    help="report A*, the exact best Dirichlet comparison constant; N is unused")
     p.add_argument("--compare-t2", action="store_true",
-                   help="L2 mixing bound for q from the target walk's exact T2")
+                   help="L2 mixing bound for q from A and the target walk's spectrum")
     p.add_argument("--export-paths", action="store_true",
                    help="also write the flow's paths as JSON")
 

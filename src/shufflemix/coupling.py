@@ -174,6 +174,18 @@ def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
     return p, math.sqrt(p * (1 - p) / trials)
 
 
+def _unselected_chain(k: int):
+    """(law, outflow) of the unselected count of :func:`unselected_tails` at
+    m = 0, 1, ...: one array, stepped in place between items."""
+    p, leave = np.zeros(k + 1), np.arange(k + 1) / k
+    p[k] = 1.0
+    while True:
+        moved = p * leave
+        yield p, moved
+        p -= moved
+        p[:-1] += moved[1:]
+
+
 def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     """P(L_j > m) for m = 0..m_max, exactly.
 
@@ -185,17 +197,8 @@ def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     """
     if k < 1 or j < 0 or m_max < 0:
         raise ValueError("need k >= 1, j >= 0 and m_max >= 0")
-    p = np.zeros(k + 1)
-    p[k] = 1.0
-    leave = np.arange(k + 1) / k
-    tails = np.empty(m_max + 1)
-    tails[0] = p[j + 1:].sum()
-    for m in range(1, m_max + 1):
-        moved = p * leave
-        p -= moved
-        p[:-1] += moved[1:]
-        tails[m] = p[j + 1:].sum()
-    return tails
+    chain = zip(range(m_max + 1), _unselected_chain(k))
+    return np.array([p[j + 1:].sum() for _, (p, moved) in chain])
 
 
 @dataclass(frozen=True)
@@ -246,7 +249,12 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstima
         raise ValueError(f"k={k} outside [1, {n}]")
     if m < 0:
         raise ValueError(f"m={m} is negative")
-    p_tail = float(unselected_tails(k, j, math.floor(m))[-1])
+    last = math.floor(m)
+    # once no mass leaves a state u > j, P(u > j) is the same at every later step
+    for step, (p, moved) in enumerate(_unselected_chain(k)):
+        if step == last or not moved[j + 1:].any():
+            break
+    p_tail = float(p[j + 1:].sum())
     return BoundEstimate(p_tail - 1 / math.factorial(j), p_tail)
 
 

@@ -12,15 +12,17 @@ Lehmer digits), dense convolution gathering through those tables for TV only
 (:func:`cayley_distances`), and the Fourier blocks
 q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
 representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
-orthogonal form.  A symmetric walk's spectrum and A* (the best Dirichlet
-comparison constant, :func:`dirichlet_constants`) are read off them, and
-so, for any walk, are L2 profiles and T2 (:func:`t2`, also the one test that
-a walk mixes).  One dense cap, n <= 8, covers all of these and every output
-of size n!; :func:`require_dense` is its one check.
+orthogonal form.  Any walk's L2 profile and T2 (:func:`t2`, also the one
+test that a walk mixes) and a symmetric walk's spectrum are read off them,
+and two symmetric walks' block pairs give A* (:func:`dirichlet_constants`)
+and the T2 bound that E_target <= A E_q implies (:func:`comparison_t2`).
+One dense cap, n <= 8, covers all of these and every output of size n!;
+:func:`require_dense` is its one check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import deque
@@ -299,6 +301,14 @@ def spectrum(q: SparseMeasure) -> SpectrumReport:
     return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap))
 
 
+def _block_pairs(target: SparseMeasure, q: SparseMeasure):
+    """(shape, T^, Q^) for every nontrivial shape of two symmetric measures."""
+    if target.n != q.n:
+        raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
+    pairs = zip(_symmetric_blocks(target), _symmetric_blocks(q))
+    return ((shape, t_hat, q_hat) for (shape, t_hat), (_, q_hat) in pairs if shape != (q.n,))
+
+
 def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, float]:
     """Shape lambda -> the best constant in E_target <= A E_q on lambda, the top
     generalized eigenvalue of (I - T^, I - Q^), read through the Cholesky factor
@@ -306,12 +316,8 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
     irreps (Diaconis & Saloff-Coste 1993), so the maximum A* bounds every flow's
     A from below.  ValueError unless both measures are symmetric and q's support
     generates (each nontrivial I - Q^ has least eigenvalue above 1e-9)."""
-    if target.n != q.n:
-        raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
     out = {}
-    for (shape, t_hat), (_, q_hat) in zip(_symmetric_blocks(target), _symmetric_blocks(q)):
-        if shape == (q.n,):
-            continue            # the constants, on which both forms vanish
+    for shape, t_hat, q_hat in _block_pairs(target, q):
         eye = np.eye(len(q_hat))
         if np.linalg.eigvalsh(eye - q_hat)[0] <= 1e-9:
             raise ValueError(f"I - q^ not positive definite at shape {shape}: "
@@ -320,6 +326,36 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
         half = np.linalg.solve(chol, eye - t_hat)
         out[shape] = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.T))[-1])
     return out
+
+
+def comparison_t2(target: SparseMeasure, q: SparseMeasure, a: float) -> int:
+    """The T2 bound for q that E_target <= a E_q implies.  Courant-Fischer on
+    each block pair, eigenvalues in one order, gives 1 - beta_i(q) >=
+    (1 - beta_i(T))/a (Diaconis & Saloff-Coste 1993), so |beta_i(q)| <= b_i =
+    max(1 - (1 - beta_i(T))/a, beta_-), beta_- = max(0, -beta_min(q)).  The
+    first m with sqrt(sum d_lambda b_i^(2m)) <= 1/e, by doubling and bisection;
+    ValueError ("walk does not mix") if some b_i > 1 - 1e-9, as in :func:`t2`.
+
+    >>> from shufflemix.measures import rudvalis_symmetric, symmetrize
+    >>> comparison_t2(symmetrize(top_to_bottom_k(2, 2)), rudvalis_symmetric(2), 2 / 3)
+    2
+    """
+    dims, upper, beta_minus = [], [], 0.0
+    for _, t_hat, q_hat in _block_pairs(target, q):
+        dims += [float(len(t_hat))] * len(t_hat)
+        upper += (1 - (1 - np.linalg.eigvalsh(t_hat)) / a).tolist()
+        beta_minus = max(beta_minus, -float(np.linalg.eigvalsh(q_hat)[0]))
+    dims, b = np.array(dims), np.maximum(np.array(upper), beta_minus)
+    if max(b, default=0.0) > 1 - 1e-9:
+        raise ValueError(f"walk does not mix: comparison eigenvalue bound {max(b)}")
+
+    def mixed(m: int) -> bool:
+        return math.sqrt(math.fsum((dims * b ** (2 * m)).tolist())) <= LP_THRESHOLD
+
+    hi = 1
+    while not mixed(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2, key=mixed)
 
 
 def least_eigenvalue_formula(n: int, k: int) -> Fraction:

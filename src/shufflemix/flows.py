@@ -8,19 +8,19 @@ atom's mass exactly.  The congestion constant
     A(eta) = max_s (1/q(s)) sum_paths |delta| N(s, delta) eta(delta)
 
 (N counts how often the generator s appears in the path) then bounds the
-target's Dirichlet form by A times the comparison form, which converts known
-mixing or spectral information about one walk into bounds for the other.
-The L2 mixing bound for q takes the target walk's exact T2, read off its
-Fourier blocks like q's, as its reference; a walk that never mixes is refused.
+target's Dirichlet form by A times the comparison form.  Applied shape by
+shape to the Fourier block pairs, that turns the target walk's spectrum into
+an L2 mixing bound for q; a walk that never mixes is refused.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
 Word lengths for the distance-squared congestion floor come from
-:func:`shufflemix.exact.cayley_distances`, and spectra and T2 come from the
-Fourier blocks of :mod:`shufflemix.exact`, so all share its dense cap
-n <= 8; flows themselves are exact, have no size cap, and never convert to
-ranks.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
-through one table per n, and endpoints and letters are keyed by Permutation.
+:func:`shufflemix.exact.cayley_distances`, looked up by rank, and spectra, T2
+and the comparison bound from the Fourier blocks of :mod:`shufflemix.exact`,
+so all share its dense cap n <= 8; flows themselves are exact and have no
+size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
+through one table per n, and endpoints and letters are keyed by Permutation;
+the measures, read through ``SparseMeasure.weight`` and ``items``, by rank.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, spectrum, t2
+from .exact import cayley_distances, comparison_t2, t2
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -435,28 +435,19 @@ def large_k_congestion_bound(C: int) -> int:
 class ComparisonBoundReport:
     a_value: float
     reference_t2: int            # exact T2 of the flow's target walk
-    term_reference: float        # A * T2 of the flow's target walk
-    term_entropy: float          # A * log n!
-    term_beta: float             # 1/(-log beta_-); 0 when the spectrum is nonnegative
-    bound: float
+    bound: int                   # the T2 bound for q that E_target <= A E_q implies
     t2_exact: int
     holds: bool
-    slack: float
 
 
 def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
-    """L2 mixing bound for the flow's comparison walk q:
-
-        T2(q) <= max(A * T2(target), A * log|G|, 1/(-log beta_-)),
-
-    beta_- = max(0, -beta_min(q)), from q's spectrum.  The exact T2 of both
-    walks (the target's is the reference, q's is checked against the bound)
-    comes from :func:`shufflemix.exact.t2`, q first, which refuses a walk
-    that never mixes; a flow that does not route its target
-    (:func:`verify_flow`) gives no comparison constant: ValueError.
+    """T2 of the flow's comparison walk q against the bound that A implies
+    (:func:`shufflemix.exact.comparison_t2`).  ValueError, in this order, for
+    a q or a target that never mixes (:func:`shufflemix.exact.t2`, which also
+    gives both exact T2s) and for a flow that does not route its target
+    (:func:`verify_flow`), since then A is no comparison constant.
     """
     a = float(congestion_A(flow).a_value)
-    beta_min = spectrum(flow.q).beta_min
     times = []
     for role, walk in (("comparison", flow.q), ("target", flow.target)):
         try:
@@ -466,23 +457,10 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
     wrong = verify_flow(flow).discrepancies
     if wrong:
         raise ValueError(f"flow marginals disagree with the target on {len(wrong)} atoms")
-    beta_minus = max(0.0, -beta_min)
-    term_beta = 0.0 if beta_minus == 0.0 else 1.0 / (-math.log(beta_minus))
     t2_exact, reference_t2 = times
-    term_reference = a * reference_t2
-    term_entropy = a * math.log(math.factorial(flow.n))
-    bound = max(term_reference, term_entropy, term_beta)
-    return ComparisonBoundReport(
-        a_value=a,
-        reference_t2=reference_t2,
-        term_reference=term_reference,
-        term_entropy=term_entropy,
-        term_beta=term_beta,
-        bound=bound,
-        t2_exact=t2_exact,
-        holds=t2_exact <= bound,
-        slack=bound - t2_exact,
-    )
+    bound = comparison_t2(flow.target, flow.q, a)
+    return ComparisonBoundReport(a_value=a, reference_t2=reference_t2, bound=bound,
+                                 t2_exact=t2_exact, holds=t2_exact <= bound)
 
 
 # ---------------------------------------------------------------------------

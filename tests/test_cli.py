@@ -15,6 +15,7 @@ from shufflemix.coupling import (
     coupon_collector,
     increasing_bottom_statistic,
     single_card_lower_bound,
+    unselected_tails,
 )
 from shufflemix.errors import NumericError
 from shufflemix.exact import (
@@ -288,6 +289,18 @@ def test_lowerbound_increasing_bottom_at_a_step_count(tmp_path):
     assert payload["estimate"] == {"estimate": est.estimate, "p_hat": est.p_hat}
 
 
+@pytest.mark.parametrize("j", [6, 1])
+def test_lowerbound_increasing_bottom_at_a_huge_step_count(tmp_path, j):
+    # the chain is stepped only to its fixed point, so m = 1e300 costs what
+    # m = 10^4 does and gives the value of full stepping bit for bit
+    assert run(["lowerbound", "--method", "increasing-bottom", "--n", "20", "--k", "5",
+                "--j", str(j), "--m", "1e300", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "lowerbound_increasing-bottom_n20_k5.json")
+    assert payload["m"] == 1e300
+    for m_max in (10_000, 20_000):
+        assert payload["estimate"]["p_hat"] == float(unselected_tails(5, j, m_max)[-1])
+
+
 @pytest.mark.parametrize("argv", [
     ["collector", "--n", "40", "--j", "2"],
     ["lowerbound", "--method", "increasing-bottom", "--n", "40", "--k", "10",
@@ -393,8 +406,7 @@ def test_flow_comparison_block(tmp_path):
     assert comp["reference_t2"] == 5
     assert comp["holds"] is True
     assert comp["t2_exact"] == 7
-    assert comp["bound"] == max(comp["term_reference"], comp["term_entropy"],
-                                comp["term_beta"])
+    assert comp["bound"] == 1259
     # the enclosing payload carries n and k; the block does not repeat them
     assert not {"n", "k"} & set(comp)
 
@@ -408,10 +420,20 @@ def test_flow_comparison_block_large_k(tmp_path):
     assert not {"n", "k"} & set(comp)
     assert comp["a_value"] == payload["a_float"]
     assert comp["reference_t2"] == mixing_time(random_transposition(6), "l2").mixing_time == 7
-    assert comp["term_entropy"] == payload["a_float"] * math.log(math.factorial(6))
+    assert comp["bound"] == 230
     assert comp["t2_exact"] == mixing_time(
         symmetrize(top_to_bottom_k(6, 5)), "l2").mixing_time
     assert comp["holds"] is True
+
+
+def test_flow_comparison_holds_for_rudvalis_at_n2(tmp_path):
+    # the case the three-term formula got wrong (bound 1.44 < T2 = 2); the
+    # eigenvalue comparison meets T2 with equality
+    assert run(["flow", "--builder", "rudvalis", "--n", "2", "--k", "2",
+                "--compare-t2", "--out", str(tmp_path)]) == 0
+    comp = read_json(tmp_path / "flow_rudvalis_n2_k2.json")["comparison"]
+    assert comp == {"a_value": 2 / 3, "reference_t2": 1, "bound": 2, "t2_exact": 2,
+                    "holds": True}
 
 
 def test_flow_comparison_refuses_the_odd_target(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+import shufflemix.coupling as coupling
 from oracles import (
     DeckPair,
     bottom_k_to_top_move,
@@ -371,6 +372,16 @@ def test_increasing_bottom_small_k_reduces_to_block_collection():
     for args in ((8, 9, 2, 1), (8, 4, 9, 1), (8, 4, 2, -1)):
         with pytest.raises(ValueError):
             increasing_bottom_statistic(*args)
+
+
+@pytest.mark.parametrize("k,j,m_past", [(50, 4, 7_500), (12, 0, 9_000), (5, 6, 1)])
+def test_increasing_bottom_stops_at_the_chain_fixed_point(k, j, m_past, monkeypatch):
+    # once no mass leaves a state above j the tail cannot move, so any m at
+    # or past that step gives the same bits, and no tail table is built
+    want = float(unselected_tails(k, j, m_past)[-1])
+    monkeypatch.setattr(coupling, "unselected_tails", None)
+    for m in (m_past, 2.5 * m_past, 1e300):
+        assert increasing_bottom_statistic(k, k, j, m).p_hat == want
 
 
 def test_single_card_starts_outside_the_block():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -568,19 +569,21 @@ def test_comparison_bound_report_5_3():
     rep = comparison_bound_report(build_flow_general(5, 3))
     assert rep.reference_t2 == t2_rt
     assert rep.holds
-    assert rep.slack > 0
-    assert rep.bound == max(rep.term_reference, rep.term_entropy, rep.term_beta)
+    assert rep.bound == 1259
     assert rep.t2_exact == mixing_time(symmetrize(top_to_bottom_k(5, 3)), "l2").mixing_time
 
 
 def test_comparison_bound_nonnegative_spectrum_drops_third_term():
+    # lazy q has no negative eigenvalue, so beta_- = 0 and each b_i is the
+    # Courant-Fischer term max(0, 1 - (1 - beta_i(target))/A) alone
     base = build_flow_general(4, 2)
     lazy_q = lazy(base.q, Fraction(1, 2))
     flow = Flow(target=base.target, q=lazy_q, unit=base.unit, paths=base.paths)
     t2_rt = mixing_time(random_transposition(4), "l2").mixing_time
+    assert spectrum(lazy_q).beta_min > 0
     rep = comparison_bound_report(flow)
     assert rep.reference_t2 == t2_rt
-    assert rep.term_beta == 0.0
+    assert rep.bound == 1755
     assert rep.holds
 
 
@@ -617,10 +620,41 @@ def test_comparison_bound_refuses_a_target_that_never_mixes(target, monkeypatch)
         comparison_bound_report(flow)
 
 
+@pytest.mark.parametrize("q", NEVER_MIXES)
+def test_comparison_t2_refuses_a_walk_that_never_mixes(q):
+    # compared with itself (A = 1), a walk that never mixes has some b_i = 1,
+    # so a search for the first m with the sum below 1/e would not end
+    with pytest.raises(ValueError, match="walk does not mix"):
+        exact.comparison_t2(q, q, 1.0)
+
+
+@pytest.mark.parametrize("builder,n,size", [("general", 5, 3), ("rudvalis", 6, 6),
+                                            ("large-k", 6, 1)])
+def test_comparison_eigenvalue_bound_holds_per_shape_and_index(builder, n, size):
+    # Courant-Fischer on each block pair: the i-th eigenvalues of T^ and Q^,
+    # in the same order, satisfy |beta_i(q)| <= b_i for every a >= A*, checked
+    # at the tightest a = A*; comparison_t2 at the flow's A is the first m at
+    # which sum d_lambda b_i^(2m) falls to 1/e^2.  Random transposition's
+    # blocks are scalar, so the Rudvalis case is the one the pairing matters in
+    flow = _BUILDERS[builder](n, size)
+    pairs = [(len(t_hat), np.linalg.eigvalsh(t_hat), np.linalg.eigvalsh(q_hat))
+             for _, t_hat, q_hat in exact._block_pairs(flow.target, flow.q)]
+    beta_minus = max(0.0, -min(beta_q[0] for _, _, beta_q in pairs))
+    a_star = max(exact.dirichlet_constants(flow.target, flow.q).values())
+    for d, beta_t, beta_q in pairs:
+        b = np.maximum(1 - (1 - beta_t) / a_star, beta_minus)
+        assert (np.abs(beta_q) <= b + 1e-12).all(), (d, beta_t, beta_q, b)
+    a = float(congestion_A(flow).a_value)
+    terms = [(d, max(1 - (1 - x) / a, beta_minus)) for d, beta_t, _ in pairs for x in beta_t]
+    m = next(m for m in itertools.count()
+             if math.fsum(d * x ** (2 * m) for d, x in terms) <= math.exp(-2))
+    assert exact.comparison_t2(flow.target, flow.q, a) == m
+
+
 COMPARISON_FLOWS = (
-    [("general", n, k) for n in range(3, 7) for k in range(2, n + 1)]
-    + [("rudvalis", n, k) for n in range(3, 7) for k in range(2, n + 1)]
-    + [("large-k", n, c) for c in range(3) for n in range(2 * c + 3, 7)]
+    [("general", n, k) for n in range(2, 8) for k in range(2, n + 1)]
+    + [("rudvalis", n, k) for n in range(2, 8) for k in range(2, n + 1)]
+    + [("large-k", n, c) for c in range(3) for n in range(2 * c + 3, 8)]
 )
 _BUILDERS = {"general": build_flow_general, "rudvalis": build_flow_rudvalis,
              "large-k": build_flow_large_k}
@@ -635,16 +669,13 @@ def test_comparison_bound_reference_is_the_exact_target_t2(builder, n, size):
     assert rep.holds
 
 
-# reports computed with the dense T2 search, frozen: the spectral T2 must reproduce them
+# reports frozen when T2 came from the dense walk; the bound is the eigenvalue
+# comparison's, frozen when it replaced the three-term formula
 DENSE_ERA_REPORTS = [
     ("general", 6, 3, ComparisonBoundReport(
-        a_value=290.6666666666667, reference_t2=7, term_reference=2034.6666666666667,
-        term_entropy=1912.369018957603, term_beta=7.116223507382779,
-        bound=2034.6666666666667, t2_exact=15, holds=True, slack=2019.6666666666667)),
+        a_value=290.6666666666667, reference_t2=7, bound=2324, t2_exact=15, holds=True)),
     ("rudvalis", 6, 6, ComparisonBoundReport(
-        a_value=82.66666666666667, reference_t2=11, term_reference=909.3333333333334,
-        term_entropy=543.8847668595017, term_beta=1.4426950408889634,
-        bound=909.3333333333334, t2_exact=53, holds=True, slack=856.3333333333334)),
+        a_value=82.66666666666667, reference_t2=11, bound=964, t2_exact=53, holds=True)),
 ]
 
 
