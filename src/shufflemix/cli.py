@@ -466,17 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _strip_flag(argv: list[str], flag: str) -> list[str]:
-    out = []
-    skip = False
-    for a in argv:
-        if skip:
-            skip = False
-            continue
-        if a == flag:
-            skip = True
-            continue
-        out.append(a)
-    return out
+    """argv without each ``flag VALUE`` and ``flag=VALUE``."""
+    at = {i for i, a in enumerate(argv) if a == flag}
+    return [a for i, a in enumerate(argv)
+            if not (i in at or i - 1 in at or a.startswith(flag + "="))]
 
 
 def _replay_argv(argv: list[str]) -> list[str]:
@@ -492,7 +485,7 @@ def _replay_argv(argv: list[str]) -> list[str]:
 
 
 def _run(argv: list[str]) -> int:
-    if "--manifest" in argv:
+    if any(a == "--manifest" or a.startswith("--manifest=") for a in argv):
         argv = _replay_argv(argv)
     args = build_parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("cmd", "out")}

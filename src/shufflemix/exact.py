@@ -12,10 +12,11 @@ Lehmer digits), dense convolution gathering through those tables for TV only
 (:func:`cayley_distances`), and the Fourier blocks
 q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
 representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
-orthogonal form.  Any walk's L2 profile and T2 (:func:`t2`, also the one
-test that a walk mixes) and a symmetric walk's spectrum are read off them,
-and two symmetric walks' block pairs give A* (:func:`dirichlet_constants`)
-and the T2 bound that E_target <= A E_q implies (:func:`comparison_t2`).
+orthogonal form.  Any walk's L2 profile and T2 (:func:`t2`) and a symmetric
+walk's spectrum are read off them; the spectrum's block eigenvalues give its
+exact T2 (:func:`spectrum_t2`) and, with a target's, the T2 bound that
+E_target <= A E_q implies (:func:`comparison_t2`); block pairs give A*
+(:func:`dirichlet_constants`).
 One dense cap, n <= 8, covers all of these and every output of size n!;
 :func:`require_dense` is its one check.
 """
@@ -192,6 +193,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray = field(compare=False)   # ascending
     beta_min: float = 0.0
     spectral_gap: float = 0.0
+    blocks: tuple = field(default=(), compare=False)  # per nontrivial block, ascending
 
 
 def _tableaux(n: int) -> dict[tuple, list[tuple]]:
@@ -269,12 +271,28 @@ def _l2_distances(blocks):
         powers = [p @ b for p, b in zip(powers, blocks)]
 
 
-def t2(q: SparseMeasure) -> int:
-    """T2: the first m >= 0 with d_2(q^m, pi) <= 1/e, read off q's blocks.
+def _first_mixed(blocks) -> int:
+    """The first m >= 0 with sqrt(sum_i d_lambda b_i^(2m)) <= 1/e, by doubling
+    and bisection, for bounds b_i >= 0 on the eigenvalue moduli of each
+    nontrivial block (of length d_lambda); ValueError if some b_i > 1 - 1e-9."""
+    lens = [len(b) for b in blocks]
+    dims, b = np.repeat(np.array(lens, dtype=float), lens), np.concatenate([*blocks, []])
+    if b.max(initial=0.0) > 1 - 1e-9:
+        raise ValueError(f"walk does not mix: a nontrivial eigenvalue bound is {b.max()}")
 
-    The one test that a walk mixes: ValueError unless every nontrivial block
-    has spectral radius at most 1 - 1e-9.  For a symmetric q this says the
-    gap exceeds 0 (the support generates) and beta_min exceeds -1 (aperiodic).
+    def mixed(m: int) -> bool:
+        return math.sqrt(math.fsum((dims * b ** (2 * m)).tolist())) <= LP_THRESHOLD
+
+    hi = 1
+    while not mixed(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2, key=mixed)
+
+
+def t2(q: SparseMeasure) -> int:
+    """T2: the first m >= 0 with d_2(q^m, pi) <= 1/e, read off q's blocks
+    for any walk, one product per block a step.  ValueError unless every
+    nontrivial block has spectral radius at most 1 - 1e-9.
 
     >>> t2(top_to_bottom_k(4, 4))
     4
@@ -293,20 +311,19 @@ def t2(q: SparseMeasure) -> int:
 def spectrum(q: SparseMeasure) -> SpectrumReport:
     """Full real spectrum of the transition matrix M(x, y) = q(x^{-1} y) of a
     symmetric q: each block's eigenvalues, repeated d_lambda times."""
-    eig = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), len(b))
-                                  for _, b in _symmetric_blocks(q)]))
+    blocks = [(shape, np.linalg.eigvalsh(b)) for shape, b in _symmetric_blocks(q)]
+    eig = np.sort(np.concatenate([np.repeat(beta, len(beta)) for _, beta in blocks]))
     if abs(eig[-1] - 1.0) > 1e-10:
         raise ValueError(f"top eigenvalue {eig[-1]} != 1")
     gap = 1.0 - eig[-2] if eig.size > 1 else 1.0
-    return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap))
+    return SpectrumReport(eigenvalues=eig, beta_min=float(eig[0]), spectral_gap=float(gap),
+                          blocks=tuple(beta for shape, beta in blocks if shape != (q.n,)))
 
 
-def _block_pairs(target: SparseMeasure, q: SparseMeasure):
-    """(shape, T^, Q^) for every nontrivial shape of two symmetric measures."""
-    if target.n != q.n:
-        raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
-    pairs = zip(_symmetric_blocks(target), _symmetric_blocks(q))
-    return ((shape, t_hat, q_hat) for (shape, t_hat), (_, q_hat) in pairs if shape != (q.n,))
+def spectrum_t2(spec: SpectrumReport) -> int:
+    """Exact T2 of a symmetric walk from its spectrum: its blocks are
+    symmetric, so ||q^(lambda)^m||_F^2 = sum_i beta_i^(2m) and b_i = |beta_i|."""
+    return _first_mixed([np.abs(beta) for beta in spec.blocks])
 
 
 def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, float]:
@@ -316,8 +333,12 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
     irreps (Diaconis & Saloff-Coste 1993), so the maximum A* bounds every flow's
     A from below.  ValueError unless both measures are symmetric and q's support
     generates (each nontrivial I - Q^ has least eigenvalue above 1e-9)."""
+    if target.n != q.n:
+        raise ValueError(f"size mismatch: target n={target.n}, q n={q.n}")
     out = {}
-    for shape, t_hat, q_hat in _block_pairs(target, q):
+    for (shape, t_hat), (_, q_hat) in zip(_symmetric_blocks(target), _symmetric_blocks(q)):
+        if shape == (q.n,):
+            continue
         eye = np.eye(len(q_hat))
         if np.linalg.eigvalsh(eye - q_hat)[0] <= 1e-9:
             raise ValueError(f"I - q^ not positive definite at shape {shape}: "
@@ -328,34 +349,23 @@ def dirichlet_constants(target: SparseMeasure, q: SparseMeasure) -> dict[tuple, 
     return out
 
 
-def comparison_t2(target: SparseMeasure, q: SparseMeasure, a: float) -> int:
-    """The T2 bound for q that E_target <= a E_q implies.  Courant-Fischer on
-    each block pair, eigenvalues in one order, gives 1 - beta_i(q) >=
-    (1 - beta_i(T))/a (Diaconis & Saloff-Coste 1993), so |beta_i(q)| <= b_i =
-    max(1 - (1 - beta_i(T))/a, beta_-), beta_- = max(0, -beta_min(q)).  The
-    first m with sqrt(sum d_lambda b_i^(2m)) <= 1/e, by doubling and bisection;
-    ValueError ("walk does not mix") if some b_i > 1 - 1e-9, as in :func:`t2`.
+def comparison_t2(target: SpectrumReport, q: SpectrumReport, a: float) -> int:
+    """The T2 bound for q that E_target <= a E_q implies, from the two walks'
+    spectra.  Courant-Fischer on each block pair, eigenvalues in one order,
+    gives 1 - beta_i(q) >= (1 - beta_i(T))/a (Diaconis & Saloff-Coste 1993), so
+    |beta_i(q)| <= b_i = max(1 - (1 - beta_i(T))/a, beta_-), beta_- =
+    max(0, -beta_min(q)); the first m with sqrt(sum d_lambda b_i^(2m)) <= 1/e.
 
     >>> from shufflemix.measures import rudvalis_symmetric, symmetrize
-    >>> comparison_t2(symmetrize(top_to_bottom_k(2, 2)), rudvalis_symmetric(2), 2 / 3)
-    2
+    >>> rudvalis = spectrum(rudvalis_symmetric(2))
+    >>> spectrum_t2(rudvalis), comparison_t2(spectrum(symmetrize(top_to_bottom_k(2, 2))),
+    ...                                      rudvalis, 2 / 3)
+    (2, 2)
     """
-    dims, upper, beta_minus = [], [], 0.0
-    for _, t_hat, q_hat in _block_pairs(target, q):
-        dims += [float(len(t_hat))] * len(t_hat)
-        upper += (1 - (1 - np.linalg.eigvalsh(t_hat)) / a).tolist()
-        beta_minus = max(beta_minus, -float(np.linalg.eigvalsh(q_hat)[0]))
-    dims, b = np.array(dims), np.maximum(np.array(upper), beta_minus)
-    if max(b, default=0.0) > 1 - 1e-9:
-        raise ValueError(f"walk does not mix: comparison eigenvalue bound {max(b)}")
-
-    def mixed(m: int) -> bool:
-        return math.sqrt(math.fsum((dims * b ** (2 * m)).tolist())) <= LP_THRESHOLD
-
-    hi = 1
-    while not mixed(hi):
-        hi *= 2
-    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2, key=mixed)
+    if target.eigenvalues.size != q.eigenvalues.size:
+        raise ValueError("size mismatch: the spectra are of walks on different n")
+    beta_minus = max(0.0, -q.beta_min)
+    return _first_mixed([np.maximum(1 - (1 - beta) / a, beta_minus) for beta in target.blocks])
 
 
 def least_eigenvalue_formula(n: int, k: int) -> Fraction:

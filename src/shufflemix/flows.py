@@ -9,15 +9,16 @@ atom's mass exactly.  The congestion constant
 
 (N counts how often the generator s appears in the path) then bounds the
 target's Dirichlet form by A times the comparison form.  Applied shape by
-shape to the Fourier block pairs, that turns the target walk's spectrum into
-an L2 mixing bound for q; a walk that never mixes is refused.
+shape to the two walks' block eigenvalues, that turns the target walk's
+spectrum into an L2 mixing bound for q; a walk that never mixes is refused.
 Flows made of odd-length loops at the identity bound the least eigenvalue
 instead: beta_min >= -1 + (1 + beta~_min)/A.
 
 Word lengths for the distance-squared congestion floor come from
-:func:`shufflemix.exact.cayley_distances`, looked up by rank, and spectra, T2
-and the comparison bound from the Fourier blocks of :mod:`shufflemix.exact`,
-so all share its dense cap n <= 8; flows themselves are exact and have no
+:func:`shufflemix.exact.cayley_distances`, looked up by rank, and spectra
+from the Fourier blocks of :mod:`shufflemix.exact`, one eigendecomposition
+per walk, from which both exact T2s and the comparison bound are read; all
+share its dense cap n <= 8.  Flows themselves are exact and have no
 size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
 through one table per n, and endpoints and letters are keyed by Permutation;
 the measures, read through ``SparseMeasure.weight`` and ``items``, by rank.
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnreachableTargetError
-from .exact import cayley_distances, comparison_t2, t2
+from .exact import cayley_distances, comparison_t2, spectrum, spectrum_t2
 from .measures import (
     SparseMeasure,
     delta_e,
@@ -441,24 +442,28 @@ class ComparisonBoundReport:
 
 
 def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
-    """T2 of the flow's comparison walk q against the bound that A implies
-    (:func:`shufflemix.exact.comparison_t2`).  ValueError, in this order, for
-    a q or a target that never mixes (:func:`shufflemix.exact.t2`, which also
-    gives both exact T2s) and for a flow that does not route its target
-    (:func:`verify_flow`), since then A is no comparison constant.
+    """T2 of the flow's comparison walk q against the bound that A implies,
+    all three integers read off one spectrum per walk
+    (:func:`shufflemix.exact.spectrum`): both exact T2s by
+    :func:`shufflemix.exact.spectrum_t2`, the bound by
+    :func:`shufflemix.exact.comparison_t2`.  ValueError, in this order, for a
+    q or a target that is not symmetric or never mixes, and for a flow that
+    does not route its target (:func:`verify_flow`), since then A is no
+    comparison constant.
     """
     a = float(congestion_A(flow).a_value)
-    times = []
+    spectra, times = [], []
     for role, walk in (("comparison", flow.q), ("target", flow.target)):
         try:
-            times.append(t2(walk))
+            spectra.append(spectrum(walk))
+            times.append(spectrum_t2(spectra[-1]))
         except ValueError as exc:
             raise ValueError(f"{role} {exc}") from None
     wrong = verify_flow(flow).discrepancies
     if wrong:
         raise ValueError(f"flow marginals disagree with the target on {len(wrong)} atoms")
-    t2_exact, reference_t2 = times
-    bound = comparison_t2(flow.target, flow.q, a)
+    (q_spectrum, target_spectrum), (t2_exact, reference_t2) = spectra, times
+    bound = comparison_t2(target_spectrum, q_spectrum, a)
     return ComparisonBoundReport(a_value=a, reference_t2=reference_t2, bound=bound,
                                  t2_exact=t2_exact, holds=t2_exact <= bound)
 

@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,16 +123,8 @@ class RunManifest:
 
     @staticmethod
     def load(path) -> "RunManifest":
+        """A saved manifest; a failed run's status, error and trace are dropped."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return RunManifest(
-            subcommand=raw["subcommand"],
-            argv=list(raw["argv"]),
-            params=dict(raw["params"]),
-            seed=raw.get("seed"),
-            version=raw.get("version", TOOL_VERSION),
-            started=raw.get("started", ""),
-            finished=raw.get("finished", ""),
-            outputs=dict(raw.get("outputs", {})),
-            env=dict(raw.get("env", {})),
-        )
-
+        names = {f.name for f in fields(RunManifest)}
+        return RunManifest(**{"seed": None, "env": {},
+                              **{k: v for k, v in raw.items() if k in names}})

@@ -135,6 +135,19 @@ def test_manifest_replay_cross_directory(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_manifest_replay_takes_both_option_forms(tmp_path):
+    # argparse spells an option "--manifest FILE" or "--manifest=FILE"
+    assert run(["flow", "--builder", "general", "--n", "4", "--k", "3", "--compare-t2",
+                "--out", str(tmp_path / "a")]) == 0
+    saved = str(tmp_path / "a" / "flow_general_n4_k3.manifest.json")
+    assert run(["--manifest", saved, "--out", str(tmp_path / "b")]) == 0
+    assert run([f"--manifest={saved}", f"--out={tmp_path / 'c'}"]) == 0
+    for name in ("flow_general_n4_k3.json", "flow_general_n4_k3.csv"):
+        want = (tmp_path / "a" / name).read_bytes()
+        assert (tmp_path / "b" / name).read_bytes() == want
+        assert (tmp_path / "c" / name).read_bytes() == want
+
+
 def test_manifest_replay_same_directory_clock_fields_only(tmp_path):
     assert run(["collector", "--n", "20", "--j", "0",
                 "--out", str(tmp_path)]) == 0

@@ -35,6 +35,7 @@ from shufflemix.exact import (
     mixing_time,
     point_mass,
     spectrum,
+    spectrum_t2,
     t2,
     transfer_checks,
     tv_distance,
@@ -526,7 +527,8 @@ def test_transfer_engines_match_the_dense_oracle(n, k, p):
 
 def test_spectral_t2_matches_the_dense_oracle_at_8():
     for walk in _symmetric_walks(8, 8, Fraction(1, 2)):
-        assert t2(walk) == hitting_time(walk, "l2")
+        want = hitting_time(walk, "l2")
+        assert t2(walk) == spectrum_t2(spectrum(walk)) == want
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -534,7 +536,8 @@ def test_spectral_t2_of_the_comparison_walks_matches_the_dense_oracle(n):
     walks = [random_transposition(n), rudvalis_symmetric(n)]
     walks += [symmetrize(top_to_bottom_k(n, k)) for k in range(2, n + 1)]
     for walk in walks:
-        assert t2(walk) == hitting_time(walk, "l2")
+        want = hitting_time(walk, "l2")
+        assert t2(walk) == spectrum_t2(spectrum(walk)) == want
 
 
 @pytest.mark.parametrize("n,k,steps", [(6, 6, 27), (6, 3, 21)])

@@ -624,8 +624,9 @@ def test_comparison_bound_refuses_a_target_that_never_mixes(target, monkeypatch)
 def test_comparison_t2_refuses_a_walk_that_never_mixes(q):
     # compared with itself (A = 1), a walk that never mixes has some b_i = 1,
     # so a search for the first m with the sum below 1/e would not end
+    spec = exact.spectrum(q)
     with pytest.raises(ValueError, match="walk does not mix"):
-        exact.comparison_t2(q, q, 1.0)
+        exact.comparison_t2(spec, spec, 1.0)
 
 
 @pytest.mark.parametrize("builder,n,size", [("general", 5, 3), ("rudvalis", 6, 6),
@@ -638,7 +639,9 @@ def test_comparison_eigenvalue_bound_holds_per_shape_and_index(builder, n, size)
     # blocks are scalar, so the Rudvalis case is the one the pairing matters in
     flow = _BUILDERS[builder](n, size)
     pairs = [(len(t_hat), np.linalg.eigvalsh(t_hat), np.linalg.eigvalsh(q_hat))
-             for _, t_hat, q_hat in exact._block_pairs(flow.target, flow.q)]
+             for (shape, t_hat), (_, q_hat) in zip(exact._symmetric_blocks(flow.target),
+                                                   exact._symmetric_blocks(flow.q))
+             if shape != (n,)]
     beta_minus = max(0.0, -min(beta_q[0] for _, _, beta_q in pairs))
     a_star = max(exact.dirichlet_constants(flow.target, flow.q).values())
     for d, beta_t, beta_q in pairs:
@@ -648,7 +651,7 @@ def test_comparison_eigenvalue_bound_holds_per_shape_and_index(builder, n, size)
     terms = [(d, max(1 - (1 - x) / a, beta_minus)) for d, beta_t, _ in pairs for x in beta_t]
     m = next(m for m in itertools.count()
              if math.fsum(d * x ** (2 * m) for d, x in terms) <= math.exp(-2))
-    assert exact.comparison_t2(flow.target, flow.q, a) == m
+    assert exact.comparison_t2(exact.spectrum(flow.target), exact.spectrum(flow.q), a) == m
 
 
 COMPARISON_FLOWS = (
@@ -666,7 +669,23 @@ def test_comparison_bound_reference_is_the_exact_target_t2(builder, n, size):
     flow = _BUILDERS[builder](n, size)
     rep = comparison_bound_report(flow)
     assert rep.reference_t2 == hitting_time(flow.target, "l2")
+    assert rep.t2_exact == hitting_time(flow.q, "l2")
     assert rep.holds
+
+
+@pytest.mark.parametrize("builder,n,size", [("general", 6, 3), ("rudvalis", 6, 6)])
+def test_comparison_bound_report_builds_each_walks_blocks_once(builder, n, size, monkeypatch):
+    # one spectrum per walk gives T2(q), T2(target) and the bound
+    calls = []
+    blocks = exact._blocks
+
+    def counted(q):
+        calls.append(q)
+        return blocks(q)
+    monkeypatch.setattr(exact, "_blocks", counted)
+    flow = _BUILDERS[builder](n, size)
+    comparison_bound_report(flow)
+    assert calls == [flow.q, flow.target]
 
 
 # reports frozen when T2 came from the dense walk; the bound is the eigenvalue
