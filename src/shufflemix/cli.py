@@ -40,6 +40,7 @@ from .exact import (
     mixing_time,
     require_dense,
     spectrum,
+    top_to_random_tv,
     transfer_checks,
 )
 from .flows import (
@@ -101,6 +102,15 @@ def _laziness(text: str) -> Fraction:
         raise ValueError(f"--p {text!r} has a zero denominator") from None
 
 
+def _shuffle_names(args):
+    """(label, stem tag, laziness or None) of --measure tbk | lazy."""
+    n, k = args.n, args.k
+    if args.measure == "lazy":
+        p = _laziness(args.p)
+        return f"lazy(n={n},k={k},p={p})", f"k{k}_lazy{p.numerator}-{p.denominator}", p
+    return f"tbk(n={n},k={k})", f"k{k}_tbk", None
+
+
 def _build_measure(args):
     """(measure, label, stem tag) from --measure / --n / --k / --p."""
     name = args.measure
@@ -112,11 +122,8 @@ def _build_measure(args):
         q = top_to_bottom_k(n, args.k)
         if name == "sym":
             return symmetrize(q), f"sym(n={n},k={args.k})", f"k{args.k}_sym"
-        if name == "lazy":
-            p = _laziness(args.p)
-            label = f"lazy(n={n},k={args.k},p={p})"
-            return lazy(q, p), label, f"k{args.k}_lazy{p.numerator}-{p.denominator}"
-        return q, f"tbk(n={n},k={args.k})", f"k{args.k}_tbk"
+        label, tag, p = _shuffle_names(args)
+        return (q if p is None else lazy(q, p)), label, tag
     if name == "rt":
         return random_transposition(n), f"rt(n={n})", "rt"
     return rudvalis_symmetric(n), f"rudvalis(n={n})", "rudvalis"
@@ -127,8 +134,13 @@ def _build_measure(args):
 
 
 def _cmd_exact(args, sink: _Sink) -> str:
-    q, label, tag = _build_measure(args)
-    rep = mixing_time(q, args.metric, args.mmax, label=label)
+    if args.metric == "tv" and args.measure in ("tbk", "lazy") and args.k == args.n:
+        # top-to-random: TV off the unselected-count chain, at every n
+        label, tag, p = _shuffle_names(args)
+        rep = top_to_random_tv(args.n, p, args.mmax, label=label)
+    else:
+        q, label, tag = _build_measure(args)
+        rep = mixing_time(q, args.metric, args.mmax, label=label)
     stem = f"exact_n{args.n}_{tag}_{args.metric}"
     sink.json(f"{stem}.json", rep)
     sink.csv(f"{stem}.csv", ("m", "distance"), rep.profile)
@@ -383,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--measure", default=choices[0], choices=choices)
 
-    p = add("exact", "dense distance profile and mixing time")
+    p = add("exact", "exact distance profile and mixing time: dense at n <= 8, "
+                    "any n for the TV of --measure tbk|lazy with --k equal to --n")
     measure_flags(p, ("tbk", "sym", "lazy", "rt", "rudvalis"))
     p.add_argument("--p", default="1/2", help="laziness, a fraction like 1/2")
     p.add_argument("--metric", choices=("tv", "l2"), default="tv")

@@ -11,8 +11,10 @@ times upper-bound total variation distance.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
 simulated: the collector and increasing-bottom statistics share one
-pure-birth chain on the count of unselected bottom labels, and the
+pure-death chain on the count of unselected bottom labels, and the
 single-card bound evolves an n-state position chain.  They take no seed.
+The same chain, at k = n, gives the exact TV profile of top-to-random and
+its lazy versions (:func:`shufflemix.exact.top_to_random_tv`).
 
 Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of
@@ -174,10 +176,12 @@ def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
     return p, math.sqrt(p * (1 - p) / trials)
 
 
-def _unselected_chain(k: int):
+def _unselected_chain(k: int, rate: float = 1.0):
     """(law, outflow) of the unselected count of :func:`unselected_tails` at
-    m = 0, 1, ...: one array, stepped in place between items."""
-    p, leave = np.zeros(k + 1), np.arange(k + 1) / k
+    m = 0, 1, ...: one array, stepped in place between items.  Each step
+    selects with probability rate, so u falls to u - 1 with probability
+    rate * u / k; rate = 1 is the plain walk, rate = p its p-lazy version."""
+    p, leave = np.zeros(k + 1), rate * np.arange(k + 1) / k
     p[k] = 1.0
     while True:
         moved = p * leave
@@ -192,7 +196,7 @@ def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     L_j counts reversed-walk steps until all but j of the initial bottom-k
     labels have been selected.  An unselected label only moves down, so it
     stays in the bottom block, and the unselected count u falls to u - 1
-    with probability u / k: a pure-birth chain from u = k, advanced once.
+    with probability u / k: a pure-death chain from u = k, advanced once.
     At k = n this is the plain coupon collector over n labels.
     """
     if k < 1 or j < 0 or m_max < 0:

@@ -19,6 +19,11 @@ E_target <= A E_q implies (:func:`comparison_t2`); block pairs give A*
 (:func:`dirichlet_constants`).
 One dense cap, n <= 8, covers all of these and every output of size n!;
 :func:`require_dense` is its one check.
+
+The one walk whose TV needs no dense state is top-to-random, tbk(n, n), and
+its lazy versions: :func:`top_to_random_tv` reads their TV profile off the
+(n + 1)-state unselected-count chain at any n, and the dense walk is its
+test oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .coupling import _unselected_chain
 from .errors import CapacityError
 from .measures import (
     SparseMeasure,
@@ -107,8 +113,11 @@ class DenseDistribution:
         if p.min() < -1e-15:
             raise ValueError(f"negative probability {p.min()}")
         p = np.where(p < 0, 0.0, p)
-        if abs(math.fsum(p.tolist()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {math.fsum(p.tolist())}")
+        # pairwise summation errs by far less than 1e-14 on n! <= 40320
+        # nonnegative terms summing to about 1
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total}")
         object.__setattr__(self, "probs", p)
 
 
@@ -170,22 +179,67 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
     dense walk; L2 is read off q's Fourier blocks.  Saturation (threshold not
     reached by m_max >= 0) is a reported outcome, not an error.
     """
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     if metric not in ("tv", "l2"):
         raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
     dists, threshold = ((map(tv_distance, _walk(q)), TV_THRESHOLD) if metric == "tv"
                         else (_l2_distances(_blocks(q)), LP_THRESHOLD))
+    return _report(dists, metric, threshold, m_max, label or f"measure(n={q.n})")
+
+
+def _report(dists, metric: str, threshold: float, m_max: int, label: str) -> MixingReport:
+    """The MixingReport of the distances for m = 0..m_max, m_max >= 0."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     profile = tuple(enumerate(itertools.islice(dists, m_max + 1)))
     hit = next((m for m, dist in profile if dist <= threshold), None)
     return MixingReport(
-        measure=label or f"measure(n={q.n})",
+        measure=label,
         metric=metric,
         threshold=threshold,
         mixing_time=hit,
         profile=profile,
         saturated=hit is None,
     )
+
+
+def _top_to_random_distances(n: int, rate: float):
+    """TV to uniform at m = 0, 1, ... of the walk that applies tbk(n, n) with
+    probability rate per step, from the unselected-count chain.
+
+    Inverting permutations keeps the distance, so this is the TV of
+    random-to-top, whose unselected cards sit at the bottom in their original
+    order: with U_m of them, the deck is uniform over the n!/U_m! decks whose
+    increasing bottom run r(sigma) is at least U_m (Aldous & Diaconis 1986).
+    So P_m(sigma) = G(r(sigma)) r(sigma)!/n! with G(r) = sum_{u <= r}
+    P(U_m = u) u!/r! = G(r - 1)/r + P(U_m = r), and a share c_r = r/(r + 1)
+    of the decks (c_n = 1) has r(sigma) = r exactly:
+    TV = 1/2 sum_{r >= 1} c_r |G(r) - 1/r!|.
+    """
+    inv_fact = [1 / math.factorial(r) for r in range(n + 1)]
+    share = [r / (r + 1) for r in range(n)] + [1.0]
+    for law, _ in _unselected_chain(n, rate):
+        prob = law.tolist()
+        g, terms = prob[0], []
+        for r in range(1, n + 1):
+            g = g / r + prob[r]
+            terms.append(share[r] * abs(g - inv_fact[r]))
+        yield 0.5 * math.fsum(terms)
+
+
+def top_to_random_tv(n: int, p=None, m_max: int = 200,
+                     label: str | None = None) -> MixingReport:
+    """The TV MixingReport of tbk(n, n), or of lazy(tbk(n, n), p) for
+    0 < p < 1, at any n >= 2: O(n) work a step, no dense cap.
+
+    >>> top_to_random_tv(8).mixing_time, top_to_random_tv(8, Fraction(1, 2)).mixing_time
+    (14, 29)
+    """
+    if n < 2:
+        raise ValueError(f"need n >= k > 1, got n={n}, k={n}")
+    if p is not None and not 0 < p < 1:
+        raise ValueError(f"laziness p must be in (0,1), got {p}")
+    dists = _top_to_random_distances(n, 1.0 if p is None else float(p))
+    return _report(dists, "tv", TV_THRESHOLD, m_max, label or f"measure(n={n})")
 
 
 @dataclass(frozen=True)
@@ -437,7 +491,8 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     walks end because both mix: since 2 <= k <= n, q holds sigma_{n-1} and
     sigma_n, which generate S_n ((n-1, n) = sigma_{n-1}^{-1} sigma_n) and
     have opposite signs, so they lie in no coset of A_n, which holds every
-    proper normal subgroup; lazy(q) adds e.
+    proper normal subgroup; lazy(q) adds e.  At k = n both TV profiles come
+    from the unselected-count chain instead, and no walk is stepped.
     """
     require_dense(n)
     if not eps_grid or not all(math.isfinite(eps) and eps > 0 for eps in eps_grid):
@@ -445,8 +500,10 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     q = top_to_bottom_k(n, k)
     p = Fraction(p)
     lazy_q = lazy(q, p)
-    t_tv, t_tv_lazy = (next(m for m, d in enumerate(_walk(w)) if tv_distance(d) <= TV_THRESHOLD)
-                       for w in (q, lazy_q))
+    profiles = ((_top_to_random_distances(n, rate) for rate in (1.0, float(p))) if k == n
+                else (map(tv_distance, _walk(w)) for w in (q, lazy_q)))
+    t_tv, t_tv_lazy = (next(m for m, d in enumerate(dists) if d <= TV_THRESHOLD)
+                       for dists in profiles)
     vacuous = k < n
     t_l2, t_l2_lazy = t2(q), t2(lazy_q)
     t_qq = None if vacuous else t2(convolve_measures(q, reversal(q)))

@@ -282,6 +282,25 @@ def coupon_tail(n, m, t):
     return fsum(terms)
 
 
+def full_deck_coupling_tail(n, m_max):
+    """P(T > m) for m = 0..m_max of the card coupling at k = n, exactly.
+
+    Both decks move the same uniform card to the top, so the selected cards
+    agree and the u unselected ones keep their relative orders: deck 1's is
+    the original one, deck 2's is uniform.  The decks agree once those
+    orders do, so P(T > m) = sum_u P(U_m = u) (1 - 1/u!), with U_m the
+    unselected count, stepped here one state at a time.
+    """
+    law = [0.0] * n + [1.0]
+    miss = [1 - 1 / factorial(u) for u in range(n + 1)]
+    tails = []
+    for _ in range(m_max + 1):
+        tails.append(fsum(w * c for w, c in zip(law, miss)))
+        law = [law[u] * (1 - u / n) + (law[u + 1] * (u + 1) / n if u < n else 0.0)
+               for u in range(n + 1)]
+    return tails
+
+
 def harmonic_mean_l0(n):
     """E L_0 = n * H_n as an exact Fraction."""
     return n * sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
@@ -293,7 +312,7 @@ def sampled_unselected_tail(n, k, j, m, trials, rng):
     Each trial runs m reversed-walk steps on a full deck that starts in
     order: a uniform card of the bottom k block moves to the top.  L_j > m
     when fewer than k - j of the initial bottom-k labels have been selected.
-    Unlike the package's pure-birth chain this tracks every card, so it also
+    Unlike the package's pure-death chain this tracks every card, so it also
     checks the lumping argument where inclusion-exclusion does not apply.
     """
     hits = 0

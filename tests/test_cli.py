@@ -77,6 +77,36 @@ def test_exact_payload_matches_library(tmp_path):
     assert float(rows[3][1]) == rep.profile[3][1]
 
 
+def test_exact_full_deck_tv_runs_past_the_dense_cap(tmp_path, monkeypatch):
+    # --k equal to --n reads TV off the unselected-count chain: no measure
+    # is built and no cap applies
+    def no_build(*args):
+        raise AssertionError("top_to_bottom_k built for the chain")
+    monkeypatch.setattr(cli, "top_to_bottom_k", no_build)
+    assert run(["exact", "--n", "400", "--k", "400", "--mmax", "2400",
+                "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "exact_n400_k400_tbk_tv.json")
+    assert payload["measure"] == "tbk(n=400,k=400)"
+    assert payload["mixing_time"] == 2295
+    assert len(payload["profile"]) == 2401
+    assert run(["exact", "--n", "12", "--k", "12", "--measure", "lazy", "--p", "1/3",
+                "--mmax", "5", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "exact_n12_k12_lazy1-3_tv.json")
+    assert payload["measure"] == "lazy(n=12,k=12,p=1/3)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--k", "1"],
+    ["--n", "9", "--k", "9", "--measure", "lazy", "--p", "1"],
+    ["--n", "9", "--k", "9", "--measure", "lazy", "--p", "1/0"],
+    ["--n", "9", "--k", "9", "--mmax", "-1"],
+])
+def test_exact_full_deck_tv_validates_like_the_dense_path(tmp_path, capsys, argv):
+    assert run(["exact", *argv, "--out", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert read_json(tmp_path / "exact.manifest.json")["status"] == "error"
+
+
 def test_exact_requires_k_for_tbk(tmp_path, capsys):
     assert run(["exact", "--n", "4", "--out", str(tmp_path)]) == 2
     assert "--k" in capsys.readouterr().err
@@ -543,6 +573,9 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
      "build_flow_general"),
     (["flow", "--builder", "general", "--n", "40", "--k", "20", "--compare-t2"],
      "build_flow_general"),
+    (["exact", "--n", "9", "--k", "8"], "top_to_bottom_k"),
+    (["exact", "--n", "9", "--k", "9", "--measure", "sym"], "top_to_bottom_k"),
+    (["exact", "--n", "9", "--k", "9", "--metric", "l2"], "top_to_bottom_k"),
 ])
 def test_dense_cap_refused_before_any_build(tmp_path, capsys, monkeypatch, argv, builder):
     def no_build(*args):

@@ -12,6 +12,7 @@ from oracles import (
     bottom_k_to_top_step,
     coupon_tail,
     densify,
+    full_deck_coupling_tail,
     sampled_unselected_tail,
     single_card_occupancy,
     single_card_position_step,
@@ -30,7 +31,7 @@ from shufflemix.coupling import (
     trial_rng,
     unselected_tails,
 )
-from shufflemix.exact import convolve_step, point_mass, tv_distance
+from shufflemix.exact import convolve_step, point_mass, top_to_random_tv, tv_distance
 from shufflemix.measures import symmetrize, top_to_bottom_k
 
 
@@ -293,6 +294,30 @@ def test_coupling_tail_dominates_exact_tv():
             d = convolve_step(d, q)
             p, se = tail_estimate(out, m)
             assert p + 3 * se >= tv_distance(d) - 1e-12, (kind, m)
+
+
+def test_full_deck_coupling_tail_matches_the_exact_tail():
+    # at k = n the coupling time's tail is exact: sum_u P(U_m = u)(1 - 1/u!)
+    n, trials = 20, 10000
+    out = coupling_trials(n, n, "bottom_k_to_top", trials, seed=5)
+    nlogn = n * math.log(n)
+    ms = [math.floor(c * nlogn) for c in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)]
+    exact = full_deck_coupling_tail(n, ms[-1])
+    for m in ms:
+        p, _ = tail_estimate(out, m)
+        want = exact[m]
+        assert abs(p - want) <= 5 * math.sqrt(want * (1 - want) / trials), (m, p, want)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_full_deck_distance_is_sandwiched(n):
+    # increasing-bottom (j = 6) <= exact TV <= exact coupling tail at k = n
+    ms = [math.floor(c * n * math.log(n)) for c in (0.75, 1.0, 1.25)]
+    tv = top_to_random_tv(n, m_max=ms[-1]).profile
+    tail = full_deck_coupling_tail(n, ms[-1])
+    for m in ms:
+        low = increasing_bottom_statistic(n, n, 6, m).estimate
+        assert low <= tv[m][1] <= tail[m], (m, low, tv[m][1], tail[m])
 
 
 def test_tau_tracking_consistent_with_coupling_time():

@@ -37,6 +37,7 @@ from shufflemix.exact import (
     spectrum,
     spectrum_t2,
     t2,
+    top_to_random_tv,
     transfer_checks,
     tv_distance,
 )
@@ -463,6 +464,18 @@ def test_dense_distribution_validation():
         DenseDistribution(3, bad)
 
 
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("off", [2e-12, -2e-12])
+def test_dense_distribution_refuses_a_sum_off_by_2e_12(n, off):
+    size = math.factorial(n)
+    probs = np.full(size, 1 / size)
+    probs[0] += off
+    with pytest.raises(ValueError, match="sum to"):
+        DenseDistribution(n, probs)
+    probs[0] -= 3 * off / 4                  # 5e-13 off: accepted
+    DenseDistribution(n, probs)
+
+
 def test_unrank_consistent_with_table():
     t = dict_table(4)
     for r in (0, 5, 17, 23):
@@ -540,10 +553,11 @@ def test_spectral_t2_of_the_comparison_walks_matches_the_dense_oracle(n):
         assert t2(walk) == spectrum_t2(spectrum(walk)) == want
 
 
-@pytest.mark.parametrize("n,k,steps", [(6, 6, 27), (6, 3, 21)])
-def test_transfer_walks_q_and_lazy_q_once_each(n, k, steps, monkeypatch):
-    # T steps for q plus T_lazy for lazy(q), to the TV threshold only; every
-    # T2 comes from the Fourier blocks, so no walk is stepped for L2
+@pytest.mark.parametrize("n,k,times", [(6, 6, 27), (6, 3, 21)])
+def test_transfer_walks_q_and_lazy_q_once_each(n, k, times, monkeypatch):
+    # T steps for q plus T_lazy for lazy(q), to the TV threshold only, and
+    # none at k = n, where the unselected-count chain gives both; every T2
+    # comes from the Fourier blocks, so no walk is stepped for L2
     calls = []
     step = exact.convolve_step
 
@@ -552,8 +566,39 @@ def test_transfer_walks_q_and_lazy_q_once_each(n, k, steps, monkeypatch):
         return step(d, q)
     monkeypatch.setattr(exact, "convolve_step", counted)
     rep = transfer_checks(n, k)
-    assert len(calls) == steps
-    assert steps == rep.t_tv + rep.t_tv_lazy
+    assert len(calls) == (0 if k == n else times)
+    assert times == rep.t_tv + rep.t_tv_lazy
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("p", [None, Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)])
+def test_top_to_random_tv_matches_the_dense_walk(n, p):
+    q = top_to_bottom_k(n, n)
+    q = q if p is None else lazy(q, p)
+    want = mixing_time(q, "tv", 60)
+    got = top_to_random_tv(n, p, 60)
+    for (m, dist), (m_want, dist_want) in zip(got.profile, want.profile, strict=True):
+        assert m == m_want
+        assert abs(dist - dist_want) <= 1e-14, (m, dist, dist_want)
+    assert (got.mixing_time, got.saturated) == (want.mixing_time, want.saturated)
+    assert (got.metric, got.threshold) == ("tv", want.threshold)
+
+
+def test_top_to_random_tv_at_400():
+    # TV at m = round(c n ln n), and the TV mixing times, plain and lazy
+    n = 400
+    rep = top_to_random_tv(n, m_max=3000)
+    for c, want in ((0.75, 0.7102), (1.0, 0.1305), (1.25, 0.01042)):
+        m = round(c * n * math.log(n))
+        assert f"{rep.profile[m][1]:.4g}" == f"{want:.4g}", (c, m)
+    assert rep.mixing_time == 2295
+    assert top_to_random_tv(n, Fraction(1, 2), m_max=5000).mixing_time == 4591
+
+
+@pytest.mark.parametrize("args", [(1,), (0,), (4, Fraction(1)), (4, Fraction(0)), (4, None, -1)])
+def test_top_to_random_tv_validation(args):
+    with pytest.raises(ValueError):
+        top_to_random_tv(*args)
 
 
 def _l2_walks(n):
