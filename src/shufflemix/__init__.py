@@ -1,6 +1,6 @@
 """Mixing-time machinery for top to bottom-k card shuffles.
 
-Four pillars: exact dense evolution and spectra at small n
+Four pillars: exact dense evolution, spectra and coupling tails at small n
 (:mod:`shufflemix.exact`), Monte Carlo couplings at moderate n with exact
 collector and lower-bound chains beside them (:mod:`shufflemix.coupling`), a
 complex near-eigenfunction lower bound for the k = 3 walk
@@ -23,6 +23,7 @@ from .coupling import (
 )
 from .errors import CapacityError, NumericError, UnreachableTargetError
 from .exact import (
+    coupling_tail,
     dirichlet_constants,
     least_eigenvalue_formula,
     mixing_time,
@@ -76,6 +77,7 @@ __all__ = [
     "rank",
     "transposition",
     "unrank",
+    "coupling_tail",
     "dirichlet_constants",
     "least_eigenvalue_formula",
     "mixing_time",

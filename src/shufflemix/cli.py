@@ -35,6 +35,7 @@ from .coupling import (
 from .errors import CapacityError, NumericError
 from .exact import (
     DENSE_CAP,
+    coupling_tail,
     dirichlet_constants,
     least_eigenvalue_formula,
     mixing_time,
@@ -183,38 +184,51 @@ def _cmd_couple(args, sink: _Sink) -> str:
         raise ValueError(f"--tail-grid must be nonnegative, got {args.tail_grid}")
     if args.lazy_p is not None and not 0 < args.lazy_p <= 1:
         raise ValueError(f"--lazy-p must lie in (0, 1], got {args.lazy_p}")
+    if args.trials < 1 or (args.cap is not None and args.cap < 1):
+        raise ValueError(f"need --trials >= 1 and --cap >= 1, got {args.trials} and {args.cap}")
     tail_points = _tail_points(args)
-    stats = coupling_trials(args.n, args.k, args.kind, args.trials,
-                            seed=args.seed, cap=args.cap)
-    if args.lazy_p is not None:
-        stats = [lazy_trial_wrapper(s, args.lazy_p) for s in stats]
-    times = [s.coupling_time for s in stats]
+    grid = range(args.tail_grid + 1) if args.tail_grid is not None else range(0)
+    stem = f"couple_{args.kind}_n{args.n}_k{args.k}"
     payload = {
         "n": args.n,
         "k": args.k,
         "kind": args.kind,
+        "lazy_p": args.lazy_p,
+        "censored": 0,
+        "n_log_n": args.n * math.log(args.n),
+    }
+    if args.n <= DENSE_CAP or (args.kind == "bottom_k_to_top" and args.k == args.n):
+        tails = coupling_tail(args.n, args.k, args.kind, [*tail_points, *grid],
+                              args.lazy_p or 1.0)
+        payload["engine"] = "exact"
+        payload["tails"] = [{"m": m, "p_hat": p} for m, p in zip(tail_points, tails)]
+        sink.json(f"{stem}.json", payload)
+        if args.tail_grid is not None:
+            sink.csv(f"{stem}.tails.csv", ("m", "p_hat"),
+                     list(zip(grid, tails[len(tail_points):])))
+        return stem
+    stats = coupling_trials(args.n, args.k, args.kind, args.trials,
+                            seed=args.seed, cap=args.cap)
+    if args.lazy_p is not None:
+        stats = [lazy_trial_wrapper(s, args.lazy_p) for s in stats]
+    payload.update({
+        "engine": "monte_carlo",
         "trials": args.trials,
         "seed": args.seed,
         "cap": args.cap if args.cap is not None else DEFAULT_CAP_FACTOR * args.n**3,
-        "lazy_p": args.lazy_p,
         "censored": sum(s.censored for s in stats),
-        "mean_coupling_time": statistics.fmean(times),
-        "n_log_n": args.n * math.log(args.n),
+        "mean_coupling_time": statistics.fmean(s.coupling_time for s in stats),
         "tails": [],
-    }
+    })
     for m in tail_points:
         p_hat, se = tail_estimate(stats, m)
         payload["tails"].append({"m": m, "p_hat": p_hat, "stderr": se})
-    stem = f"couple_{args.kind}_n{args.n}_k{args.k}"
     sink.json(f"{stem}.json", payload)
     sink.csv(f"{stem}.csv", ("trial", "coupling_time", "censored"),
              [(s.trial, s.coupling_time, s.censored) for s in stats])
     if args.tail_grid is not None:
-        rows = []
-        for m in range(args.tail_grid + 1):
-            p_hat, se = tail_estimate(stats, m)
-            rows.append((m, p_hat, se))
-        sink.csv(f"{stem}.tails.csv", ("m", "p_hat", "stderr"), rows)
+        sink.csv(f"{stem}.tails.csv", ("m", "p_hat", "stderr"),
+                 [(m, *tail_estimate(stats, m)) for m in grid])
     return stem
 
 
@@ -407,16 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", "full transition spectrum at small n")
     measure_flags(p, ("sym", "rt", "rudvalis"))
 
-    p = add("couple", "Monte Carlo coupling times", "seed of the trial streams")
+    monte_carlo = "Monte Carlo only; an exact run checks it and ignores it"
+    p = add("couple", "coupling-time tails P(T > m): exact at n <= 8 and for "
+                      "bottom_k_to_top with --k equal to --n, Monte Carlo otherwise",
+            f"seed of the trial streams; {monte_carlo}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", default="bottom_k_to_top",
                    choices=("bottom_k_to_top", "top_insert"))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000,
+                   help=f"number of coupling trials; {monte_carlo}")
     p.add_argument("--cap", type=int, default=None,
-                   help="censoring cap in steps (default 50 n^3)")
+                   help=f"censoring cap in steps (default 50 n^3); {monte_carlo}")
     p.add_argument("--lazy-p", type=float, default=None,
-                   help="thin each trial to a p-lazy clock")
+                   help="p-lazy clock: both decks hold together with probability 1 - p")
     p.add_argument("--tail", type=float, action="append",
                    help="report P(T > m) at this m; repeatable")
     p.add_argument("--tail-mult", type=float, action="append",

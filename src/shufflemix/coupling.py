@@ -1,20 +1,25 @@
 """Couplings and lower-bound statistics for the bottom-k shuffles.
 
-Two Monte Carlo couplings are implemented.  The card coupling drives both
-decks by the reversed walk: pick a uniform card from deck 1's bottom k block
-and move it to the top of both decks when possible, otherwise move a uniform
-card of deck 2's block that deck 1's block does not hold.  The position
-coupling drives both decks by the forward walk: a uniformly chosen leading
-deck inserts its top card into a uniform bottom-k slot and the trailing deck
-copies the slot except in the two swap cases that create a match.  Coupling
-times upper-bound total variation distance.
+Two couplings are implemented, here as Monte Carlo trials.  The card
+coupling drives both decks by the reversed walk: pick a uniform card from
+deck 1's bottom k block and move it to the top of both decks when possible,
+otherwise move a uniform card of deck 2's block that deck 1's block does not
+hold.  The position coupling drives both decks by the forward walk: a
+uniformly chosen leading deck inserts its top card into a uniform bottom-k
+slot and the trailing deck copies the slot except in the two swap cases that
+create a match.  Coupling times upper-bound total variation distance.
+Where the chain behind a coupling time is small, its tail is computed
+exactly instead (:func:`shufflemix.exact.coupling_tail`): at n <= 8 for both
+couplings, and at k = n, any n, for the card coupling.  The trials remain
+the engine for everything else.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
 simulated: the collector and increasing-bottom statistics share one
 pure-death chain on the count of unselected bottom labels, and the
 single-card bound evolves an n-state position chain.  They take no seed.
 The same chain, at k = n, gives the exact TV profile of top-to-random and
-its lazy versions (:func:`shufflemix.exact.top_to_random_tv`).
+its lazy versions (:func:`shufflemix.exact.top_to_random_tv`) and the exact
+tail of the card coupling.
 
 Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of

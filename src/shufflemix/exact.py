@@ -24,6 +24,13 @@ The one walk whose TV needs no dense state is top-to-random, tbk(n, n), and
 its lazy versions: :func:`top_to_random_tv` reads their TV profile off the
 (n + 1)-state unselected-count chain at any n, and the dense walk is its
 test oracle.
+
+:func:`coupling_tail` computes the tail P(T > m) of both couplings of
+:mod:`shufflemix.coupling` exactly, plain or lazy.  For the card coupling at
+k = n it reads the same unselected-count chain, at any n.  For every other
+(kind, k) it steps the relative deck, where deck 2 holds each card of deck 1,
+as an n!-state chain under the dense cap.  Its edges are ranked like the
+multiplication tables, and each step is one ``bincount``.
 """
 
 from __future__ import annotations
@@ -76,15 +83,23 @@ class GroupTable:
     def right_mul(self, s: tuple) -> np.ndarray:
         """J with J[i] = rank(perm_i * s); a bijection of ranks.  The columns
         of perm_i * s are the table's permuted by right_multiplier(s), ranked
-        as sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits)."""
+        by :func:`_lehmer_ranks`."""
         tbl = self._right.get(s)
         if tbl is None:
-            cols = np.array(right_multiplier(s)(self.maps.T))
-            tbl = np.zeros(self.size, dtype=np.int64)
-            for i in range(self.n - 1):
-                tbl += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(self.n - 1 - i)
+            tbl = _lehmer_ranks(np.array(right_multiplier(s)(self.maps.T)))
             self._right[s] = tbl
         return tbl
+
+
+def _lehmer_ranks(cols: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each column of an (n, N) array of one-line maps,
+    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits); any labels in
+    the same relative order give the same rank."""
+    n = len(cols)
+    ranks = np.zeros(cols.shape[1], dtype=np.int64)
+    for i in range(n - 1):
+        ranks += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(n - 1 - i)
+    return ranks
 
 
 def require_dense(n: int) -> None:
@@ -240,6 +255,129 @@ def top_to_random_tv(n: int, p=None, m_max: int = 200,
         raise ValueError(f"laziness p must be in (0,1), got {p}")
     dists = _top_to_random_distances(n, 1.0 if p is None else float(p))
     return _report(dists, "tv", TV_THRESHOLD, m_max, label or f"measure(n={n})")
+
+
+def _full_deck_tails(n: int, rate: float):
+    """P(T > m) at m = 0, 1, ... for the card coupling at k = n, stepped with
+    probability rate, until the value can no longer change.
+
+    Both decks move the same card to the top, so the u unselected cards keep
+    their relative orders, deck 1's original and deck 2's uniform, and the
+    decks agree once those do: P(T > m) = sum_u P(U_m = u)(1 - 1/u!) (Aldous
+    & Diaconis 1986).  Once no mass leaves a state u >= 2, the law on those
+    states, and so the tail, is the same at every later step.
+    """
+    miss = np.array([1 - 1 / math.factorial(u) for u in range(n + 1)])
+    for law, moved in _unselected_chain(n, rate):
+        yield math.fsum((law * miss).tolist())
+        if not moved[2:].any():
+            return
+
+
+def _to_top(x, a):
+    """Where the card at position x goes when the card at a moves to the top."""
+    return np.where(x == a, 0, x + (x < a))
+
+
+def _from_top(x, s):
+    """Where the card at position x goes when the top card moves to slot s;
+    the inverse of :func:`_to_top` at a = s."""
+    return np.where(x == 0, s, x - ((x > 0) & (x <= s)))
+
+
+def _relative_chain(n: int, k: int, kind: str):
+    """(src, dst, weight) arrays of one coupling step of the relative deck.
+
+    rel(i) is the deck-2 position of the card at deck-1 position i; both
+    couplings choose positions from rel alone, so rel is a Markov chain on
+    S_n, read from the rows of group_table(n).maps.  A step that moves
+    deck 1's cards by the position map f1 and deck 2's by f2 sends rel to
+    f2 o rel o f1^{-1}, ranked by :func:`_lehmer_ranks`.  The identity, where
+    the decks agree, is absorbing; edges into it are dropped, so the chain
+    carries only the mass of the pairs not yet coupled.
+    """
+    rel = group_table(n).maps.astype(np.int64) - 1
+    inv = np.argsort(rel, axis=1)
+    lo = n - k
+    if kind == "bottom_k_to_top":
+        # deck 1 moves its block card at a = lo + u to the top; deck 2 moves
+        # the same card from b = rel(a) when b is in its block, else a card
+        # from a uniform block position whose card deck 1 holds above its block
+        above1, above2 = rel[:, lo:] < lo, inv[:, lo:] < lo
+        src, u = np.nonzero(~above1)
+        fsrc, fu, fv = np.nonzero(above1[:, :, None] & above2[:, None, :])
+        a = lo + np.concatenate([u, fu])
+        b = np.concatenate([rel[src, lo + u], lo + fv])
+        weight = np.concatenate([np.full(len(src), 1 / k), 1 / (k * above1.sum(1)[fsrc])])
+        src = np.concatenate([src, fsrc])
+        moved = (_to_top(rel[src, _from_top(j, a)], b) for j in range(n))
+    else:
+        # a fair coin picks the leader, which inserts its top card at slot
+        # s = lo + u; the trailer uses s too, unless the leader's card sits
+        # in its bottom k - 1 block at p and s is p - 1 or p: then the slots swap
+        src, coin, u = np.indices((len(rel), 2, k)).reshape(3, -1)
+        p = np.where(coin == 0, rel[src, 0], inv[src, 0])
+        lead = lo + u
+        trail = np.where((p > lo) & (lead == p), p - 1,
+                         np.where((p > lo) & (lead == p - 1), p, lead))
+        s1, s2 = np.where(coin == 0, lead, trail), np.where(coin == 0, trail, lead)
+        weight = np.full(len(src), 1 / (2 * k))
+        moved = (_from_top(rel[src, _to_top(j, s1)], s2) for j in range(n))
+    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]))
+    keep = dst != 0
+    return src[keep], dst[keep], weight[keep]
+
+
+def _relative_tails(n: int, k: int, kind: str, rate: float):
+    """P(T > m) at m = 0, 1, ... of a coupling from (identity, uniform deck),
+    stepped with probability rate (both decks hold together otherwise), off
+    :func:`_relative_chain`, until the law reaches a fixed point."""
+    src, dst, weight = _relative_chain(n, k, kind)
+    size = math.factorial(n)
+    law = np.full(size, 1 / size)
+    law[0] = 0.0
+    while True:
+        yield float(law.sum())
+        step = np.bincount(dst, law[src] * weight, minlength=size)
+        nxt = (1 - rate) * law + rate * step
+        if np.array_equal(nxt, law):
+            return
+        law = nxt
+
+
+def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
+    """Exact P(T > m) at each m in ms, T the coupling time of ``coupling_trials``
+    (deck 1 the identity, deck 2 uniform) for its p-lazy clock.
+
+    T is an integer, so each value is taken at floor(m), and m < 0 gives 1.
+    The card coupling at k = n reads the (n + 1)-state unselected-count chain
+    at any n; every other (kind, k) steps the n!-state relative-deck chain,
+    so n is held to the dense cap.  Stepping stops at the largest floor(m)
+    or where the chain stops changing, whichever comes first.
+
+    >>> coupling_tail(3, 3, "bottom_k_to_top", [0, 1.5, 2, -1])
+    [0.8333333333333334, 0.5, 0.16666666666666669, 1.0]
+    """
+    if kind not in ("bottom_k_to_top", "top_insert"):
+        raise ValueError(f"unknown coupling kind {kind!r}")
+    if not 1 < k <= n:
+        raise ValueError(f"k={k} outside (1, {n}]")
+    if not 0 < p <= 1:
+        raise ValueError(f"laziness p must be in (0, 1], got {p}")
+    ms = list(ms)
+    if not all(math.isfinite(m) for m in ms):
+        raise ValueError(f"tail points must be finite, got {ms}")
+    if kind == "bottom_k_to_top" and k == n:
+        tails = _full_deck_tails(n, float(p))
+    else:
+        require_dense(n)
+        tails = _relative_tails(n, k, kind, float(p))
+    floors = [math.floor(m) for m in ms]
+    wanted, got, tail = set(floors), {}, 1.0
+    for m, tail in zip(range(max(floors, default=-1) + 1), tails):
+        if m in wanted:
+            got[m] = tail
+    return [1.0 if m < 0 else got.get(m, tail) for m in floors]
 
 
 @dataclass(frozen=True)

@@ -211,14 +211,13 @@ def bfs_distances_nx(gens, n):
     return nx.single_source_shortest_path_length(graph, e)
 
 
-def pair_coupling_tail(n, k, m_max):
-    """Exact P(coupling time > m) for the card coupling, m = 0..m_max.
+def pair_chain_tail(n, moves, m_max):
+    """P(the two decks differ after m steps), m = 0..m_max, exactly.
 
-    The pair chain starts from (identity, uniform) and follows the blockwise
-    rule: deck one moves a uniform bottom-k card to the top; deck two moves
-    the same card when its own block holds it, otherwise a uniform card from
-    its block minus deck one's block.  Equal pairs are absorbing.  Evolution
-    is a sparse float matvec over all (deck1, deck2) pairs, so n stays tiny.
+    The pair chain starts from (identity, uniform deck) and moves each pair
+    (deck1, deck2) of distinct decks to every (deck1', deck2', weight) that
+    moves(deck1, deck2) lists; equal pairs are absorbing.  Evolution is a
+    sparse float matvec over all n!^2 deck pairs, so n stays tiny.
     """
     import numpy as np
     from scipy import sparse
@@ -226,14 +225,8 @@ def pair_coupling_tail(n, k, m_max):
     perms = list(permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
-
-    def move_to_top(deck, card):
-        i = deck.index(card)
-        return (card,) + deck[:i] + deck[i + 1:]
-
     rows, cols, vals = [], [], []
     for d1 in perms:
-        b1 = d1[n - k:]
         for d2 in perms:
             s = index[d1] * size + index[d2]
             if d1 == d2:
@@ -241,18 +234,10 @@ def pair_coupling_tail(n, k, m_max):
                 cols.append(s)
                 vals.append(1.0)
                 continue
-            b2 = set(d2[n - k:])
-            pool = sorted(b2 - set(b1))
-            for card in b1:
-                if card in b2:
-                    moves = [(card, 1.0 / k)]
-                else:
-                    moves = [(c2, 1.0 / (k * len(pool))) for c2 in pool]
-                for c2, w in moves:
-                    rows.append(s)
-                    cols.append(index[move_to_top(d1, card)] * size
-                                + index[move_to_top(d2, c2)])
-                    vals.append(w)
+            for e1, e2, w in moves(d1, d2):
+                rows.append(s)
+                cols.append(index[e1] * size + index[e2])
+                vals.append(w)
     step = sparse.csr_matrix((vals, (rows, cols)), shape=(size**2, size**2))
     equal = np.zeros(size**2, dtype=bool)
     for p in perms:
@@ -265,6 +250,26 @@ def pair_coupling_tail(n, k, m_max):
         tails.append(float(dist[~equal].sum()))
         dist = step.T @ dist
     return tails
+
+
+def pair_coupling_tail(n, k, m_max):
+    """Exact P(coupling time > m) for the card coupling, m = 0..m_max.
+
+    Deck one moves a uniform bottom-k card to the top; deck two moves the
+    same card when its own block holds it, otherwise a uniform card from its
+    block minus deck one's block.
+    """
+    def moves(d1, d2):
+        b1, b2 = d1[n - k:], set(d2[n - k:])
+        pool = sorted(b2 - set(b1))
+        for card in b1:
+            if card in b2:
+                yield o_to_top(d1, card), o_to_top(d2, card), 1.0 / k
+            else:
+                for c2 in pool:
+                    yield o_to_top(d1, card), o_to_top(d2, c2), 1.0 / (k * len(pool))
+
+    return pair_chain_tail(n, moves, m_max)
 
 
 def coupon_tail(n, m, t):
@@ -412,6 +417,18 @@ def top_insert_move(pair, k, coin, u_pos):
     out = DeckPair(n, deck1, deck2, pair.steps + 1)
     assert out.matched() >= pair.matched(), "match set shrank under the position coupling"
     return out
+
+
+def top_insert_coupling_tail(n, k, m_max):
+    """Exact P(coupling time > m) for the position coupling, m = 0..m_max:
+    the pair chain of :func:`top_insert_move` over both coins and every slot."""
+    def moves(d1, d2):
+        pair = DeckPair(n, d1, d2)
+        for coin, u_pos in product((0, 1), range(k)):
+            out = top_insert_move(pair, k, coin, u_pos)
+            yield out.deck1, out.deck2, 1.0 / (2 * k)
+
+    return pair_chain_tail(n, moves, m_max)
 
 
 def top_insert_couple_step(pair, k, rng):

@@ -245,12 +245,58 @@ def test_couple_payload_and_trials(tmp_path):
 
 
 def test_couple_tail_counts_censored_trials(tmp_path):
-    assert run(["couple", "--n", "6", "--k", "3", "--trials", "200", "--seed", "1",
-                "--cap", "5", "--tail", "5", "--tail", "10", "--out", str(tmp_path)]) == 0
-    payload = read_json(tmp_path / "couple_bottom_k_to_top_n6_k3.json")
-    assert payload["censored"] == 157
-    assert [t["m"] for t in payload["tails"]] == [5.0, 10.0]
-    assert all(t["p_hat"] >= 157 / 200 for t in payload["tails"])
+    # n = 9 with k < n is past the exact engines, so trials run and censor
+    assert run(["couple", "--n", "9", "--k", "3", "--trials", "200", "--seed", "1",
+                "--cap", "20", "--tail", "20", "--tail", "40", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "couple_bottom_k_to_top_n9_k3.json")
+    assert payload["engine"] == "monte_carlo"
+    assert payload["censored"] == 146
+    assert [t["m"] for t in payload["tails"]] == [20.0, 40.0]
+    assert all(t["p_hat"] >= 146 / 200 for t in payload["tails"])
+
+
+MC_KEYS = {"n", "k", "kind", "trials", "seed", "cap", "lazy_p", "censored",
+           "mean_coupling_time", "n_log_n", "tails"}
+
+
+def test_couple_payload_names_its_engine(tmp_path):
+    exact = ["couple", "--n", "5", "--k", "3", "--trials", "50", "--seed", "4",
+             "--tail", "8", "--tail", "-2", "--tail-grid", "10"]
+    assert run(exact + ["--out", str(tmp_path / "a")]) == 0
+    stem = "couple_bottom_k_to_top_n5_k3"
+    payload = read_json(tmp_path / "a" / f"{stem}.json")
+    assert set(payload) == MC_KEYS - {"trials", "seed", "cap", "mean_coupling_time"} | {"engine"}
+    assert payload["engine"] == "exact" and payload["censored"] == 0
+    assert [set(t) for t in payload["tails"]] == [{"m", "p_hat"}] * 2
+    assert payload["tails"][1]["p_hat"] == 1.0
+    assert sorted(p.name for p in (tmp_path / "a").glob("couple_*.csv")) == [f"{stem}.tails.csv"]
+    header, rows = read_csv(tmp_path / "a" / f"{stem}.tails.csv")
+    assert header == ["m", "p_hat"] and len(rows) == 11
+    assert float(rows[8][1]) == payload["tails"][0]["p_hat"]
+    assert run(["--manifest", str(tmp_path / "a" / f"{stem}.manifest.json"),
+                "--out", str(tmp_path / "b")]) == 0
+    for name in (f"{stem}.json", f"{stem}.tails.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    assert run(["couple", "--n", "16", "--k", "4", "--trials", "5", "--tail", "30",
+                "--out", str(tmp_path / "mc")]) == 0
+    payload = read_json(tmp_path / "mc" / "couple_bottom_k_to_top_n16_k4.json")
+    assert set(payload) == MC_KEYS | {"engine"}
+    assert payload["engine"] == "monte_carlo"
+    assert set(payload["tails"][0]) == {"m", "p_hat", "stderr"}
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (30, 30)])
+def test_couple_exact_lazy_one_is_the_plain_tail(tmp_path, n, k):
+    base = ["couple", "--n", str(n), "--k", str(k), "--tail-mult", "1", "--tail-grid", "40"]
+    assert run(base + ["--out", str(tmp_path / "plain")]) == 0
+    assert run(base + ["--lazy-p", "1", "--out", str(tmp_path / "lazy")]) == 0
+    stem = f"couple_bottom_k_to_top_n{n}_k{k}"
+    plain = read_json(tmp_path / "plain" / f"{stem}.json")
+    lazed = read_json(tmp_path / "lazy" / f"{stem}.json")
+    assert plain["tails"] == lazed["tails"] and plain["engine"] == "exact"
+    assert ((tmp_path / "plain" / f"{stem}.tails.csv").read_bytes()
+            == (tmp_path / "lazy" / f"{stem}.tails.csv").read_bytes())
 
 
 def test_couple_bad_kind_is_usage_error(capsys, tmp_path):
@@ -262,8 +308,9 @@ def test_couple_bad_kind_is_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("lazy_p", ["0", "-0.5", "1.5"])
 def test_couple_lazy_p_checked_before_any_trial(tmp_path, capsys, monkeypatch, lazy_p):
     def no_trials(*args, **kwargs):
-        raise AssertionError("coupling_trials ran before --lazy-p was checked")
+        raise AssertionError("a coupling engine ran before --lazy-p was checked")
     monkeypatch.setattr(cli, "coupling_trials", no_trials)
+    monkeypatch.setattr(cli, "coupling_tail", no_trials)
     assert run(["couple", "--n", "100", "--k", "100", "--trials", "300",
                 "--lazy-p", lazy_p, "--out", str(tmp_path)]) == 2
     assert "--lazy-p" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from oracles import (
     coupon_tail,
     densify,
     full_deck_coupling_tail,
+    pair_coupling_tail,
     sampled_unselected_tail,
     single_card_occupancy,
     single_card_position_step,
     top_insert_couple_step,
+    top_insert_coupling_tail,
     top_insert_move,
 )
 from shufflemix.coupling import (
@@ -31,8 +36,17 @@ from shufflemix.coupling import (
     trial_rng,
     unselected_tails,
 )
-from shufflemix.exact import convolve_step, point_mass, top_to_random_tv, tv_distance
-from shufflemix.measures import symmetrize, top_to_bottom_k
+from shufflemix.errors import CapacityError
+from shufflemix.exact import (
+    _relative_tails,
+    convolve_step,
+    coupling_tail,
+    mixing_time,
+    point_mass,
+    top_to_random_tv,
+    tv_distance,
+)
+from shufflemix.measures import lazy, symmetrize, top_to_bottom_k
 
 
 def fresh_philox(seed, trial):
@@ -492,3 +506,99 @@ def test_deck_pair_validation():
     for trials, cap in ((0, None), (3, 0), (3, -5)):
         with pytest.raises(ValueError, match="trials >= 1 and cap >= 1"):
             coupling_trials(5, 3, "top_insert", trials, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# exact coupling tails
+
+
+KINDS = ("bottom_k_to_top", "top_insert")
+SMALL = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
+
+
+def relative_tails(n, k, kind, m_max, rate=1.0):
+    """The relative-deck chain's tails to m_max; past a fixed point the
+    value is the last one."""
+    tails = list(itertools.islice(_relative_tails(n, k, kind, rate), m_max + 1))
+    return tails + tails[-1:] * (m_max + 1 - len(tails))
+
+
+@functools.cache
+def pair_oracle(n, k, kind, m_max):
+    oracle = pair_coupling_tail if kind == "bottom_k_to_top" else top_insert_coupling_tail
+    return oracle(n, k, m_max)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n,k", SMALL)
+def test_relative_chain_matches_the_pair_chain(n, k, kind):
+    # rel, deck 2's position of each deck-1 card, lumps the n!^2 deck pairs
+    want = pair_oracle(n, k, kind, 30)
+    for got in (relative_tails(n, k, kind, 30), coupling_tail(n, k, kind, range(31))):
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
+        assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_full_deck_tail_matches_the_occupancy_oracle(n):
+    m_max = math.ceil(2 * n * math.log(n))
+    got = coupling_tail(n, n, "bottom_k_to_top", range(m_max + 1))
+    want = full_deck_coupling_tail(n, m_max)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relative_chain_equals_the_unselected_count_chain_at_k_equal_n(n):
+    got = relative_tails(n, n, "bottom_k_to_top", 60)
+    want = coupling_tail(n, n, "bottom_k_to_top", range(61))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [None, Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
+def test_exact_tails_dominate_the_tv_profile(n, k, p):
+    # P(T > m) >= TV(q^m) for both couplings: the card coupling's decks
+    # follow the reversed walk, whose distances are the forward walk's
+    q = top_to_bottom_k(n, k)
+    profile = mixing_time(q if p is None else lazy(q, p), "tv", 40).profile
+    for kind in KINDS:
+        tails = coupling_tail(n, k, kind, range(41), 1.0 if p is None else float(p))
+        assert all(t >= tv - 1e-12 for t, (_, tv) in zip(tails, profile)), kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lazy_trials_match_the_exact_lazy_tail(kind):
+    # lazy_trial_wrapper's thinning is the p-lazy chain both decks share
+    n, k, p, trials = 6, 3, 0.5, 10_000
+    stats = [lazy_trial_wrapper(s, p) for s in coupling_trials(n, k, kind, trials, seed=11)]
+    ms = [5, 10, 20, 40, 60]
+    for m, want in zip(ms, coupling_tail(n, k, kind, ms, p)):
+        got, _ = tail_estimate(stats, m)
+        assert abs(got - want) <= 5 * math.sqrt(want * (1 - want) / trials) + 1e-12, (m, got, want)
+
+
+def test_coupling_tail_reads_floor_m_and_stops_at_a_fixed_point():
+    ms = [-0.5, 0, 3, 3.9, 1e6, 1e300]
+    for n, k, kind in [(4, 3, "bottom_k_to_top"), (5, 4, "top_insert"), (30, 30, "bottom_k_to_top")]:
+        got = coupling_tail(n, k, kind, ms, 0.5)
+        assert got[0] == 1.0
+        assert got[2] == got[3] == coupling_tail(n, k, kind, [3], 0.5)[0]
+        assert got[4] == got[5] <= 1e-300
+
+
+@pytest.mark.parametrize("args", [
+    (5, 3, "zigzag", [1]), (5, 1, "bottom_k_to_top", [1]), (5, 6, "top_insert", [1]),
+    (5, 3, "top_insert", [float("nan")]), (5, 3, "top_insert", [float("inf")]),
+    (5, 3, "top_insert", [1], 0.0), (5, 3, "top_insert", [1], 1.5),
+])
+def test_coupling_tail_validation(args):
+    with pytest.raises(ValueError):
+        coupling_tail(*args)
+
+
+def test_coupling_tail_dense_cap_applies_off_the_full_deck_chain():
+    with pytest.raises(CapacityError):
+        coupling_tail(9, 3, "bottom_k_to_top", [1])
+    with pytest.raises(CapacityError):
+        coupling_tail(9, 9, "top_insert", [1])
+    assert coupling_tail(9, 9, "bottom_k_to_top", [-1]) == [1.0]
