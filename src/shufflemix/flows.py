@@ -20,8 +20,12 @@ from the Fourier blocks of :mod:`shufflemix.exact`, one eigendecomposition
 per walk, from which both exact T2s and the comparison bound are read; all
 share its dense cap n <= 8.  Flows themselves are exact and have no
 size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
-through one table per n, and endpoints and letters are keyed by Permutation;
-the measures, read through ``SparseMeasure.weight`` and ``items``, by rank.
+through one table per n, whose order numbers them.  A flow reads its words
+once, as runs of one repeated letter (path index, letter id, run length);
+congestion is a per-letter tally over those runs, and every endpoint, of a
+whole flow or of one path, comes from one batched fold that right-multiplies
+by a run's power s^r in a single gather.  The measures are read through
+``SparseMeasure.weight`` and ``items``, by rank.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -36,10 +40,13 @@ absorbed in a constant.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import UnreachableTargetError
 from .exact import cayley_distances, comparison_t2, spectrum, spectrum_t2
@@ -57,7 +64,6 @@ from .perms import (
     cycle_generator,
     inverse,
     rank,
-    right_multiplier,
     serialize,
     transposition,
 )
@@ -65,14 +71,15 @@ from .perms import (
 
 @lru_cache(maxsize=None)
 def _letters(n: int) -> dict:
-    """Names s1, s1inv, ..., sn, sninv, tau (n > 1) -> (perm, right multiplier)."""
+    """Names s1, s1inv, ..., sn, sninv, tau (n > 1) -> permutation; a name's
+    place in this order is its letter id."""
     gens = {}
     for l in range(1, n + 1):
         gens[f"s{l}"] = cycle_generator(l, n)
         gens[f"s{l}inv"] = inverse(gens[f"s{l}"])
     if n > 1:
         gens["tau"] = transposition(1, n, n)
-    return {name: (g, right_multiplier(g.map)) for name, g in gens.items()}
+    return gens
 
 
 def letter_perm(name: str, n: int) -> Permutation:
@@ -85,7 +92,7 @@ def letter_perm(name: str, n: int) -> Permutation:
     True
     """
     try:
-        return _letters(n)[name][0]
+        return _letters(n)[name]
     except KeyError:
         raise ValueError(f"unknown generator name {name!r} at n={n}") from None
 
@@ -101,7 +108,93 @@ def generator_name(g: Permutation) -> str:
     resolving to it (s{l}, s{l}inv, or tau), otherwise its one-line form."""
     if g.is_identity():
         return "e"
-    return next((name for name, (h, _) in _letters(g.n).items() if h == g), serialize(g))
+    return next((name for name, h in _letters(g.n).items() if h == g), serialize(g))
+
+
+class _Runs(NamedTuple):
+    """A chunk of words as maximal runs of one repeated letter, in word
+    order: run i is letter id ``letter[i]`` (:func:`_letters` order) repeated
+    ``length[i]`` times in the chunk's word ``path[i]``."""
+
+    path: np.ndarray
+    letter: np.ndarray
+    length: np.ndarray
+
+
+_CHUNK = 256       # words per run chunk; bounds every temporary of a pass
+
+
+def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
+    """Run encoding of ``words`` (tuples of letter names) at deck size n, one
+    chunk per ``_CHUNK`` words; ValueError names the first unknown letter."""
+    ids = {name: i for i, name in enumerate(_letters(n))}
+    id_type = np.min_scalar_type(len(ids))
+    chunks = []
+    for lo in range(0, max(len(words), 1), _CHUNK):
+        chunk = words[lo:lo + _CHUNK]
+        sizes = np.fromiter(map(len, chunk), np.intp, count=len(chunk))
+        ends = np.cumsum(sizes)
+        try:
+            flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)), id_type,
+                               count=int(sizes.sum()))
+        except KeyError as exc:
+            raise ValueError(f"unknown generator name {exc.args[0]!r} at n={n}") from None
+        first = np.ones(len(flat), bool)
+        first[1:] = flat[1:] != flat[:-1]
+        first[(ends - sizes)[sizes > 0]] = True
+        starts = np.flatnonzero(first)
+        length = np.diff(starts, append=len(flat))
+        path = np.searchsorted(ends, starts, side="right")
+        chunks.append(_Runs(path=path.astype(np.min_scalar_type(max(len(chunk) - 1, 0))),
+                            letter=flat[starts],
+                            length=length.astype(np.min_scalar_type(length.max(initial=0)))))
+    return tuple(chunks)
+
+
+def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarray:
+    """The endpoints of ``npaths`` words given as run chunks: row p is word
+    p's product in one-line form, in ``np.min_scalar_type(n)``.
+
+    A run of r letters s is one right multiplication by s^r, a gather through
+    s^r's one-line map.  Every letter's powers are tabled once, up to its
+    order (sigma_l and its inverse have order l, tau order 2).  Each chunk's
+    words are taken most runs first, so the words with a run at step j are a
+    prefix and each step is one flat ``np.take``.
+    """
+    letters = _letters(n)
+    maps = np.array([g.map for g in letters.values()], np.intp) - 1
+    order = np.array([2 if name == "tau" else int(name[1:].removesuffix("inv"))
+                      for name in letters])
+    dtype = np.min_scalar_type(n)
+    top = min(max(int(runs.length.max(initial=0)) for runs in chunks), n - 1) + 1
+    table = np.empty((len(maps), top, n), dtype)         # [id, r] = s^r, 0-based
+    table[:, 0] = np.arange(n)
+    ids = np.arange(len(maps))[:, None]
+    for r in range(1, top):
+        table[:, r] = table[ids, r - 1, maps]
+    table = table.reshape(-1, n)                          # row id * top + r
+    row_start = np.arange(0, _CHUNK * n, n)[:, None]
+    ends = np.empty((npaths, n), dtype)
+    for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
+        size = min(_CHUNK, npaths - lo)
+        letter = runs.letter.astype(np.intp)
+        key = letter * top + runs.length % order[letter]
+        counts = np.bincount(runs.path, minlength=size)
+        slot = np.empty(size, np.intp)
+        slot[np.argsort(-counts, kind="stable")] = np.arange(size)
+        step = np.arange(len(key)) - (np.cumsum(counts) - counts)[runs.path]
+        active = np.bincount(step)                 # words with a run at step j
+        offset = np.cumsum(active) - active
+        ordered = np.empty_like(key)               # step-major, slot order within
+        ordered[offset[step] + slot[runs.path]] = key
+        cur = np.empty((size, n), dtype)
+        cur[:] = np.arange(1, n + 1)
+        for start, width in zip(offset.tolist(), active.tolist()):
+            rows = cur[:width]
+            gather = np.take(table, ordered[start:start + width], axis=0)
+            rows[:] = np.take(rows, gather + row_start[:width])
+        ends[lo:lo + size] = cur[slot]
+    return ends
 
 
 @dataclass(frozen=True)
@@ -123,16 +216,9 @@ class CayleyPath:
 
     @property
     def endpoint(self) -> Permutation:
-        # fold one-line tuples directly; Permutation validation per step
-        # would dominate at tens of thousands of paths
-        letters = _letters(self.n)
-        cur = tuple(range(1, self.n + 1))
-        try:
-            for name in self.word:
-                cur = letters[name][1](cur)
-        except KeyError as exc:
-            raise ValueError(f"unknown generator name {exc.args[0]!r} at n={self.n}") from None
-        return Permutation(self.n, cur)
+        # the one-word case of the run fold that verifies whole flows
+        (row,) = _fold_endpoints(self.n, _encode_runs(self.n, [self.word]), 1).tolist()
+        return Permutation(self.n, tuple(row))
 
 
 @dataclass(frozen=True)
@@ -156,20 +242,27 @@ class Flow:
             raise ValueError(f"size mismatch: target n={self.target.n}, q n={self.q.n}")
         if not (isinstance(self.unit, Fraction) and self.unit > 0):
             raise ValueError(f"unit must be a positive Fraction, got {self.unit!r}")
-        names = set()
         for p, c in self.paths.items():
             if p.n != self.q.n:
                 raise ValueError(f"path size {p.n} != {self.q.n}")
             if not (isinstance(c, int) and c >= 0):
                 raise ValueError(f"multiplicity must be a nonnegative int, got {c!r}")
-            names.update(p.word)
-        for name in sorted(names):
-            if self.q.weight(letter_perm(name, self.q.n)) == 0:
+        for name in sorted(set(chain.from_iterable(p.word for p in self.paths))):
+            if self.q.weight(letter_perm(name, self.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
 
     @property
     def n(self) -> int:
         return self.q.n
+
+    @cached_property
+    def _runs(self) -> tuple[_Runs, ...]:
+        """The words of ``paths``, in dict order, as chunks of letter runs."""
+        return _encode_runs(self.n, [p.word for p in self.paths])
+
+    def _endpoints(self) -> np.ndarray:
+        """One-line endpoint of every path, rows in ``paths`` order."""
+        return _fold_endpoints(self.n, self._runs, len(self.paths))
 
 
 @dataclass(frozen=True)
@@ -179,17 +272,24 @@ class FlowVerification:
 
 
 def verify_flow(flow: Flow) -> FlowVerification:
-    """Exact rational check that path-endpoint marginals equal the target."""
-    routed: Counter = Counter()
-    for p, c in flow.paths.items():
-        routed[p.endpoint] += c
-    target = dict(flow.target.items())
+    """Exact rational check that path-endpoint marginals equal the target.
+
+    The endpoints come from one fold over the flow's letter runs; routed
+    multiplicities are summed as ints keyed by each endpoint row's bytes, and
+    discrepancies are listed in lexicographic order of the one-line form.
+    """
+    ends = flow._endpoints()
+    routed: dict[bytes, int] = {}
+    for key, c in zip(map(bytes, ends), flow.paths.values()):
+        routed[key] = routed.get(key, 0) + c
+    target = {np.array(g.map, ends.dtype).tobytes(): w for g, w in flow.target.items()}
+    labels = {key: np.frombuffer(key, ends.dtype).tolist() for key in routed.keys() | target.keys()}
     bad = []
-    for g in sorted(routed.keys() | target.keys(), key=lambda g: g.map):
-        got = flow.unit * routed[g]
-        want = target.get(g, Fraction(0))
+    for key in sorted(labels, key=labels.get):
+        got = flow.unit * routed.get(key, 0)
+        want = target.get(key, Fraction(0))
         if got != want:
-            bad.append((serialize(g), got, want))
+            bad.append((",".join(map(str, labels[key])), got, want))
     return FlowVerification(exact=not bad, discrepancies=tuple(bad))
 
 
@@ -202,17 +302,24 @@ class FlowReport:
 def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
-    Traffic c * |delta| * N(s, delta) is an int tally per letter permutation
-    (sigma_2^{+-1} and tau coincide at n = 2, so their traffic merges),
-    scaled by the unit once per generator.
+    Traffic c * |delta| * N(s, delta) is tallied per letter id over the
+    flow's letter runs, c * |delta| * (run length) per run, in int64 once an
+    exact check shows that the whole sum c * |delta|^2 fits.  Letters naming
+    one permutation (s1 and s1inv; sigma_2^{+-1} and tau at n = 2) merge
+    their traffic, scaled by the unit once per generator.
     """
-    letters = _letters(flow.n)
-    traffic: Counter = Counter()
-    for p, c in flow.paths.items():
-        load = c * p.length
-        for name, m in Counter(p.word).items():
-            traffic[letters[name][0]] += load * m
-    rows = tuple((generator_name(g), qs, flow.unit * traffic[g] / qs)
+    if sum(c * p.length ** 2 for p, c in flow.paths.items()) >= 2 ** 63:
+        raise ValueError("flow traffic sum of c * |delta|^2 exceeds the int64 range")
+    # c * |delta| <= c * |delta|^2, so every load and partial tally fits too
+    loads = np.fromiter((c * p.length for p, c in flow.paths.items()), np.int64,
+                        count=len(flow.paths))
+    tally = np.zeros(len(_letters(flow.n)), np.int64)
+    for lo, runs in zip(range(0, len(loads), _CHUNK), flow._runs):
+        np.add.at(tally, runs.letter, loads[lo:lo + _CHUNK][runs.path] * runs.length)
+    traffic: dict[Permutation, int] = {}
+    for g, t in zip(_letters(flow.n).values(), tally.tolist()):
+        traffic[g] = traffic.get(g, 0) + t
+    rows = tuple((generator_name(g), qs, flow.unit * traffic.get(g, 0) / qs)
                  for g, qs in flow.q.items())
     a = max(t for _, _, t in rows)
     return FlowReport(a_value=a, per_generator=rows)
@@ -473,10 +580,11 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
 
 
 def flow_to_json_obj(flow: Flow) -> dict:
-    items = sorted(flow.paths.items(), key=lambda kv: (kv[0].endpoint.map, kv[0].word))
+    rows = sorted(zip(flow._endpoints().tolist(), flow.paths.items()),
+                  key=lambda row: (row[0], row[1][0].word))
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),
-        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for p, c in items],
+        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for _, (p, c) in rows],
     }
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .perms import (
     Permutation,
@@ -29,10 +31,11 @@ class SparseMeasure:
     """Finitely supported probability measure on S_n.
 
     atoms maps permutation rank -> weight; zero-weight atoms are dropped.
+    It is a read-only view, so a measure can be shared (and cached).
     """
 
     n: int
-    atoms: dict[int, Fraction] = field(compare=False)
+    atoms: MappingProxyType = field(compare=False)
 
     def __post_init__(self):
         cleaned = {}
@@ -45,7 +48,7 @@ class SparseMeasure:
         total = sum(cleaned.values(), Fraction(0))
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "atoms", cleaned)
+        object.__setattr__(self, "atoms", MappingProxyType(cleaned))
 
     def weight(self, g: Permutation) -> Fraction:
         return self.atoms.get(rank(g), Fraction(0))
@@ -115,8 +118,10 @@ def lazy(q: SparseMeasure, p) -> SparseMeasure:
     return _from_pairs(q.n, pairs)
 
 
+@lru_cache(maxsize=None)
 def random_transposition(n: int) -> SparseMeasure:
-    """1/n on e and 2/n^2 on each transposition (i, j), i != j."""
+    """1/n on e and 2/n^2 on each transposition (i, j), i != j; built once
+    per n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     pairs = [(identity(n), Fraction(1, n))]

@@ -119,7 +119,7 @@ def rank(a: Permutation) -> int:
     seen = 0  # bitmask of used labels
     fact = math.factorial(a.n - 1)
     for i, label in enumerate(a.map):
-        smaller = bin(seen & ((1 << (label - 1)) - 1)).count("1")
+        smaller = (seen & ((1 << (label - 1)) - 1)).bit_count()
         r += (label - 1 - smaller) * fact
         seen |= 1 << (label - 1)
         if i < a.n - 1:

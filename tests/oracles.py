@@ -583,12 +583,27 @@ def parse(text: str, n: int | None = None) -> Permutation:
 
 
 def path_endpoint(path: CayleyPath) -> Permutation:
-    """Product of the path's letters in written order (empty word -> e).
+    """Product of the path's letters in written order (empty word -> e),
+    composed one letter at a time; unknown letters raise ValueError.
 
     >>> path_endpoint(CayleyPath(5, ("s3inv", "s5", "s4inv", "s3"))) == transposition(3, 5, 5)
     True
     """
-    return path.endpoint
+    return compose_word([letter_perm(name, path.n) for name in path.word], path.n)
+
+
+def flow_discrepancies(flow) -> tuple:
+    """(one-line string, routed mass, target mass) for every permutation whose
+    routed mass, summed over :func:`path_endpoint`, differs from the target,
+    in lexicographic order of the one-line form."""
+    routed: dict[tuple, Fraction] = {}
+    for path, c in flow.paths.items():
+        key = path_endpoint(path).map
+        routed[key] = routed.get(key, Fraction(0)) + flow.unit * c
+    target = {g.map: w for g, w in flow.target.items()}
+    return tuple((",".join(map(str, key)), routed.get(key, Fraction(0)), target.get(key, Fraction(0)))
+                 for key in sorted(routed.keys() | target.keys())
+                 if routed.get(key, Fraction(0)) != target.get(key, Fraction(0)))
 
 
 def congestion_from_weights(flow) -> tuple[Fraction, dict[int, Fraction]]:

@@ -12,6 +12,7 @@ from oracles import (
     bfs_distances_nx,
     congestion_from_weights,
     dirichlet_form,
+    flow_discrepancies,
     dirichlet_form_operator,
     hitting_time,
     o_compose,
@@ -153,6 +154,76 @@ def test_endpoint_is_cached_and_word_hashable():
     assert hash(p) == hash(CayleyPath(6, ("s4", "s4inv")))
 
 
+def test_unknown_letter_raises_in_the_run_fold():
+    with pytest.raises(ValueError, match="unknown generator name 's9' at n=5"):
+        CayleyPath(5, ("s3", "s3", "s9")).endpoint
+    with pytest.raises(ValueError, match="unknown generator name 'tau' at n=1"):
+        CayleyPath(1, ("tau",)).endpoint
+    q = symmetrize(top_to_bottom_k(5, 3))
+    with pytest.raises(ValueError, match="unknown generator name 'x' at n=5"):
+        Flow(target=random_transposition(5), q=q, unit=Fraction(1, 25),
+             paths={CayleyPath(5, ("s4",)): 1, CayleyPath(5, ("s5", "x")): 1})
+
+
+def test_run_fold_matches_the_letter_oracle_across_chunks():
+    # long runs (past each letter's order, which the fold reduces by) and
+    # enough words for several chunks, with empty words among them
+    rng = np.random.default_rng(7)
+    n = 7
+    names = [f"s{l}{suf}" for l in range(1, n + 1) for suf in ("", "inv")] + ["tau"]
+    words = []
+    for _ in range(700):
+        runs = rng.integers(0, 5)
+        words.append(tuple(str(name) for name, r in zip(rng.choice(names, runs),
+                                                        rng.integers(1, 2 * n + 2, runs))
+                           for _ in range(r)))
+    words = list(dict.fromkeys(words))
+    ranks = {rank(letter_perm(name, n)) for name in names}
+    q = SparseMeasure(n, {r: Fraction(1, len(ranks)) for r in ranks})
+    flow = Flow(target=delta_e(n), q=q, unit=Fraction(1), paths={CayleyPath(n, w): 1 for w in words})
+    assert len(words) > 2 * 256
+    ends = flow._endpoints()
+    assert ends.dtype == np.uint8 and ends.shape == (len(words), n)
+    assert [tuple(row) for row in ends.tolist()] == [
+        path_endpoint(CayleyPath(n, w)).map for w in words]
+    assert verify_flow(flow).discrepancies == flow_discrepancies(flow)
+
+
+def test_run_fold_at_one_card_and_on_empty_words():
+    flow = Flow(target=delta_e(1), q=delta_e(1), unit=Fraction(1, 3),
+                paths={CayleyPath(1, ()): 1, CayleyPath(1, ("s1", "s1inv", "s1")): 2})
+    assert CayleyPath(1, ("s1",) * 5).endpoint == identity(1)
+    assert verify_flow(flow).exact
+    assert congestion_A(flow).a_value == congestion_from_weights(flow)[0] == 6
+    empty = Flow(target=random_transposition(4), q=symmetrize(top_to_bottom_k(4, 2)),
+                 unit=Fraction(1, 4), paths={CayleyPath(4, ()): 1})
+    assert verify_flow(empty).discrepancies == flow_discrepancies(empty)
+    assert congestion_A(empty).a_value == 0
+    nothing = Flow(target=delta_e(4), q=symmetrize(top_to_bottom_k(4, 2)),
+                   unit=Fraction(1), paths={})
+    assert verify_flow(nothing).discrepancies == (("1,2,3,4", 0, 1),)
+    assert congestion_A(nothing).a_value == 0
+
+
+@pytest.mark.parametrize("builder,n,k", [
+    ("general", 16, 8),
+    ("general", 24, 12),
+    ("large-k", 40, 8),           # k is C here
+    ("rudvalis", 40, 40),
+])
+def test_batched_endpoints_and_verify_match_the_letter_oracle(builder, n, k):
+    flow = BUILDERS[builder](n, k)
+    ends = flow._endpoints()
+    assert [tuple(row) for row in ends.tolist()] == [path_endpoint(p).map for p in flow.paths]
+    assert verify_flow(flow).exact and flow_discrepancies(flow) == ()
+    # a mis-weighted copy: every third path one unit heavier, the empty path
+    # dropped; discrepancies equal the oracle's, in order and in text
+    bent = {p: c + (i % 3 == 0) for i, (p, c) in enumerate(flow.paths.items()) if p.word}
+    bad = Flow(target=flow.target, q=flow.q, unit=flow.unit, paths=bent)
+    got = verify_flow(bad)
+    assert not got.exact and got.discrepancies == flow_discrepancies(bad)
+
+
 # ---------------------------------------------------------------------------
 # flow construction and verification
 
@@ -231,6 +302,23 @@ def test_congestion_single_path_formula():
     assert terms["s3"] == 6 and terms["s3inv"] == 0
 
 
+def test_congestion_tally_is_exact_up_to_the_int64_range():
+    q = symmetrize(top_to_bottom_k(4, 2))
+    target = SparseMeasure(4, {rank(cycle_generator(3, 4)): Fraction(1)})
+
+    def flow(c, word=("s3",)):
+        return Flow(target=target, q=q, unit=Fraction(1, c), paths={CayleyPath(4, word): c})
+
+    # sum c * |delta|^2 = 2^63 - 1 still tallies exactly; one more raises
+    assert congestion_A(flow(2 ** 63 - 1)).a_value == 1 / q.weight(cycle_generator(3, 4))
+    assert congestion_A(flow(2 ** 60, ("s3", "s3inv"))).a_value == congestion_from_weights(
+        flow(2 ** 60, ("s3", "s3inv")))[0]
+    with pytest.raises(ValueError, match="int64"):
+        congestion_A(flow(2 ** 63))
+    with pytest.raises(ValueError, match="int64"):
+        congestion_A(flow(2 ** 61, ("s3",) * 2 + ("s3inv",) * 2))
+
+
 def test_congestion_empty_path_contributes_nothing():
     q = symmetrize(top_to_bottom_k(4, 4))
     target = SparseMeasure(4, {rank(identity(4)): Fraction(1)})
@@ -256,6 +344,9 @@ BUILDERS = {"general": build_flow_general, "large-k": build_flow_large_k,
     ("rudvalis", 2, 2),           # sigma_2^{+-1} and tau merge into one atom
     ("rudvalis", 6, 3),
     ("rudvalis", 6, 6),
+    ("general", 12, 6),
+    ("large-k", 40, 8),
+    ("rudvalis", 40, 40),
 ])
 def test_congestion_equals_per_path_weight_sum(builder, n, k):
     flow = BUILDERS[builder](n, k)

@@ -110,6 +110,17 @@ def test_random_transposition_domain():
         random_transposition(1)
 
 
+def test_atoms_are_read_only_so_random_transposition_is_shared():
+    q = random_transposition(6)
+    assert random_transposition(6) is q
+    with pytest.raises(TypeError):
+        q.atoms[0] = Fraction(1)
+    with pytest.raises(TypeError):
+        del q.atoms[0]
+    # a measure built from another's atoms is equal and independent
+    assert SparseMeasure(6, q.atoms) == q
+
+
 def test_rudvalis_four_atoms():
     q = rudvalis_symmetric(4)
     quarter = Fraction(1, 4)
