@@ -63,6 +63,7 @@ from .perms import (
     Permutation,
     cycle_generator,
     inverse,
+    order,
     rank,
     serialize,
     transposition,
@@ -151,49 +152,44 @@ def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
     return tuple(chunks)
 
 
+@lru_cache(maxsize=None)
+def _letter_orders(n: int) -> tuple[int, ...]:
+    """The group order of every letter, in :func:`_letters` order."""
+    return tuple(map(order, _letters(n).values()))
+
+
 def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarray:
     """The endpoints of ``npaths`` words given as run chunks: row p is word
     p's product in one-line form, in ``np.min_scalar_type(n)``.
 
     A run of r letters s is one right multiplication by s^r, a gather through
-    s^r's one-line map.  Every letter's powers are tabled once, up to its
-    order (sigma_l and its inverse have order l, tau order 2).  Each chunk's
-    words are taken most runs first, so the words with a run at step j are a
-    prefix and each step is one flat ``np.take``.
+    s^r's one-line map.  Runs reduce by their letter's order, and every
+    letter's powers are tabled once, up to the longest reduced run.  Each
+    chunk lays its runs out as a (most runs, words) key matrix, short words
+    padded with the identity, and folds it one row, one gather, at a time.
     """
-    letters = _letters(n)
-    maps = np.array([g.map for g in letters.values()], np.intp) - 1
-    order = np.array([2 if name == "tau" else int(name[1:].removesuffix("inv"))
-                      for name in letters])
+    maps = np.array([g.map for g in _letters(n).values()], np.intp) - 1
+    orders = np.array(_letter_orders(n))
     dtype = np.min_scalar_type(n)
-    top = min(max(int(runs.length.max(initial=0)) for runs in chunks), n - 1) + 1
+    longest = max(int(runs.length.max(initial=0)) for runs in chunks)
+    top = min(longest, int(orders.max()) - 1) + 1
     table = np.empty((len(maps), top, n), dtype)         # [id, r] = s^r, 0-based
     table[:, 0] = np.arange(n)
-    ids = np.arange(len(maps))[:, None]
     for r in range(1, top):
-        table[:, r] = table[ids, r - 1, maps]
+        table[:, r] = np.take_along_axis(table[:, r - 1], maps, axis=1)
     table = table.reshape(-1, n)                          # row id * top + r
     row_start = np.arange(0, _CHUNK * n, n)[:, None]
     ends = np.empty((npaths, n), dtype)
     for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
-        size = min(_CHUNK, npaths - lo)
+        rows = ends[lo:lo + _CHUNK]
+        rows[:] = np.arange(1, n + 1)
+        counts = np.bincount(runs.path, minlength=len(rows))
+        step = np.arange(len(runs.path)) - (np.cumsum(counts) - counts)[runs.path]
         letter = runs.letter.astype(np.intp)
-        key = letter * top + runs.length % order[letter]
-        counts = np.bincount(runs.path, minlength=size)
-        slot = np.empty(size, np.intp)
-        slot[np.argsort(-counts, kind="stable")] = np.arange(size)
-        step = np.arange(len(key)) - (np.cumsum(counts) - counts)[runs.path]
-        active = np.bincount(step)                 # words with a run at step j
-        offset = np.cumsum(active) - active
-        ordered = np.empty_like(key)               # step-major, slot order within
-        ordered[offset[step] + slot[runs.path]] = key
-        cur = np.empty((size, n), dtype)
-        cur[:] = np.arange(1, n + 1)
-        for start, width in zip(offset.tolist(), active.tolist()):
-            rows = cur[:width]
-            gather = np.take(table, ordered[start:start + width], axis=0)
-            rows[:] = np.take(rows, gather + row_start[:width])
-        ends[lo:lo + size] = cur[slot]
+        keys = np.zeros((counts.max(initial=0), len(rows)), np.intp)     # 0: e
+        keys[step, runs.path] = letter * top + runs.length % orders[letter]
+        for key in keys:
+            rows[:] = np.take(rows, table[key] + row_start[:len(rows)])
     return ends
 
 
@@ -303,21 +299,24 @@ def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
     Traffic c * |delta| * N(s, delta) is tallied per letter id over the
-    flow's letter runs, c * |delta| * (run length) per run, in int64 once an
-    exact check shows that the whole sum c * |delta|^2 fits.  Letters naming
-    one permutation (s1 and s1inv; sigma_2^{+-1} and tau at n = 2) merge
-    their traffic, scaled by the unit once per generator.
+    flow's letter runs: |delta| * (run length) is summed in int64 per
+    (multiplicity, letter id) class, then each class sum is scaled by its
+    multiplicity c as a Python int, so A is exact for any c.  A class sum is
+    at most the sum of |delta|^2 over the flow's words, which stays far
+    below 2^63 for any words that fit in memory.  Letters
+    naming one permutation (s1 and s1inv; sigma_2^{+-1} and tau at n = 2)
+    merge their traffic, scaled by the unit once per generator.
     """
-    if sum(c * p.length ** 2 for p, c in flow.paths.items()) >= 2 ** 63:
-        raise ValueError("flow traffic sum of c * |delta|^2 exceeds the int64 range")
-    # c * |delta| <= c * |delta|^2, so every load and partial tally fits too
-    loads = np.fromiter((c * p.length for p, c in flow.paths.items()), np.int64,
-                        count=len(flow.paths))
-    tally = np.zeros(len(_letters(flow.n)), np.int64)
-    for lo, runs in zip(range(0, len(loads), _CHUNK), flow._runs):
-        np.add.at(tally, runs.letter, loads[lo:lo + _CHUNK][runs.path] * runs.length)
+    classes: dict[int, int] = {}                # multiplicity -> class index
+    cls = np.array([classes.setdefault(c, len(classes)) for c in flow.paths.values()], np.intp)
+    lengths = np.fromiter((p.length for p in flow.paths), np.int64, count=len(flow.paths))
+    sums = np.zeros((len(classes), len(_letters(flow.n))), np.int64)
+    for lo, runs in zip(range(0, len(cls), _CHUNK), flow._runs):
+        path = runs.path.astype(np.intp) + lo
+        np.add.at(sums, (cls[path], runs.letter), lengths[path] * runs.length)
+    tally = [sum(map(int.__mul__, classes, column)) for column in sums.T.tolist()]
     traffic: dict[Permutation, int] = {}
-    for g, t in zip(_letters(flow.n).values(), tally.tolist()):
+    for g, t in zip(_letters(flow.n).values(), tally):
         traffic[g] = traffic.get(g, 0) + t
     rows = tuple((generator_name(g), qs, flow.unit * traffic.get(g, 0) / qs)
                  for g, qs in flow.q.items())

@@ -106,6 +106,21 @@ def inverse(a: Permutation) -> Permutation:
     return Permutation(a.n, tuple(out))
 
 
+def order(a: Permutation) -> int:
+    """The least r >= 1 with a^r the identity: the lcm of the cycle lengths.
+
+    >>> order(cycle_generator(4, 6)), order(transposition(1, 6, 6)), order(identity(6))
+    (4, 2, 1)
+    """
+    lengths, seen = [], [False] * a.n
+    for start in range(a.n):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = True, a.map[i] - 1, length + 1
+        lengths.append(length or 1)
+    return math.lcm(*lengths)
+
+
 def rank(a: Permutation) -> int:
     """Lexicographic rank of the one-line array, in [0, n!-1].
 

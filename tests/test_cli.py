@@ -9,7 +9,7 @@ import pytest
 
 import shufflemix.cli as cli
 import shufflemix.wilson as wilson
-from oracles import hitting_time, lp_distance
+from oracles import congestion_from_weights, hitting_time, lp_distance
 from shufflemix.cli import run
 from shufflemix.coupling import (
     coupon_collector,
@@ -25,7 +25,7 @@ from shufflemix.exact import (
     point_mass,
     spectrum,
 )
-from shufflemix.flows import build_flow_general, flow_to_json_obj
+from shufflemix.flows import build_flow_general, build_odd_flow_tbk, flow_to_json_obj
 from shufflemix.measures import (
     convolve_measures,
     lazy,
@@ -476,6 +476,17 @@ def test_flow_odd_reports_eigenvalue_bound(tmp_path):
     payload = read_json(tmp_path / "flow_odd_n8_k3.json")
     assert payload["bound_le_exact"] is True
     assert payload["exact_beta_min"] == spectrum(symmetrize(top_to_bottom_k(8, 3))).beta_min
+
+
+def test_flow_odd_past_the_int64_traffic_range(tmp_path):
+    # n = k = 25: the odd flow's multiplicities put sum c * |delta|^2 past 2^63
+    assert run(["flow", "--builder", "odd", "--n", "25", "--k", "25",
+                "--verify", "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "flow_odd_n25_k25.json")
+    a = congestion_from_weights(build_odd_flow_tbk(25, 25))[0]
+    assert Fraction(payload["a_value"]) == a
+    assert Fraction(payload["eigenvalue_bound"]) == -1 + 2 / a
+    assert payload["verified"] is True
 
 
 def test_flow_rudvalis_exact_bound(tmp_path):

@@ -302,21 +302,27 @@ def test_congestion_single_path_formula():
     assert terms["s3"] == 6 and terms["s3inv"] == 0
 
 
-def test_congestion_tally_is_exact_up_to_the_int64_range():
+def test_congestion_tally_is_exact_past_the_int64_range():
     q = symmetrize(top_to_bottom_k(4, 2))
     target = SparseMeasure(4, {rank(cycle_generator(3, 4)): Fraction(1)})
+    # multiplicities past 2^63, one shared by two words, and mixed run lengths
+    paths = {CayleyPath(4, ("s3",)): 2 ** 63, CayleyPath(4, ("s3", "s3inv")): 2 ** 63,
+             CayleyPath(4, ("s3",) * 2 + ("s3inv",) * 3): 2 ** 100 + 1, CayleyPath(4, ()): 3}
+    flow = Flow(target=target, q=q, unit=Fraction(1, 2 ** 101), paths=paths)
+    a, terms = congestion_from_weights(flow)
+    rep = congestion_A(flow)
+    assert rep.a_value == a
+    assert {rank(letter_perm(name, 4)): term for name, _, term in rep.per_generator} == terms
 
-    def flow(c, word=("s3",)):
-        return Flow(target=target, q=q, unit=Fraction(1, c), paths={CayleyPath(4, word): c})
 
-    # sum c * |delta|^2 = 2^63 - 1 still tallies exactly; one more raises
-    assert congestion_A(flow(2 ** 63 - 1)).a_value == 1 / q.weight(cycle_generator(3, 4))
-    assert congestion_A(flow(2 ** 60, ("s3", "s3inv"))).a_value == congestion_from_weights(
-        flow(2 ** 60, ("s3", "s3inv")))[0]
-    with pytest.raises(ValueError, match="int64"):
-        congestion_A(flow(2 ** 63))
-    with pytest.raises(ValueError, match="int64"):
-        congestion_A(flow(2 ** 61, ("s3",) * 2 + ("s3inv",) * 2))
+def test_congestion_of_the_odd_flow_past_the_int64_range():
+    # L = lcm of the odd l^2 is about 2.8e18 at n = k = 25, so the traffic
+    # sum c * |delta|^2 = 2 L * 13 exceeds 2^63
+    flow = build_odd_flow_tbk(25, 25)
+    assert sum(c * p.length ** 2 for p, c in flow.paths.items()) >= 2 ** 63
+    a, _ = congestion_from_weights(flow)
+    assert congestion_A(flow).a_value == a
+    assert odd_flow_eigenvalue_bound(flow) == -1 + 2 / a
 
 
 def test_congestion_empty_path_contributes_nothing():

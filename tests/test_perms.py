@@ -11,6 +11,7 @@ from shufflemix.perms import (
     cycle_generator,
     identity,
     inverse,
+    order,
     rank,
     right_multiplier,
     serialize,
@@ -135,6 +136,15 @@ def test_inverse_cancels(a):
     p = Permutation(6, tuple(a))
     assert compose(p, inverse(p)) == identity(6)
     assert compose(inverse(p), p) == identity(6)
+
+
+@given(st.permutations(list(range(1, 8))))
+def test_order_is_the_first_power_at_the_identity(a):
+    p = Permutation(7, tuple(a))
+    acc, r = p, 1
+    while not acc.is_identity():
+        acc, r = compose_word([acc, p], 7), r + 1
+    assert order(p) == r
 
 
 @pytest.mark.parametrize("n", range(2, 9))
