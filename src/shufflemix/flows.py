@@ -40,6 +40,7 @@ absorbed in a constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -193,7 +194,7 @@ def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarra
     return ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CayleyPath:
     """Word of generator names, walked left to right from e by right
     multiplication; the endpoint is the product of the letters in written
@@ -345,9 +346,11 @@ def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
 # builders
 
 
+@lru_cache(maxsize=None)
 def _short_word(i: int, j: int) -> tuple[str, ...]:
     # ends at the transposition (i, j) for j > i; the trailing pair
-    # degenerates to s{i}inv s{i} when j = i + 1, which is kept as printed
+    # degenerates to s{i}inv s{i} when j = i + 1, which is kept as printed.
+    # Cached, so the flows' many copies share one set of letter strings
     return (f"s{i}inv", f"s{j}", f"s{j-1}inv", f"s{i}")
 
 
@@ -377,7 +380,7 @@ def transposition_words_general(n: int, k: int, i: int, j: int) -> tuple[tuple[s
         return (_strip_identity(_short_word(i, j)),)
     words = []
     for l in range(n - k + 1, n):
-        sl, sli = f"s{l}", f"s{l}inv"
+        sl, sli = sys.intern(f"s{l}"), sys.intern(f"s{l}inv")   # shared across words
         if j > l:
             words.append((sli,) * (l - i) + _short_word(l, j) + (sl,) * (l - i))
         else:

@@ -154,6 +154,14 @@ def test_endpoint_is_cached_and_word_hashable():
     assert hash(p) == hash(CayleyPath(6, ("s4", "s4inv")))
 
 
+@pytest.mark.parametrize("n,k", [(16, 8), (24, 12)])
+def test_general_words_share_letter_strings(n, k):
+    # words hold shared letter objects, not one fresh string per copy
+    flow = build_flow_general(n, k)
+    letters = [x for p in flow.paths for x in p.word]
+    assert len({id(x) for x in letters}) <= 4 * n * n < len(letters)
+
+
 def test_unknown_letter_raises_in_the_run_fold():
     with pytest.raises(ValueError, match="unknown generator name 's9' at n=5"):
         CayleyPath(5, ("s3", "s3", "s9")).endpoint
