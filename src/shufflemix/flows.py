@@ -164,21 +164,26 @@ def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarra
     p's product in one-line form, in ``np.min_scalar_type(n)``.
 
     A run of r letters s is one right multiplication by s^r, a gather through
-    s^r's one-line map.  Runs reduce by their letter's order, and every
-    letter's powers are tabled once, up to the longest reduced run.  Each
-    chunk lays its runs out as a (most runs, words) key matrix, short words
-    padded with the identity, and folds it one row, one gather, at a time.
+    s^r's one-line map.  Runs reduce by their letter's order, and the powers
+    of every letter the words use are tabled once, up to the longest reduced
+    run.  Each chunk lays its runs out as a (most runs, words) key matrix,
+    short words padded with the identity, and folds it one row, one gather,
+    at a time.
     """
-    maps = np.array([g.map for g in _letters(n).values()], np.intp) - 1
+    used = np.zeros(len(_letters(n)), bool)
+    for runs in chunks:
+        used[runs.letter] = True
+    slot = np.cumsum(used) - 1                            # letter id -> table block
+    maps = np.array([g.map for g, u in zip(_letters(n).values(), used) if u], np.intp) - 1
     orders = np.array(_letter_orders(n))
     dtype = np.min_scalar_type(n)
     longest = max(int(runs.length.max(initial=0)) for runs in chunks)
-    top = min(longest, int(orders.max()) - 1) + 1
-    table = np.empty((len(maps), top, n), dtype)         # [id, r] = s^r, 0-based
+    top = min(longest, int(orders[used].max(initial=1)) - 1) + 1
+    table = np.empty((len(maps), top, n), dtype)         # [slot, r] = s^r, 0-based
     table[:, 0] = np.arange(n)
     for r in range(1, top):
         table[:, r] = np.take_along_axis(table[:, r - 1], maps, axis=1)
-    table = table.reshape(-1, n)                          # row id * top + r
+    table = table.reshape(-1, n)                          # row slot * top + r
     row_start = np.arange(0, _CHUNK * n, n)[:, None]
     ends = np.empty((npaths, n), dtype)
     for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
@@ -188,7 +193,7 @@ def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarra
         step = np.arange(len(runs.path)) - (np.cumsum(counts) - counts)[runs.path]
         letter = runs.letter.astype(np.intp)
         keys = np.zeros((counts.max(initial=0), len(rows)), np.intp)     # 0: e
-        keys[step, runs.path] = letter * top + runs.length % orders[letter]
+        keys[step, runs.path] = slot[letter] * top + runs.length % orders[letter]
         for key in keys:
             rows[:] = np.take(rows, table[key] + row_start[:len(rows)])
     return ends
