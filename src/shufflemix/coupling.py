@@ -14,12 +14,13 @@ couplings, and at k = n, any n, for the card coupling.  The trials remain
 the engine for everything else.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
-simulated: the collector and increasing-bottom statistics share one
-pure-death chain on the count of unselected bottom labels, and the
-single-card bound evolves an n-state position chain.  They take no seed.
-The same chain, at k = n, gives the exact TV profile of top-to-random and
-its lazy versions (:func:`shufflemix.exact.top_to_random_tv`) and the exact
-tail of the card coupling.
+simulated, and take no seed.  One pure-death chain on the count of
+unselected bottom labels, with one stop rule, serves the collector and
+increasing-bottom statistics and, at k = n, the TV of top-to-random
+(:func:`shufflemix.exact.top_to_random_tv`) and the card coupling's tail;
+all read it through one reader, :func:`_values_at`.  The single-card bound
+evolves an n-state position chain through the card-move maps that the
+exact coupling chain also uses.
 
 Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of
@@ -181,18 +182,33 @@ def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
     return p, math.sqrt(p * (1 - p) / trials)
 
 
-def _unselected_chain(k: int, rate: float = 1.0):
-    """(law, outflow) of the unselected count of :func:`unselected_tails` at
-    m = 0, 1, ...: one array, stepped in place between items.  Each step
-    selects with probability rate, so u falls to u - 1 with probability
-    rate * u / k; rate = 1 is the plain walk, rate = p its p-lazy version."""
-    p, leave = np.zeros(k + 1), rate * np.arange(k + 1) / k
+def _unselected_chain(k: int, read, low: int, rate: float = 1.0):
+    """read(law) of the unselected count of :func:`unselected_tails` at
+    m = 0, 1, ..., the law one array stepped in place between items.  Each
+    step selects with probability rate, so u falls to u - 1 with probability
+    rate * u / k; rate = 1 is the plain walk, rate = p its p-lazy version.
+    It ends once no mass leaves a state u >= low: the law there is fixed."""
+    p, leave, moved = np.zeros(k + 1), rate * np.arange(k + 1) / k, np.empty(k + 1)
     p[k] = 1.0
+    leaving, lower, inflow = moved[low:], p[:-1], moved[1:]     # views, stepped in place
     while True:
-        moved = p * leave
-        yield p, moved
+        np.multiply(p, leave, out=moved)
+        yield read(p)
+        if not np.count_nonzero(leaving):
+            return
         p -= moved
-        p[:-1] += moved[1:]
+        lower += inflow
+
+
+def _values_at(values, ms) -> list:
+    """Value at floor(m) of ``values`` (m = 0, 1, ...) for each m in ms, read
+    no further than needed; once the chain ends, later m read its last value."""
+    floors = [math.floor(m) for m in ms]
+    got, value = dict.fromkeys(floors), None
+    for m, value in zip(range(max(floors, default=-1) + 1), values):
+        if m in got:
+            got[m] = value
+    return [value if got[m] is None else got[m] for m in floors]
 
 
 def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
@@ -206,8 +222,8 @@ def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     """
     if k < 1 or j < 0 or m_max < 0:
         raise ValueError("need k >= 1, j >= 0 and m_max >= 0")
-    chain = zip(range(m_max + 1), _unselected_chain(k))
-    return np.array([p[j + 1:].sum() for _, (p, moved) in chain])
+    tails = _unselected_chain(k, lambda law: law[j + 1:].sum(), j + 1)
+    return np.array(_values_at(tails, range(m_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -258,13 +274,19 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstima
         raise ValueError(f"k={k} outside [1, {n}]")
     if m < 0:
         raise ValueError(f"m={m} is negative")
-    last = math.floor(m)
-    # once no mass leaves a state u > j, P(u > j) is the same at every later step
-    for step, (p, moved) in enumerate(_unselected_chain(k)):
-        if step == last or not moved[j + 1:].any():
-            break
-    p_tail = float(p[j + 1:].sum())
+    (p_tail,) = _values_at(_unselected_chain(k, lambda law: float(law[j + 1:].sum()), j + 1), [m])
     return BoundEstimate(p_tail - 1 / math.factorial(j), p_tail)
+
+
+def _to_top(x, a):
+    """Where the card at position x goes when the card at a moves to the top."""
+    return np.where(x == a, 0, x + (x < a))
+
+
+def _from_top(x, s):
+    """Where the card at position x goes when the top card moves to slot s;
+    the inverse of :func:`_to_top` at a = s.  Positions count from 0."""
+    return np.where(x == 0, s, x - ((x > 0) & (x <= s)))
 
 
 @dataclass(frozen=True)
@@ -297,12 +319,10 @@ def single_card_lower_bound(n: int, k: int, l: int) -> SingleCardReport:
     start = (n - k) // 2 + 1
     if start >= lo:
         raise ValueError(f"start position {start} already inside the bottom block")
-    pos, slot = np.meshgrid(np.arange(1, n + 1), np.arange(lo, n + 1), indexing="ij")
-    fwd = np.where(pos == 1, slot, np.where(pos <= slot, pos - 1, pos))
-    rev = np.where(pos == slot, 1, np.where(pos < slot, pos + 1, pos))
+    x, s = np.meshgrid(np.arange(n), np.arange(lo - 1, n), indexing="ij")   # 0-based
     step = np.zeros((n, n))
-    np.add.at(step, (pos - 1, fwd - 1), 0.5 / k)
-    np.add.at(step, (pos - 1, rev - 1), 0.5 / k)
+    np.add.at(step, (x, _from_top(x, s)), 0.5 / k)
+    np.add.at(step, (x, _to_top(x, s)), 0.5 / k)
     d = np.zeros(n)
     d[start - 1] = 1.0
     for _ in range(l):

@@ -22,21 +22,19 @@ One dense cap, n <= 8, covers all of these and every output of size n!;
 
 The one walk whose TV needs no dense state is top-to-random, tbk(n, n), and
 its lazy versions: :func:`top_to_random_tv` reads their TV profile off the
-(n + 1)-state unselected-count chain at any n, and the dense walk is its
-test oracle.
+(n + 1)-state unselected-count chain of :mod:`shufflemix.coupling` at any n,
+and the dense walk is its test oracle.
 
-:func:`coupling_tail` computes the tail P(T > m) of both couplings of
-:mod:`shufflemix.coupling` exactly, plain or lazy.  For the card coupling at
-k = n it reads the same unselected-count chain, at any n.  For every other
-(kind, k) it steps the relative deck, where deck 2 holds each card of deck 1,
-as an n!-state chain under the dense cap.  Its edges are ranked like the
-multiplication tables, and each step is one ``bincount``.
+:func:`coupling_tail` computes the tail P(T > m) of both couplings exactly,
+plain or lazy: off the same chain for the card coupling at k = n, any n,
+else off the n!-state relative deck (deck 2's position of each card of
+deck 1) under the dense cap, moved by the coupling module's card-move maps,
+one ``bincount`` a step.  That module's one reader reads every profile here.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import _unselected_chain
+from .coupling import _from_top, _to_top, _unselected_chain, _values_at
 from .errors import CapacityError
 from .measures import (
     SparseMeasure,
@@ -205,7 +203,7 @@ def _report(dists, metric: str, threshold: float, m_max: int, label: str) -> Mix
     """The MixingReport of the distances for m = 0..m_max, m_max >= 0."""
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    profile = tuple(enumerate(itertools.islice(dists, m_max + 1)))
+    profile = tuple(enumerate(_values_at(dists, range(m_max + 1))))
     hit = next((m for m, dist in profile if dist <= threshold), None)
     return MixingReport(
         measure=label,
@@ -228,17 +226,20 @@ def _top_to_random_distances(n: int, rate: float):
     So P_m(sigma) = G(r(sigma)) r(sigma)!/n! with G(r) = sum_{u <= r}
     P(U_m = u) u!/r! = G(r - 1)/r + P(U_m = r), and a share c_r = r/(r + 1)
     of the decks (c_n = 1) has r(sigma) = r exactly:
-    TV = 1/2 sum_{r >= 1} c_r |G(r) - 1/r!|.
+    TV = 1/2 sum_{r >= 1} c_r |G(r) - 1/r!|, which reads every u >= 1.
     """
     inv_fact = [1 / math.factorial(r) for r in range(n + 1)]
     share = [r / (r + 1) for r in range(n)] + [1.0]
-    for law, _ in _unselected_chain(n, rate):
+
+    def tv(law):
         prob = law.tolist()
         g, terms = prob[0], []
         for r in range(1, n + 1):
             g = g / r + prob[r]
             terms.append(share[r] * abs(g - inv_fact[r]))
-        yield 0.5 * math.fsum(terms)
+        return 0.5 * math.fsum(terms)
+
+    return _unselected_chain(n, tv, 1, rate)
 
 
 def top_to_random_tv(n: int, p=None, m_max: int = 200,
@@ -255,34 +256,6 @@ def top_to_random_tv(n: int, p=None, m_max: int = 200,
         raise ValueError(f"laziness p must be in (0,1), got {p}")
     dists = _top_to_random_distances(n, 1.0 if p is None else float(p))
     return _report(dists, "tv", TV_THRESHOLD, m_max, label or f"measure(n={n})")
-
-
-def _full_deck_tails(n: int, rate: float):
-    """P(T > m) at m = 0, 1, ... for the card coupling at k = n, stepped with
-    probability rate, until the value can no longer change.
-
-    Both decks move the same card to the top, so the u unselected cards keep
-    their relative orders, deck 1's original and deck 2's uniform, and the
-    decks agree once those do: P(T > m) = sum_u P(U_m = u)(1 - 1/u!) (Aldous
-    & Diaconis 1986).  Once no mass leaves a state u >= 2, the law on those
-    states, and so the tail, is the same at every later step.
-    """
-    miss = np.array([1 - 1 / math.factorial(u) for u in range(n + 1)])
-    for law, moved in _unselected_chain(n, rate):
-        yield math.fsum((law * miss).tolist())
-        if not moved[2:].any():
-            return
-
-
-def _to_top(x, a):
-    """Where the card at position x goes when the card at a moves to the top."""
-    return np.where(x == a, 0, x + (x < a))
-
-
-def _from_top(x, s):
-    """Where the card at position x goes when the top card moves to slot s;
-    the inverse of :func:`_to_top` at a = s."""
-    return np.where(x == 0, s, x - ((x > 0) & (x <= s)))
 
 
 def _relative_chain(n: int, k: int, kind: str):
@@ -350,10 +323,12 @@ def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
     (deck 1 the identity, deck 2 uniform) for its p-lazy clock.
 
     T is an integer, so each value is taken at floor(m), and m < 0 gives 1.
-    The card coupling at k = n reads the (n + 1)-state unselected-count chain
-    at any n; every other (kind, k) steps the n!-state relative-deck chain,
-    so n is held to the dense cap.  Stepping stops at the largest floor(m)
-    or where the chain stops changing, whichever comes first.
+    For the card coupling at k = n, the u cards neither deck has moved keep
+    their relative orders, deck 1's original and deck 2's uniform, so
+    P(T > m) = sum_u P(U_m = u)(1 - 1/u!) (Aldous & Diaconis 1986), off the
+    unselected-count chain at any n; every other (kind, k) steps the n!-state
+    relative-deck chain, under the dense cap.  Stepping stops at the largest
+    floor(m) or where the chain stops changing, whichever comes first.
 
     >>> coupling_tail(3, 3, "bottom_k_to_top", [0, 1.5, 2, -1])
     [0.8333333333333334, 0.5, 0.16666666666666669, 1.0]
@@ -368,16 +343,12 @@ def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
     if not all(math.isfinite(m) for m in ms):
         raise ValueError(f"tail points must be finite, got {ms}")
     if kind == "bottom_k_to_top" and k == n:
-        tails = _full_deck_tails(n, float(p))
+        miss = np.array([1 - 1 / math.factorial(u) for u in range(n + 1)])
+        tails = _unselected_chain(n, lambda law: math.fsum((law * miss).tolist()), 2, float(p))
     else:
         require_dense(n)
         tails = _relative_tails(n, k, kind, float(p))
-    floors = [math.floor(m) for m in ms]
-    wanted, got, tail = set(floors), {}, 1.0
-    for m, tail in zip(range(max(floors, default=-1) + 1), tails):
-        if m in wanted:
-            got[m] = tail
-    return [1.0 if m < 0 else got.get(m, tail) for m in floors]
+    return [1.0 if m < 0 else tail for m, tail in zip(ms, _values_at(tails, ms))]
 
 
 @dataclass(frozen=True)

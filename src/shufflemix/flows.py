@@ -20,12 +20,13 @@ from the Fourier blocks of :mod:`shufflemix.exact`, one eigendecomposition
 per walk, from which both exact T2s and the comparison bound are read; all
 share its dense cap n <= 8.  Flows themselves are exact and have no
 size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
-through one table per n, whose order numbers them.  A flow reads its words
-once, as runs of one repeated letter (path index, letter id, run length);
-congestion is a per-letter tally over those runs, and every endpoint, of a
-whole flow or of one path, comes from one batched fold that right-multiplies
-by a run's power s^r in a single gather.  The measures are read through
-``SparseMeasure.weight`` and ``items``, by rank.
+through one table per n, whose order numbers them.  A path is just its word;
+a flow owns n and reads its words once, when built, as runs of one repeated
+letter (path index, letter id, run length), and checks its letters off them.
+Congestion is a per-letter tally over those runs, and every endpoint comes
+from one batched fold that right-multiplies by a run's power s^r in a single
+gather.  The measures are read through ``SparseMeasure.weight`` and
+``items``, by rank.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -43,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -128,7 +129,7 @@ _CHUNK = 256       # words per run chunk; bounds every temporary of a pass
 
 def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
     """Run encoding of ``words`` (tuples of letter names) at deck size n, one
-    chunk per ``_CHUNK`` words; ValueError names the first unknown letter."""
+    chunk per ``_CHUNK`` words; ValueError names the sorted-first unknown."""
     ids = {name: i for i, name in enumerate(_letters(n))}
     id_type = np.min_scalar_type(len(ids))
     chunks = []
@@ -139,8 +140,9 @@ def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
         try:
             flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)), id_type,
                                count=int(sizes.sum()))
-        except KeyError as exc:
-            raise ValueError(f"unknown generator name {exc.args[0]!r} at n={n}") from None
+        except KeyError:
+            bad = min(set(chain.from_iterable(words)).difference(ids))
+            raise ValueError(f"unknown generator name {bad!r} at n={n}") from None
         first = np.ones(len(flat), bool)
         first[1:] = flat[1:] != flat[:-1]
         first[(ends - sizes)[sizes > 0]] = True
@@ -170,9 +172,7 @@ def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarra
     short words padded with the identity, and folds it one row, one gather,
     at a time.
     """
-    used = np.zeros(len(_letters(n)), bool)
-    for runs in chunks:
-        used[runs.letter] = True
+    used = sum(np.bincount(runs.letter, minlength=len(_letters(n))) for runs in chunks) > 0
     slot = np.cumsum(used) - 1                            # letter id -> table block
     maps = np.array([g.map for g, u in zip(_letters(n).values(), used) if u], np.intp) - 1
     orders = np.array(_letter_orders(n))
@@ -199,28 +199,17 @@ def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarra
     return ends
 
 
-@dataclass(frozen=True, slots=True)
-class CayleyPath:
-    """Word of generator names, walked left to right from e by right
-    multiplication; the endpoint is the product of the letters in written
-    order.  Hash and equality use (n, word), so paths key flow dicts.
+class CayleyPath(NamedTuple):
+    """A path is its word of generator names, walked left to right from e by
+    right multiplication; the endpoint is the product of the letters in
+    written order.  The :class:`Flow` it keys owns n and folds endpoints.
     """
 
-    n: int
     word: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    @property
-    def endpoint(self) -> Permutation:
-        # the one-word case of the run fold that verifies whole flows
-        (row,) = _fold_endpoints(self.n, _encode_runs(self.n, [self.word]), 1).tolist()
-        return Permutation(self.n, tuple(row))
 
 
 @dataclass(frozen=True)
@@ -229,38 +218,38 @@ class Flow:
     int multiplicity c >= 0 carries mass c * ``unit``.
 
     Letters must name support elements of q (the identity may appear as a
-    letter only when q(e) > 0, which odd loop flows at k = n exploit).
-    Marginal correctness is checked by :func:`verify_flow`, not here, so that
-    a mis-weighted flow can be built and reported on.
+    letter only when q(e) > 0, which odd loop flows at k = n exploit).  The
+    words are encoded here, once, as letter runs in ``paths`` order
+    (``_runs``); ValueError names the sorted-first unknown letter, else the
+    sorted-first letter outside q's support.  Marginals are checked by
+    :func:`verify_flow`, not here, so a mis-weighted flow can be reported on.
     """
 
     target: SparseMeasure
     q: SparseMeasure
     unit: Fraction
     paths: dict[CayleyPath, int] = field(compare=False)
+    _runs: tuple[_Runs, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.target.n != self.q.n:
             raise ValueError(f"size mismatch: target n={self.target.n}, q n={self.q.n}")
         if not (isinstance(self.unit, Fraction) and self.unit > 0):
             raise ValueError(f"unit must be a positive Fraction, got {self.unit!r}")
-        for p, c in self.paths.items():
-            if p.n != self.q.n:
-                raise ValueError(f"path size {p.n} != {self.q.n}")
+        for c in self.paths.values():
             if not (isinstance(c, int) and c >= 0):
                 raise ValueError(f"multiplicity must be a nonnegative int, got {c!r}")
-        for name in sorted(set(chain.from_iterable(p.word for p in self.paths))):
+        runs = _encode_runs(self.n, [p.word for p in self.paths])
+        names = list(_letters(self.n))
+        used = sum(np.bincount(chunk.letter, minlength=len(names)) for chunk in runs)
+        for name in sorted(names[i] for i in np.flatnonzero(used)):
             if self.q.weight(letter_perm(name, self.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
+        object.__setattr__(self, "_runs", runs)
 
     @property
     def n(self) -> int:
         return self.q.n
-
-    @cached_property
-    def _runs(self) -> tuple[_Runs, ...]:
-        """The words of ``paths``, in dict order, as chunks of letter runs."""
-        return _encode_runs(self.n, [p.word for p in self.paths])
 
     def _endpoints(self) -> np.ndarray:
         """One-line endpoint of every path, rows in ``paths`` order."""
@@ -421,10 +410,10 @@ def build_odd_flow_tbk(n: int, k: int) -> Flow:
     for l in odd_ls:
         c = big_l // (l * l)
         if l == 1:
-            paths[CayleyPath(n, ("s1",))] = 2 * c
+            paths[CayleyPath(("s1",))] = 2 * c
         else:
-            paths[CayleyPath(n, (f"s{l}",) * l)] = c
-            paths[CayleyPath(n, (f"s{l}inv",) * l)] = c
+            paths[CayleyPath((f"s{l}",) * l)] = c
+            paths[CayleyPath((f"s{l}inv",) * l)] = c
     return Flow(target=delta_e(n), q=q, unit=Fraction(1, sum(paths.values())), paths=paths)
 
 
@@ -461,10 +450,10 @@ def build_flow_large_k(n: int, C: int) -> Flow:
     q = symmetrize(top_to_bottom_k(n, k))
     target = random_transposition(n)
     # unit 1/n^2: the identity carries 1/n, each transposition 2/n^2
-    paths = {CayleyPath(n, ()): n}
+    paths = {CayleyPath(()): n}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            paths[CayleyPath(n, transposition_word_large_k(n, C, i, j))] = 2
+            paths[CayleyPath(transposition_word_large_k(n, C, i, j))] = 2
     return Flow(target=target, q=q, unit=Fraction(1, n * n), paths=paths)
 
 
@@ -482,13 +471,13 @@ def build_flow_general(n: int, k: int) -> Flow:
     q = symmetrize(top_to_bottom_k(n, k))
     target = random_transposition(n)
     # unit 1/((k-1)n^2): e carries 1/n, a short word 2/n^2, a long word 2 units
-    paths = {CayleyPath(n, ()): (k - 1) * n}
+    paths = {CayleyPath(()): (k - 1) * n}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             words = transposition_words_general(n, k, i, j)
             c = 2 * (k - 1) if len(words) == 1 else 2
             for word in words:
-                p = CayleyPath(n, word)
+                p = CayleyPath(word)
                 paths[p] = paths.get(p, 0) + c
     return Flow(target=target, q=q, unit=Fraction(1, (k - 1) * n * n), paths=paths)
 
@@ -514,7 +503,7 @@ def build_flow_rudvalis(n: int, k: int) -> Flow:
         c = w / unit
         if c.denominator != 1:
             raise ValueError(f"atom {serialize(g)} of mass {w} is not a multiple of {unit}")
-        paths[CayleyPath(n, words[generator_name(g)])] = c.numerator
+        paths[CayleyPath(words[generator_name(g)])] = c.numerator
     return Flow(target=target, q=q, unit=unit, paths=paths)
 
 

@@ -25,7 +25,7 @@ from shufflemix.exact import (
     spectrum,
     tv_distance,
 )
-from shufflemix.flows import CayleyPath, letter_perm
+from shufflemix.flows import letter_perm
 from shufflemix.measures import SparseMeasure, convolve_measures, delta_e
 # cycle_generator and transposition appear only in the doctests below
 from shufflemix.perms import Permutation, compose, cycle_generator, identity, rank, transposition
@@ -582,14 +582,15 @@ def parse(text: str, n: int | None = None) -> Permutation:
     return Permutation(len(entries), entries)
 
 
-def path_endpoint(path: CayleyPath) -> Permutation:
-    """Product of the path's letters in written order (empty word -> e),
-    composed one letter at a time; unknown letters raise ValueError.
+def path_endpoint(n: int, word) -> Permutation:
+    """Product of the word's letters at deck size n in written order (empty
+    word -> e), composed one letter at a time; unknown letters raise
+    ValueError.
 
-    >>> path_endpoint(CayleyPath(5, ("s3inv", "s5", "s4inv", "s3"))) == transposition(3, 5, 5)
+    >>> path_endpoint(5, ("s3inv", "s5", "s4inv", "s3")) == transposition(3, 5, 5)
     True
     """
-    return compose_word([letter_perm(name, path.n) for name in path.word], path.n)
+    return compose_word([letter_perm(name, n) for name in word], n)
 
 
 def flow_discrepancies(flow) -> tuple:
@@ -598,7 +599,7 @@ def flow_discrepancies(flow) -> tuple:
     in lexicographic order of the one-line form."""
     routed: dict[tuple, Fraction] = {}
     for path, c in flow.paths.items():
-        key = path_endpoint(path).map
+        key = path_endpoint(flow.n, path.word).map
         routed[key] = routed.get(key, Fraction(0)) + flow.unit * c
     target = {g.map: w for g, w in flow.target.items()}
     return tuple((",".join(map(str, key)), routed.get(key, Fraction(0)), target.get(key, Fraction(0)))

@@ -26,6 +26,7 @@ from oracles import (
 )
 from shufflemix.coupling import (
     _rekey,
+    _values_at,
     coupling_trials,
     coupon_collector,
     fisher_yates,
@@ -411,6 +412,21 @@ def test_increasing_bottom_small_k_reduces_to_block_collection():
     for args in ((8, 9, 2, 1), (8, 4, 9, 1), (8, 4, 2, -1)):
         with pytest.raises(ValueError):
             increasing_bottom_statistic(*args)
+
+
+def test_values_at_reads_to_the_largest_floor_and_repeats_a_settled_value():
+    pulled = []
+
+    def chain(values):
+        for v in values:
+            pulled.append(v)
+            yield v
+
+    assert _values_at(chain([10, 11, 12, 13]), [1.9, 0, 1, 0.5]) == [11, 10, 11, 10]
+    assert pulled == [10, 11]
+    # a chain that ends has settled: later m read its last value
+    assert _values_at(chain([20, 21]), [5, 1, 1e300]) == [21, 21, 21]
+    assert _values_at(chain([30]), []) == []
 
 
 @pytest.mark.parametrize("k,j,m_past", [(50, 4, 7_500), (12, 0, 9_000), (5, 6, 1)])

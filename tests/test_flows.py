@@ -30,6 +30,8 @@ from shufflemix.flows import (
     CayleyPath,
     ComparisonBoundReport,
     Flow,
+    _encode_runs,
+    _fold_endpoints,
     build_flow_general,
     build_flow_large_k,
     build_flow_rudvalis,
@@ -75,6 +77,12 @@ from shufflemix.report import csv_bytes, json_bytes
 # letters and endpoints
 
 
+def fold(n, words):
+    """The package's endpoints of ``words`` at deck size n, one one-line
+    tuple per word, through the batched run fold that flows use."""
+    return [tuple(row) for row in _fold_endpoints(n, _encode_runs(n, words), len(words)).tolist()]
+
+
 def test_letter_names_resolve():
     assert letter_perm("s3", 5) == cycle_generator(3, 5)
     assert letter_perm("s3inv", 5) == inverse(cycle_generator(3, 5))
@@ -117,41 +125,44 @@ def test_endpoint_convention_pin():
     # sigma_3^{-1} sigma_5 sigma_4^{-1} sigma_3, multiplied left to right,
     # must land on the transposition (3, 5); this fixes the word-order
     # convention for every other path in the module
-    p = CayleyPath(5, ("s3inv", "s5", "s4inv", "s3"))
-    assert path_endpoint(p) == transposition(3, 5, 5)
+    word = ("s3inv", "s5", "s4inv", "s3")
+    assert path_endpoint(5, word) == transposition(3, 5, 5)
+    assert fold(5, [word]) == [transposition(3, 5, 5).map]
 
 
 def test_empty_word_is_identity():
-    assert path_endpoint(CayleyPath(4, ())) == identity(4)
+    assert path_endpoint(4, ()) == identity(4)
+    assert fold(4, [()]) == [identity(4).map]
 
 
 def test_generator_loops_close():
     for n in (1, 3, 5, 8):
-        for l in range(1, n + 1):
-            p = CayleyPath(n, (f"s{l}",) * l)
-            assert p.endpoint.is_identity()
-            assert p.length == l
+        words = [(f"s{l}",) * l for l in range(1, n + 1)]
+        assert fold(n, words) == [identity(n).map] * n
+        assert [CayleyPath(w).length for w in words] == list(range(1, n + 1))
 
 
 def test_unknown_letter_raises_at_endpoint():
     with pytest.raises(ValueError):
-        path_endpoint(CayleyPath(5, ("s9",)))
+        path_endpoint(5, ("s9",))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["s2", "s3", "s4", "s5", "s3inv", "s5inv", "tau"]), max_size=12))
 def test_endpoint_matches_oracle_fold(word):
-    p = CayleyPath(5, tuple(word))
     expected = tuple(range(1, 6))
     for name in word:
         expected = o_compose(expected, letter_perm(name, 5).map)
-    assert p.endpoint.map == expected
+    assert fold(5, [tuple(word)]) == [expected]
+    assert path_endpoint(5, word).map == expected
 
 
-def test_endpoint_is_cached_and_word_hashable():
-    p = CayleyPath(6, ("s4", "s4inv"))
-    assert p.endpoint == p.endpoint == identity(6)
-    assert hash(p) == hash(CayleyPath(6, ("s4", "s4inv")))
+def test_path_is_its_hashable_word():
+    p = CayleyPath(("s4", "s4inv"))
+    assert CayleyPath._fields == ("word",)
+    assert p == CayleyPath(("s4", "s4inv")) != CayleyPath(("s4inv", "s4"))
+    assert hash(p) == hash(CayleyPath(("s4", "s4inv")))
+    assert p.length == 2 and fold(6, [p.word]) == [identity(6).map]
 
 
 @pytest.mark.parametrize("n,k", [(16, 8), (24, 12)])
@@ -164,13 +175,32 @@ def test_general_words_share_letter_strings(n, k):
 
 def test_unknown_letter_raises_in_the_run_fold():
     with pytest.raises(ValueError, match="unknown generator name 's9' at n=5"):
-        CayleyPath(5, ("s3", "s3", "s9")).endpoint
+        _encode_runs(5, [("s3", "s3", "s9")])
     with pytest.raises(ValueError, match="unknown generator name 'tau' at n=1"):
-        CayleyPath(1, ("tau",)).endpoint
+        _encode_runs(1, [("tau",)])
     q = symmetrize(top_to_bottom_k(5, 3))
     with pytest.raises(ValueError, match="unknown generator name 'x' at n=5"):
         Flow(target=random_transposition(5), q=q, unit=Fraction(1, 25),
-             paths={CayleyPath(5, ("s4",)): 1, CayleyPath(5, ("s5", "x")): 1})
+             paths={CayleyPath(("s4",)): 1, CayleyPath(("s5", "x")): 1})
+
+
+def test_flow_names_its_first_bad_letter_in_sorted_order():
+    # of two unknown names, or two letters outside q's support, the first in
+    # sorted-name order is named, whatever the word order
+    q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
+    target = random_transposition(5)
+    cases = [
+        ([("s5", "z"), ("tau", "y")], "unknown generator name 'y' at n=5"),
+        ([("s5", "s9inv", "s6")], "unknown generator name 's6' at n=5"),
+        ([("s4", "tau"), ("s5inv", "s3inv")], "letter 's3inv' is not in the support of q"),
+        # the two bad letters in different run chunks of 256 words
+        ([("s4",) * r for r in range(1, 300)] + [("s3",)], "letter 's3' is not in the support of q"),
+        ([("z",)] + [("s4",) * r for r in range(1, 300)] + [("a",)],
+         "unknown generator name 'a' at n=5"),
+    ]
+    for words, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(w): 1 for w in words})
 
 
 def test_run_fold_matches_the_letter_oracle_across_chunks():
@@ -188,23 +218,22 @@ def test_run_fold_matches_the_letter_oracle_across_chunks():
     words = list(dict.fromkeys(words))
     ranks = {rank(letter_perm(name, n)) for name in names}
     q = SparseMeasure(n, {r: Fraction(1, len(ranks)) for r in ranks})
-    flow = Flow(target=delta_e(n), q=q, unit=Fraction(1), paths={CayleyPath(n, w): 1 for w in words})
+    flow = Flow(target=delta_e(n), q=q, unit=Fraction(1), paths={CayleyPath(w): 1 for w in words})
     assert len(words) > 2 * 256
     ends = flow._endpoints()
     assert ends.dtype == np.uint8 and ends.shape == (len(words), n)
-    assert [tuple(row) for row in ends.tolist()] == [
-        path_endpoint(CayleyPath(n, w)).map for w in words]
+    assert [tuple(row) for row in ends.tolist()] == [path_endpoint(n, w).map for w in words]
     assert verify_flow(flow).discrepancies == flow_discrepancies(flow)
 
 
 def test_run_fold_at_one_card_and_on_empty_words():
     flow = Flow(target=delta_e(1), q=delta_e(1), unit=Fraction(1, 3),
-                paths={CayleyPath(1, ()): 1, CayleyPath(1, ("s1", "s1inv", "s1")): 2})
-    assert CayleyPath(1, ("s1",) * 5).endpoint == identity(1)
+                paths={CayleyPath(()): 1, CayleyPath(("s1", "s1inv", "s1")): 2})
+    assert fold(1, [("s1",) * 5]) == [identity(1).map]
     assert verify_flow(flow).exact
     assert congestion_A(flow).a_value == congestion_from_weights(flow)[0] == 6
     empty = Flow(target=random_transposition(4), q=symmetrize(top_to_bottom_k(4, 2)),
-                 unit=Fraction(1, 4), paths={CayleyPath(4, ()): 1})
+                 unit=Fraction(1, 4), paths={CayleyPath(()): 1})
     assert verify_flow(empty).discrepancies == flow_discrepancies(empty)
     assert congestion_A(empty).a_value == 0
     nothing = Flow(target=delta_e(4), q=symmetrize(top_to_bottom_k(4, 2)),
@@ -222,7 +251,7 @@ def test_run_fold_at_one_card_and_on_empty_words():
 def test_batched_endpoints_and_verify_match_the_letter_oracle(builder, n, k):
     flow = BUILDERS[builder](n, k)
     ends = flow._endpoints()
-    assert [tuple(row) for row in ends.tolist()] == [path_endpoint(p).map for p in flow.paths]
+    assert [tuple(row) for row in ends.tolist()] == [path_endpoint(n, p.word).map for p in flow.paths]
     assert verify_flow(flow).exact and flow_discrepancies(flow) == ()
     # a mis-weighted copy: every third path one unit heavier, the empty path
     # dropped; discrepancies equal the oracle's, in order and in text
@@ -239,15 +268,15 @@ def test_batched_endpoints_and_verify_match_the_letter_oracle(builder, n, k):
 def test_flow_rejects_letter_outside_support():
     q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
     target = SparseMeasure(5, {rank(cycle_generator(2, 5)): Fraction(1)})
-    with pytest.raises(ValueError, match="support"):
-        Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(5, ("s2",)): 1})
+    with pytest.raises(ValueError, match="^letter 's2' is not in the support of q$"):
+        Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(("s2",)): 1})
 
 
 def test_flow_rejects_negative_weight_and_size_mismatch():
     q = symmetrize(top_to_bottom_k(4, 2))
     with pytest.raises(ValueError, match="multiplicity"):
         Flow(target=random_transposition(4), q=q, unit=Fraction(1, 2),
-             paths={CayleyPath(4, ("s3",)): -1})
+             paths={CayleyPath(("s3",)): -1})
     with pytest.raises(ValueError, match="size"):
         Flow(target=random_transposition(5), q=q, unit=Fraction(1), paths={})
 
@@ -257,7 +286,7 @@ def test_flow_rejects_non_int_multiplicity(c):
     q = symmetrize(top_to_bottom_k(4, 2))
     with pytest.raises(ValueError, match="multiplicity"):
         Flow(target=random_transposition(4), q=q, unit=Fraction(1, 16),
-             paths={CayleyPath(4, ("s3",)): c})
+             paths={CayleyPath(("s3",)): c})
 
 
 @pytest.mark.parametrize("unit", [Fraction(0), Fraction(-1, 16), 0, 1, 0.0625])
@@ -265,7 +294,7 @@ def test_flow_rejects_unit_other_than_a_positive_fraction(unit):
     q = symmetrize(top_to_bottom_k(4, 2))
     with pytest.raises(ValueError, match="unit"):
         Flow(target=random_transposition(4), q=q, unit=unit,
-             paths={CayleyPath(4, ("s3",)): 1})
+             paths={CayleyPath(("s3",)): 1})
 
 
 def test_verify_flow_flags_half_weights():
@@ -288,7 +317,7 @@ def test_verify_single_path_per_atom_passes():
     target = SparseMeasure(4, {rank(g): Fraction(2, 3), rank(identity(4)): Fraction(1, 3)})
     q = symmetrize(top_to_bottom_k(4, 4))
     flow = Flow(target=target, q=q, unit=Fraction(1, 3),
-                paths={CayleyPath(4, ("s3",)): 2, CayleyPath(4, ()): 1})
+                paths={CayleyPath(("s3",)): 2, CayleyPath(()): 1})
     assert {p.word: flow.unit * c for p, c in flow.paths.items()} == {
         ("s3",): Fraction(2, 3), (): Fraction(1, 3)}
     assert verify_flow(flow).exact
@@ -302,8 +331,8 @@ def test_congestion_single_path_formula():
     # one path of length 1 through s with weight w: A = w / q(s)
     q = symmetrize(top_to_bottom_k(3, 3))
     target = SparseMeasure(3, {rank(cycle_generator(3, 3)): Fraction(1)})
-    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(3, ("s3",)): 1})
-    assert flow.unit * flow.paths[CayleyPath(3, ("s3",))] == 1
+    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(("s3",)): 1})
+    assert flow.unit * flow.paths[CayleyPath(("s3",))] == 1
     rep = congestion_A(flow)
     assert rep.a_value == Fraction(1) / q.weight(cycle_generator(3, 3)) == 6
     terms = {name: term for name, _, term in rep.per_generator}
@@ -314,8 +343,8 @@ def test_congestion_tally_is_exact_past_the_int64_range():
     q = symmetrize(top_to_bottom_k(4, 2))
     target = SparseMeasure(4, {rank(cycle_generator(3, 4)): Fraction(1)})
     # multiplicities past 2^63, one shared by two words, and mixed run lengths
-    paths = {CayleyPath(4, ("s3",)): 2 ** 63, CayleyPath(4, ("s3", "s3inv")): 2 ** 63,
-             CayleyPath(4, ("s3",) * 2 + ("s3inv",) * 3): 2 ** 100 + 1, CayleyPath(4, ()): 3}
+    paths = {CayleyPath(("s3",)): 2 ** 63, CayleyPath(("s3", "s3inv")): 2 ** 63,
+             CayleyPath(("s3",) * 2 + ("s3inv",) * 3): 2 ** 100 + 1, CayleyPath(()): 3}
     flow = Flow(target=target, q=q, unit=Fraction(1, 2 ** 101), paths=paths)
     a, terms = congestion_from_weights(flow)
     rep = congestion_A(flow)
@@ -336,8 +365,8 @@ def test_congestion_of_the_odd_flow_past_the_int64_range():
 def test_congestion_empty_path_contributes_nothing():
     q = symmetrize(top_to_bottom_k(4, 4))
     target = SparseMeasure(4, {rank(identity(4)): Fraction(1)})
-    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(4, ()): 1})
-    assert flow.unit * flow.paths[CayleyPath(4, ())] == 1
+    flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(()): 1})
+    assert flow.unit * flow.paths[CayleyPath(())] == 1
     assert congestion_A(flow).a_value == 0
 
 
@@ -459,8 +488,8 @@ def test_odd_flow_bound_below_exact_beta_min(n):
 def test_odd_flow_even_path_rejected_by_bound():
     q = symmetrize(top_to_bottom_k(4, 2))
     flow = Flow(target=random_transposition(4), q=q, unit=Fraction(1),
-                paths={CayleyPath(4, ("s3", "s4")): 1})
-    assert flow.unit * flow.paths[CayleyPath(4, ("s3", "s4"))] == 1
+                paths={CayleyPath(("s3", "s4")): 1})
+    assert flow.unit * flow.paths[CayleyPath(("s3", "s4"))] == 1
     with pytest.raises(ValueError, match="odd"):
         odd_flow_eigenvalue_bound(flow)
 
@@ -469,7 +498,7 @@ def test_odd_flow_bound_needs_the_identity_target():
     # odd loops, but beta~_min of a random-transposition target is not 1
     q = symmetrize(top_to_bottom_k(4, 4))
     flow = Flow(target=random_transposition(4), q=q, unit=Fraction(1),
-                paths={CayleyPath(4, ("s3",) * 3): 1})
+                paths={CayleyPath(("s3",) * 3): 1})
     with pytest.raises(ValueError, match="point mass at e"):
         odd_flow_eigenvalue_bound(flow)
 
@@ -487,8 +516,7 @@ def test_general_words_end_at_their_transposition():
                     assert len(words) == (1 if i > n - k else k - 1)
                     for word in words:
                         assert len(word) <= 2 * n + 12
-                        end = CayleyPath(n, word).endpoint
-                        assert end == transposition(i, j, n), (n, k, i, j, word)
+                        assert fold(n, [word]) == [transposition(i, j, n).map], (n, k, i, j, word)
 
 
 def test_large_k_words_end_at_their_transposition():
@@ -496,8 +524,7 @@ def test_large_k_words_end_at_their_transposition():
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 word = transposition_word_large_k(n, C, i, j)
-                end = CayleyPath(n, word).endpoint
-                assert end == transposition(i, j, n), (n, C, i, j, word)
+                assert fold(n, [word]) == [transposition(i, j, n).map], (n, C, i, j, word)
                 if i <= C:
                     assert len(word) <= 2 * C + 6
                 else:
@@ -509,7 +536,7 @@ def test_general_flow_marginals_and_lengths():
         flow = build_flow_general(n, k)
         assert verify_flow(flow).exact
         assert max(p.length for p in flow.paths) <= 2 * n + 12
-        assert flow.unit * flow.paths[CayleyPath(n, ())] == Fraction(1, n)
+        assert flow.unit * flow.paths[CayleyPath(())] == Fraction(1, n)
 
 
 def test_general_flow_strips_identity_letters_at_k_n():
@@ -531,7 +558,7 @@ def test_large_k_flow_marginals_and_constant():
     for n, C in ((6, 0), (7, 1), (9, 2), (12, 3)):
         flow = build_flow_large_k(n, C)
         assert verify_flow(flow).exact
-        assert flow.unit * flow.paths[CayleyPath(n, ())] == Fraction(1, n)
+        assert flow.unit * flow.paths[CayleyPath(())] == Fraction(1, n)
     a = congestion_A(build_flow_large_k(12, 3)).a_value
     assert a <= large_k_congestion_bound(3) == 608
     assert a == Fraction(227, 2)
@@ -549,7 +576,7 @@ def test_rudvalis_words_end_at_their_cycle():
         for l in range(2, n + 1):
             word = rudvalis_generator_word(n, l)
             assert len(word) == 3 * (n - l) + 1
-            assert CayleyPath(n, word).endpoint == cycle_generator(l, n)
+            assert fold(n, [word]) == [cycle_generator(l, n).map]
     assert rudvalis_generator_word(6, 6) == ("s6",)
 
 
@@ -561,7 +588,7 @@ def test_rudvalis_flow_marginals_and_bound():
         assert rep.a_value <= rudvalis_congestion_bound(n, k), (n, k)
     # identity atom at k = n rides the empty path
     flow = build_flow_rudvalis(8, 8)
-    assert flow.unit * flow.paths[CayleyPath(8, ())] == Fraction(1, 8)
+    assert flow.unit * flow.paths[CayleyPath(())] == Fraction(1, 8)
 
 
 def test_lower_bound_never_beats_congestion():
@@ -710,7 +737,7 @@ def test_comparison_bound_refuses_a_walk_that_never_mixes(q, monkeypatch):
     def no_walk(*args):
         raise AssertionError("T2 searched for a walk that never mixes")
     monkeypatch.setattr(exact, "convolve_step", no_walk)
-    flow = Flow(target=delta_e(3), q=q, unit=Fraction(1), paths={CayleyPath(3, ()): 1})
+    flow = Flow(target=delta_e(3), q=q, unit=Fraction(1), paths={CayleyPath(()): 1})
     with pytest.raises(ValueError, match="comparison walk does not mix"):
         comparison_bound_report(flow)
 
