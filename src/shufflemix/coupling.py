@@ -1,17 +1,17 @@
 """Couplings and lower-bound statistics for the bottom-k shuffles.
 
-Two couplings are implemented, here as Monte Carlo trials.  The card
-coupling drives both decks by the reversed walk: pick a uniform card from
-deck 1's bottom k block and move it to the top of both decks when possible,
-otherwise move a uniform card of deck 2's block that deck 1's block does not
-hold.  The position coupling drives both decks by the forward walk: a
-uniformly chosen leading deck inserts its top card into a uniform bottom-k
-slot and the trailing deck copies the slot except in the two swap cases that
-create a match.  Coupling times upper-bound total variation distance.
-Where the chain behind a coupling time is small, its tail is computed
-exactly instead (:func:`shufflemix.exact.coupling_tail`): at n <= 8 for both
-couplings, and at k = n, any n, for the card coupling.  The trials remain
-the engine for everything else.
+Two couplings are implemented.  The card coupling drives both decks by the
+reversed walk: pick a uniform card from deck 1's bottom k block and move it
+to the top of both decks when possible, otherwise move a uniform card of
+deck 2's block that deck 1's block does not hold.  The position coupling
+drives both decks by the forward walk: a uniformly chosen leading deck
+inserts its top card into a uniform bottom-k slot and the trailing deck
+copies the slot except in the two swap cases that create a match.  Coupling
+times upper-bound total variation distance.  Their tails are computed
+exactly (:func:`shufflemix.exact.coupling_tail`) at n <= 8 for both
+couplings, and at k = n, any n, for the card coupling; this module's Monte
+Carlo trials run only the rest: the card coupling at n > 8 with k < n, and
+the position coupling at n > 8.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
 simulated, and take no seed.  One pure-death chain on the count of

@@ -1,14 +1,18 @@
 """Dense evolution of shuffle walks over all of S_n at small n, and spectra.
 
 Distributions live on the full n!-point state space indexed by lexicographic
-permutation rank.  Distance sums run through math.fsum (exact compensated
-summation), because n! terms of magnitude ~1/n! lose digits under naive
-accumulation.  This module owns every computation over the whole group:
-the group as one int8 array of one-line maps in rank order, rank-indexed
-multiplication tables computed from it in bulk (its columns permuted by the
-one group product, :func:`shufflemix.perms.right_multiplier`, then ranked by
-Lehmer digits), dense convolution gathering through those tables for TV only
-(one walk loop, :func:`_walk`), the BFS for word lengths in the Cayley graph
+permutation rank.  Distance sums are exact, because n! terms of magnitude
+~1/n! lose digits under naive accumulation: the dense TV sum goes through
+:func:`_exact_sum`, which bins the terms by exponent in numpy and returns
+math.fsum's correctly rounded value bit for bit for any fewer than 2^26
+finite terms; the small sums elsewhere call math.fsum.  This module owns
+every computation over the whole group: the group as one int8 array of
+one-line maps in rank order, rank-indexed multiplication tables computed
+from it in bulk (its columns permuted by the one group product,
+:func:`shufflemix.perms.right_multiplier`, then ranked by Lehmer digits),
+each walk measure's atoms resolved once to (weight, table) pairs, dense
+convolution gathering through those tables for TV only (one walk loop,
+:func:`_walk`), the BFS for word lengths in the Cayley graph
 (:func:`cayley_distances`), and the Fourier blocks
 q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
 representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
@@ -63,7 +67,7 @@ LP_THRESHOLD = 1 / math.e
 class GroupTable:
     """S_n in rank (lexicographic) order as one (n!, n) int8 array of
     one-line maps, and the rank-indexed right-multiplication tables read off
-    it, each built on first use."""
+    it, each built on first use, as are each walk measure's atoms."""
 
     def __init__(self, n: int):
         self.n = n
@@ -77,6 +81,7 @@ class GroupTable:
             maps = np.concatenate([first, maps + (maps >= v)], axis=2).reshape(-1, m)
         self.maps = maps
         self._right: dict[tuple, np.ndarray] = {}
+        self._atoms: dict[SparseMeasure, list] = {}
 
     def right_mul(self, s: tuple) -> np.ndarray:
         """J with J[i] = rank(perm_i * s); a bijection of ranks.  The columns
@@ -88,15 +93,24 @@ class GroupTable:
             self._right[s] = tbl
         return tbl
 
+    def atoms(self, q: SparseMeasure) -> list[tuple[float, np.ndarray]]:
+        """(float q(s), right_mul(s^{-1})) for each support atom s of q, in
+        sorted rank order; resolved once per measure."""
+        pairs = self._atoms.get(q)
+        if pairs is None:
+            pairs = [(float(w), self.right_mul(inverse(g).map)) for g, w in q.items()]
+            self._atoms[q] = pairs
+        return pairs
 
-def _lehmer_ranks(cols: np.ndarray) -> np.ndarray:
+
+def _lehmer_ranks(cols: np.ndarray, dtype=np.intp) -> np.ndarray:
     """Lexicographic rank of each column of an (n, N) array of one-line maps,
-    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits); any labels in
-    the same relative order give the same rank."""
+    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits), in ``dtype``;
+    any labels in the same relative order give the same rank."""
     n = len(cols)
-    ranks = np.zeros(cols.shape[1], dtype=np.int64)
+    ranks = np.zeros(cols.shape[1], dtype=dtype)
     for i in range(n - 1):
-        ranks += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(n - 1 - i)
+        ranks += (cols[i + 1:] < cols[i]).sum(0, dtype=dtype) * math.factorial(n - 1 - i)
     return ranks
 
 
@@ -123,13 +137,15 @@ class DenseDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (math.factorial(self.n),):
             raise ValueError(f"expected length {math.factorial(self.n)}, got {p.shape}")
-        if p.min() < -1e-15:
-            raise ValueError(f"negative probability {p.min()}")
-        p = np.where(p < 0, 0.0, p)
+        low = p.min()
+        if low < -1e-15:
+            raise ValueError(f"negative probability {low}")
+        if low < 0:
+            p = np.where(p < 0, 0.0, p)
         # pairwise summation errs by far less than 1e-14 on n! <= 40320
-        # nonnegative terms summing to about 1
+        # nonnegative terms summing to about 1; a NaN or inf total fails too
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total}")
         object.__setattr__(self, "probs", p)
 
@@ -144,22 +160,54 @@ def point_mass(n: int) -> DenseDistribution:
 def convolve_step(d: DenseDistribution, q: SparseMeasure) -> DenseDistribution:
     """One walk step: result(g) = sum_h d(h) q(h^{-1} g) = sum_s q(s) d(g s^{-1}).
 
-    Each support atom s gathers d through the rank table of s^{-1}; atoms are
-    added in sorted rank order so the result is bitwise deterministic.
+    Each support atom s gathers d through the rank table of s^{-1}
+    (:meth:`GroupTable.atoms`); atoms are added in sorted rank order so the
+    result is bitwise deterministic.
     """
     if d.n != q.n:
         raise ValueError(f"size mismatch: {d.n} vs {q.n}")
     t = group_table(d.n)
     out = np.zeros(t.size)
-    for g, w in q.items():
-        out += float(w) * d.probs[t.right_mul(inverse(g).map)]
+    for w, tbl in t.atoms(q):
+        out += w * d.probs[tbl]
     return DenseDistribution(d.n, out)
 
 
+_EXACT_TERMS = 1 << 26
+_HIGH_BITS = np.int64(-1 << 27)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()) of a 1-d float64 array, bit for bit, at array speed.
+
+    Each double with exponent field E splits exactly as hi + lo: hi is its
+    bit pattern with the low 27 mantissa bits cleared, fewer than 2^26 units
+    of 2^(max(E, 1) - 1048), and lo = x - hi, fewer than 2^27 units of
+    2^(max(E, 1) - 1075).  One bincount per part sums by E, and fewer than
+    2^26 such terms sum exactly in a double, so fsum of the at most 4096 bin
+    sums rounds the exact total correctly, as fsum of the terms does
+    (exponent binning: Demmel & Hida 2003).  ValueError for 2^26 or more
+    terms, or for a non-finite term or hi bin sum (an inf or NaN term lands
+    in bin 2047 as inf or NaN).
+    """
+    if x.size >= _EXACT_TERMS:
+        raise ValueError(f"exact sum takes fewer than 2**26 terms, got {x.size}")
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    exponent = (bits >> 52) & 0x7FF
+    hi = (bits & _HIGH_BITS).view(np.float64)
+    hi_bins = np.bincount(exponent, hi, minlength=2048)
+    if not np.isfinite(hi_bins).all():
+        raise ValueError("exact sum needs finite terms and finite bin sums")
+    lo_bins = np.bincount(exponent, bits.view(np.float64) - hi, minlength=2048)
+    bins = np.concatenate([hi_bins, lo_bins])
+    return math.fsum(bins[bins != 0].tolist())
+
+
 def tv_distance(d: DenseDistribution) -> float:
-    """Total variation distance to uniform: half the L1 gap."""
+    """Total variation distance to uniform: half the L1 gap, summed exactly
+    (:func:`_exact_sum`, equal to math.fsum of the n! terms)."""
     u = 1.0 / math.factorial(d.n)
-    return 0.5 * math.fsum(np.abs(d.probs - u).tolist())
+    return 0.5 * _exact_sum(np.abs(d.probs - u))
 
 
 @dataclass(frozen=True)
@@ -269,8 +317,8 @@ def _relative_chain(n: int, k: int, kind: str):
     the decks agree, is absorbing; edges into it are dropped, so the chain
     carries only the mass of the pairs not yet coupled.
     """
-    rel = group_table(n).maps.astype(np.int64) - 1
-    inv = np.argsort(rel, axis=1)
+    rel = group_table(n).maps - 1
+    inv = np.argsort(rel, axis=1).astype(np.int8)
     lo = n - k
     if kind == "bottom_k_to_top":
         # deck 1 moves its block card at a = lo + u to the top; deck 2 moves
@@ -279,26 +327,27 @@ def _relative_chain(n: int, k: int, kind: str):
         above1, above2 = rel[:, lo:] < lo, inv[:, lo:] < lo
         src, u = np.nonzero(~above1)
         fsrc, fu, fv = np.nonzero(above1[:, :, None] & above2[:, None, :])
-        a = lo + np.concatenate([u, fu])
-        b = np.concatenate([rel[src, lo + u], lo + fv])
+        a = lo + np.concatenate([u, fu]).astype(np.int8)
+        b = np.concatenate([rel[src, lo + u], lo + fv.astype(np.int8)])
         weight = np.concatenate([np.full(len(src), 1 / k), 1 / (k * above1.sum(1)[fsrc])])
-        src = np.concatenate([src, fsrc])
+        src = np.concatenate([src, fsrc]).astype(np.int32)
         moved = (_to_top(rel[src, _from_top(j, a)], b) for j in range(n))
     else:
         # a fair coin picks the leader, which inserts its top card at slot
         # s = lo + u; the trailer uses s too, unless the leader's card sits
         # in its bottom k - 1 block at p and s is p - 1 or p: then the slots swap
-        src, coin, u = np.indices((len(rel), 2, k)).reshape(3, -1)
+        src, coin, u = np.indices((len(rel), 2, k), dtype=np.int32).reshape(3, -1)
         p = np.where(coin == 0, rel[src, 0], inv[src, 0])
-        lead = lo + u
+        lead = lo + u.astype(np.int8)
         trail = np.where((p > lo) & (lead == p), p - 1,
                          np.where((p > lo) & (lead == p - 1), p, lead))
         s1, s2 = np.where(coin == 0, lead, trail), np.where(coin == 0, trail, lead)
         weight = np.full(len(src), 1 / (2 * k))
         moved = (_from_top(rel[src, _to_top(j, s1)], s2) for j in range(n))
-    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]))
+    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]), np.int32)
     keep = dst != 0
-    return src[keep], dst[keep], weight[keep]
+    # intp indices: each step gathers and bins through them
+    return src[keep].astype(np.intp), dst[keep].astype(np.intp), weight[keep]
 
 
 def _relative_tails(n: int, k: int, kind: str, rate: float):

@@ -1,9 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shufflemix.exact as exact
 from oracles import (
@@ -31,6 +34,7 @@ from shufflemix.exact import (
     DenseDistribution,
     cayley_distances,
     convolve_step,
+    coupling_tail,
     group_table,
     least_eigenvalue_formula,
     mixing_time,
@@ -127,7 +131,8 @@ def test_lp_examples():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_vectorised_distances_equal_scalar_sums(n):
-    # the array terms must hand fsum exactly the doubles of the per-term sums
+    # the array terms are the per-term doubles, and the binned reader sums
+    # them exactly as fsum does, so both distances equal the scalar sums
     for k in (2, n):
         q = top_to_bottom_k(n, k)
         for walk in (q, symmetrize(q), lazy(q, Fraction(1, 2))):
@@ -465,6 +470,14 @@ def test_dense_distribution_validation():
         DenseDistribution(3, bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dense_distribution_refuses_a_non_finite_entry(value):
+    probs = np.full(6, 1 / 6)
+    probs[2] = value
+    with pytest.raises(ValueError):
+        DenseDistribution(3, probs)
+
+
 @pytest.mark.parametrize("n", [3, 8])
 @pytest.mark.parametrize("off", [2e-12, -2e-12])
 def test_dense_distribution_refuses_a_sum_off_by_2e_12(n, off):
@@ -672,3 +685,114 @@ def test_transfer_refuses_the_dense_cap_before_building(monkeypatch):
     monkeypatch.setattr(exact, "top_to_bottom_k", no_measure)
     with pytest.raises(CapacityError):
         transfer_checks(9, 2)
+
+
+def same_double(a: float, b: float) -> bool:
+    """Bit for bit, so 0.0 and -0.0 differ."""
+    return a.hex() == b.hex()
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300)
+tiny = st.floats(min_value=-1e-300, max_value=1e-300)       # subnormals included
+terms = st.lists(st.one_of(finite, tiny, st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                 max_size=300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms, st.booleans())
+@example([], False)
+@example([-0.0], False)
+@example([-0.0, -0.0, 0.0], False)
+@example([1.0, 1e100, 1.0, -1e100], False)
+@example([1 / 40320] * 40320, False)
+@example([2.0 ** -1074] * 3 + [-(2.0 ** -1022)], False)
+@example([7.935877660031598e-301] * 3 + [5e-324], False)    # lo parts below 2^-1022
+def test_exact_sum_is_fsum_bit_for_bit(xs, cancel):
+    # cancel appends every term negated, mixed in, so the exact sum is 0 and
+    # everything left is how the low bits cancel
+    if cancel:
+        xs = [x for pair in zip(xs, (-x for x in reversed(xs))) for x in pair]
+    got = exact._exact_sum(np.array(xs, dtype=np.float64))
+    assert same_double(got, math.fsum(xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-52, 52)), min_size=1,
+                max_size=2000))
+def test_exact_sum_is_fsum_on_wide_exponent_spreads(parts):
+    # mantissas times powers of two that land in many exponent bins at once
+    xs = [m * 2.0 ** (e * 19) for m, e in parts]
+    assert same_double(exact._exact_sum(np.array(xs)), math.fsum(xs))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_sum_refuses_a_non_finite_term(value):
+    with pytest.raises(ValueError, match="finite"):
+        exact._exact_sum(np.array([1.0, value, 2.0]))
+
+
+def test_exact_sum_refuses_2_to_the_26_terms_before_any_copy():
+    # a zero-stride view: nothing of size 2**26 is allocated
+    with pytest.raises(ValueError, match="2\\*\\*26"):
+        exact._exact_sum(np.broadcast_to(np.float64(0.5), (1 << 26,)))
+    assert exact._exact_sum(np.broadcast_to(np.float64(0.5), (1000,))) == 500.0
+
+
+@pytest.mark.parametrize("walk,m_max", [
+    (top_to_bottom_k(8, 4), 40),
+    (lazy(top_to_bottom_k(7, 3), Fraction(1, 2)), 120),
+    (symmetrize(top_to_bottom_k(6, 4)), 60),
+])
+def test_tv_profile_is_the_scalar_fsum_profile_bit_for_bit(walk, m_max):
+    profile = mixing_time(walk, "tv", m_max).profile
+    d = point_mass(walk.n)
+    for m, dist in profile:
+        assert same_double(dist, scalar_tv(d)), m
+        d = convolve_step(d, walk)
+    assert len(profile) == m_max + 1
+
+
+def test_walk_atoms_are_resolved_once_per_measure(monkeypatch):
+    # each step reads the cached (weight, table) pairs; no atom is unranked
+    # or inverted again after the first step
+    q = top_to_bottom_k(6, 3)
+    t = group_table(6)
+    d = convolve_step(point_mass(6), q)
+    calls = []
+    monkeypatch.setattr(exact, "inverse", lambda g: calls.append(g) or inverse(g))
+    for _ in range(5):
+        d = convolve_step(d, q)
+    assert calls == []
+    for (w, tbl), (g, weight) in zip(t.atoms(q), q.items(), strict=True):
+        assert w == float(weight) and tbl is t.right_mul(inverse(g).map)
+
+
+def test_relative_chain_peak_memory_at_n_8():
+    group_table(8)
+    tracemalloc.start()
+    try:
+        src, dst, weight = exact._relative_chain(8, 8, "top_insert")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 2**20, peak / 2**20
+    # checksums of the int64 chain: ranks past 2^15 must survive the narrow dtypes
+    assert len(src) == len(dst) == len(weight) == 645_076
+    assert (int(src.sum()), int(dst.sum())) == (13_004_712_004, 12_945_978_720)
+    assert int((src * dst % 1_000_003).sum()) == 319_998_848_343
+    assert math.fsum(weight.tolist()).hex() == "0x1.3afa800000000p+15"
+
+
+@pytest.mark.parametrize("n,k,kind,want", [
+    (6, 3, "top_insert", ["0x1.ff49f49f49f4ap-1", "0x1.fe573ac901e56p-1", "0x1.fc9a3b6ad31eep-1",
+                          "0x1.e9ceca398b5d9p-1", "0x1.a25c678c7037ep-1", "0x1.b7c00aac366bdp-2",
+                          "0x1.d5e9988954ec6p-5"]),
+    (5, 3, "bottom_k_to_top", ["0x1.fbbbbbbbbbbbap-1", "0x1.f333333333333p-1",
+                               "0x1.d99999999999ap-1", "0x1.73fd78bb19ea6p-2",
+                               "0x1.43157122a152ap-5", "0x1.a0a1cfefa430bp-12",
+                               "0x1.56d26640ecd4dp-25"]),
+])
+def test_coupling_tail_values_are_pinned(n, k, kind, want):
+    # the int64 chain's values at m = 0, 1, 2, 5, 10, 20, 40, to the bit
+    got = coupling_tail(n, k, kind, [0, 1, 2, 5, 10, 20, 40])
+    assert [v.hex() for v in got] == want

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -863,6 +864,24 @@ def test_flow_json_shape_and_determinism():
                for entry in obj["paths"])
     again = json_bytes(flow_to_json_obj(build_odd_flow_tbk(5, 3)))
     assert json_bytes(obj) == again
+
+
+@pytest.mark.parametrize("build,args", [
+    (build_flow_general, (8, 3)), (build_flow_general, (6, 2)), (build_flow_large_k, (12, 3)),
+    (build_flow_rudvalis, (8, 8)), (build_odd_flow_tbk, (6, 4)), (build_odd_flow_tbk, (7, 7)),
+])
+def test_exported_paths_are_in_endpoint_then_word_order(build, args):
+    # the lexsort of endpoint rows with word tie-breaks gives the bytes of a
+    # plain sort on (one-line endpoint, word), endpoints from the letter oracle;
+    # the builders insert each endpoint's words in order, so the reversed
+    # copy is what needs the tie-breaks
+    built = build(*args)
+    rows = sorted(built.paths.items(),
+                  key=lambda row: (list(path_endpoint(built.n, row[0].word).map), row[0].word))
+    want = json_bytes([{"word": list(p.word), "weight": str(built.unit * c)} for p, c in rows])
+    reversed_paths = dict(reversed(list(built.paths.items())))
+    for flow in (built, dataclasses.replace(built, paths=reversed_paths)):
+        assert json_bytes(flow_to_json_obj(flow)["paths"]) == want
 
 
 def test_flow_report_rows_render():
