@@ -103,14 +103,14 @@ class GroupTable:
         return pairs
 
 
-def _lehmer_ranks(cols: np.ndarray, dtype=np.intp) -> np.ndarray:
+def _lehmer_ranks(cols: np.ndarray) -> np.ndarray:
     """Lexicographic rank of each column of an (n, N) array of one-line maps,
-    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits), in ``dtype``;
-    any labels in the same relative order give the same rank."""
+    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits); any labels in
+    the same relative order give the same rank."""
     n = len(cols)
-    ranks = np.zeros(cols.shape[1], dtype=dtype)
+    ranks = np.zeros(cols.shape[1], dtype=np.int64)
     for i in range(n - 1):
-        ranks += (cols[i + 1:] < cols[i]).sum(0, dtype=dtype) * math.factorial(n - 1 - i)
+        ranks += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(n - 1 - i)
     return ranks
 
 
@@ -128,7 +128,11 @@ def group_table(n: int) -> GroupTable:
 
 @dataclass(frozen=True)
 class DenseDistribution:
-    """Probability vector over S_n indexed by permutation rank."""
+    """Probability vector over S_n indexed by permutation rank.
+
+    A float64 array with no negative entry is kept without a copy, so the
+    caller must not change it afterwards; the stored array is a read-only
+    view of it, so nothing changes it through the distribution."""
 
     n: int
     probs: np.ndarray = field(compare=False)
@@ -147,6 +151,8 @@ class DenseDistribution:
         total = float(p.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total}")
+        p = p.view()
+        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
 
@@ -327,15 +333,16 @@ def _relative_chain(n: int, k: int, kind: str):
         above1, above2 = rel[:, lo:] < lo, inv[:, lo:] < lo
         src, u = np.nonzero(~above1)
         fsrc, fu, fv = np.nonzero(above1[:, :, None] & above2[:, None, :])
-        a = lo + np.concatenate([u, fu]).astype(np.int8)
-        b = np.concatenate([rel[src, lo + u], lo + fv.astype(np.int8)])
+        a = lo + np.concatenate([u, fu])
+        b = np.concatenate([rel[src, lo + u], lo + fv])
         weight = np.concatenate([np.full(len(src), 1 / k), 1 / (k * above1.sum(1)[fsrc])])
-        src = np.concatenate([src, fsrc]).astype(np.int32)
+        src = np.concatenate([src, fsrc])
         moved = (_to_top(rel[src, _from_top(j, a)], b) for j in range(n))
     else:
         # a fair coin picks the leader, which inserts its top card at slot
         # s = lo + u; the trailer uses s too, unless the leader's card sits
-        # in its bottom k - 1 block at p and s is p - 1 or p: then the slots swap
+        # in its bottom k - 1 block at p and s is p - 1 or p: then the slots
+        # swap; int32 edge indices and int8 positions keep the n = 8 chain small
         src, coin, u = np.indices((len(rel), 2, k), dtype=np.int32).reshape(3, -1)
         p = np.where(coin == 0, rel[src, 0], inv[src, 0])
         lead = lo + u.astype(np.int8)
@@ -344,10 +351,10 @@ def _relative_chain(n: int, k: int, kind: str):
         s1, s2 = np.where(coin == 0, lead, trail), np.where(coin == 0, trail, lead)
         weight = np.full(len(src), 1 / (2 * k))
         moved = (_from_top(rel[src, _to_top(j, s1)], s2) for j in range(n))
-    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]), np.int32)
+    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]))
     keep = dst != 0
-    # intp indices: each step gathers and bins through them
-    return src[keep].astype(np.intp), dst[keep].astype(np.intp), weight[keep]
+    # intp indices: each step gathers through src
+    return src[keep].astype(np.intp, copy=False), dst[keep], weight[keep]
 
 
 def _relative_tails(n: int, k: int, kind: str, rate: float):

@@ -576,20 +576,11 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
 
 
 def flow_to_json_obj(flow: Flow) -> dict:
-    """The flow as JSON, paths ordered by (endpoint one-line form, word): the
-    endpoint rows are ordered by one lexsort, and only a run of equal rows is
-    sorted by word in Python."""
-    ends = flow._endpoints()
-    order = np.lexsort(ends.T[::-1])
-    ends = ends[order]
-    items = list(flow.paths.items())
-    rows = [items[i] for i in order.tolist()]
-    cuts = [0, *(np.flatnonzero((ends[1:] != ends[:-1]).any(1)) + 1).tolist(), len(rows)]
-    for a, b in zip(cuts, cuts[1:]):
-        rows[a:b] = sorted(rows[a:b], key=lambda row: row[0].word)
+    rows = sorted(zip(flow._endpoints().tolist(), flow.paths.items()),
+                  key=lambda row: (row[0], row[1][0].word))
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),
-        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for p, c in rows],
+        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for _, (p, c) in rows],
     }
 

@@ -478,6 +478,17 @@ def test_dense_distribution_refuses_a_non_finite_entry(value):
         DenseDistribution(3, probs)
 
 
+def test_dense_distribution_keeps_a_read_only_view_of_its_array():
+    probs = np.full(6, 1 / 6)
+    d = DenseDistribution(3, probs)
+    assert np.shares_memory(d.probs, probs) and probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        d.probs[0] = 0.5
+    clipped = np.array([-1e-16, 0.2, 0.2, 0.2, 0.2, 0.2])
+    e = DenseDistribution(3, clipped)        # a negative entry: clipped in a copy
+    assert not np.shares_memory(e.probs, clipped) and clipped[0] < 0 == e.probs[0]
+
+
 @pytest.mark.parametrize("n", [3, 8])
 @pytest.mark.parametrize("off", [2e-12, -2e-12])
 def test_dense_distribution_refuses_a_sum_off_by_2e_12(n, off):

@@ -871,10 +871,10 @@ def test_flow_json_shape_and_determinism():
     (build_flow_rudvalis, (8, 8)), (build_odd_flow_tbk, (6, 4)), (build_odd_flow_tbk, (7, 7)),
 ])
 def test_exported_paths_are_in_endpoint_then_word_order(build, args):
-    # the lexsort of endpoint rows with word tie-breaks gives the bytes of a
-    # plain sort on (one-line endpoint, word), endpoints from the letter oracle;
-    # the builders insert each endpoint's words in order, so the reversed
-    # copy is what needs the tie-breaks
+    # exported paths are ordered by (one-line endpoint, word), whatever the
+    # insertion order, with endpoints from the letter oracle; the builders
+    # insert each endpoint's words in order, so the reversed copy is what
+    # exercises the word tie-breaks
     built = build(*args)
     rows = sorted(built.paths.items(),
                   key=lambda row: (list(path_endpoint(built.n, row[0].word).map), row[0].word))

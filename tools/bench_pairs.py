@@ -2,13 +2,14 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tools/bench_pairs.py --parent HEAD --pairs 10 --out BENCH_21.json
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_21.json
 
 The parent ref is exported with ``git archive`` into a temporary directory.
-Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0``
-once on each side, the parent first in even pairs and the work tree first in
-odd ones, and the workloads of ``BENCHMARK.json`` are interleaved pair by
-pair; one run at a time.  The output JSON holds, per workload and per
+Each of 10 pairs runs ``perfbench/run.py --workload W --seed 1 --seconds S
+--trace 0`` once on each side, with the workloads and S = run_seconds read
+from ``BENCHMARK.json``, the parent first in even pairs and the work tree
+first in odd ones, and the workloads interleaved pair by pair; one run at a
+time.  The output JSON holds, per workload and per
 end-to-end metric, each side's median and quartiles (inclusive method), the
 number of pairs in which the work tree read lower, and whether every work
 tree run read below (or above) every parent run; ``runs`` keeps every run's
@@ -28,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 SEED = 1
+PAIRS = 10
 
 
 def quartiles(values) -> dict:
@@ -88,31 +90,30 @@ def export(ref: str, dest: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
     runs: dict[str, list] = {w: [] for w in workloads}
     machine = None
     with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp)
         parent = export(args.parent, parent_root)
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for workload in workloads:
                 sides = [("parent", parent_root), ("change", ROOT)]
                 pair = {}
                 for side, root in sides if i % 2 == 0 else sides[::-1]:
-                    pair[side], machine = run_once(root, workload, args.seconds)
+                    pair[side], machine = run_once(root, workload, seconds)
                 runs[workload].append({"parent": pair["parent"], "change": pair["change"]})
                 print(f"pair {i} {workload}: wall_s {pair['parent']['wall_s']} -> "
                       f"{pair['change']['wall_s']}", file=sys.stderr)
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "parent": parent,
         "change": "the work tree",
-        "order": f"{args.pairs} pairs per workload; within pair i the parent runs first "
+        "order": f"{PAIRS} pairs per workload; within pair i the parent runs first "
                  "when i is even, the change first when i is odd; the workloads are "
                  "interleaved pair by pair; one run at a time on one host",
         "machine": machine,
