@@ -18,6 +18,7 @@ from .coupling import (
     lazy_trial_wrapper,
     single_card_lower_bound,
     tail_estimate,
+    tail_estimates,
     trial_rng,
     unselected_tails,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "lazy_trial_wrapper",
     "single_card_lower_bound",
     "tail_estimate",
+    "tail_estimates",
     "trial_rng",
     "unselected_tails",
     "compute_params",

@@ -30,7 +30,7 @@ from .coupling import (
     increasing_bottom_statistic,
     lazy_trial_wrapper,
     single_card_lower_bound,
-    tail_estimate,
+    tail_estimates,
 )
 from .errors import CapacityError, NumericError
 from .exact import (
@@ -218,17 +218,16 @@ def _cmd_couple(args, sink: _Sink) -> str:
         "cap": args.cap if args.cap is not None else DEFAULT_CAP_FACTOR * args.n**3,
         "censored": sum(s.censored for s in stats),
         "mean_coupling_time": statistics.fmean(s.coupling_time for s in stats),
-        "tails": [],
     })
-    for m in tail_points:
-        p_hat, se = tail_estimate(stats, m)
-        payload["tails"].append({"m": m, "p_hat": p_hat, "stderr": se})
+    tails = tail_estimates(stats, [*tail_points, *grid])
+    payload["tails"] = [{"m": m, "p_hat": p_hat, "stderr": se}
+                        for m, (p_hat, se) in zip(tail_points, tails)]
     sink.json(f"{stem}.json", payload)
     sink.csv(f"{stem}.csv", ("trial", "coupling_time", "censored"),
              [(s.trial, s.coupling_time, s.censored) for s in stats])
     if args.tail_grid is not None:
         sink.csv(f"{stem}.tails.csv", ("m", "p_hat", "stderr"),
-                 [(m, *tail_estimate(stats, m)) for m in grid])
+                 [(m, *est) for m, est in zip(grid, tails[len(tail_points):])])
     return stem
 
 

@@ -17,8 +17,9 @@ The matching lower bounds are small Markov chains evaluated exactly, not
 simulated, and take no seed.  One pure-death chain on the count of
 unselected bottom labels, with one stop rule, serves the collector and
 increasing-bottom statistics and, at k = n, the TV of top-to-random
-(:func:`shufflemix.exact.top_to_random_tv`) and the card coupling's tail;
-all read it through one reader, :func:`_values_at`.  The single-card bound
+(:func:`shufflemix.exact.top_to_random_tv`) and the card coupling's tail.
+The chain yields its law; :func:`_values_at` applies each caller's one
+reader to it only at the steps that caller keeps.  The single-card bound
 evolves an n-state position chain through the card-move maps that the
 exact coupling chain also uses.
 
@@ -33,6 +34,7 @@ which other trials run with it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -93,14 +95,35 @@ def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
     Each block of DRAW_BLOCK steps draws its two arrays up front: for the
     card coupling the block-position picks then the fallback uniforms, for
     the position coupling the leader coins then the slot picks.
+
+    The decks are compared only after a step that can make them equal:
+
+    (a) A step that moves the same card from the same position in both decks
+        (the card coupling when deck 2 holds deck 1's pick at its position,
+        the position coupling when both decks have the same top card) moves
+        both by one position map, which only shifts the set of mismatched
+        positions: decks that differed still differ.
+    (b) The card coupling's fallback moves different cards to the two tops,
+        so the decks differ after it.
+    (c) In the position coupling with different top cards and no swap, the
+        leader's card lands at slot in the leader's deck and at the trailer's
+        p - 1 (p <= slot) or p (p > slot) in the other, never at slot.
+    (d) Every card coupling step moves a block card to the top in both
+        decks, so every card above position n - k moves down one place per
+        step, and after step t the top min(t, n - k) positions hold
+        the cards moved by the last min(t, n - k) steps: the decks can be
+        equal only if each of those steps moved the same card in both decks.
+        ``same`` counts the run of such steps.
+    (e) Deck 2's block holds the card iff deck2.index(card, n - k) succeeds,
+        since a card appears once in a deck.
     """
     _rekey(rng, seed, trial)
     deck1 = list(range(1, n + 1))
-    # deck2 holds deck1's int objects, so list comparison and search take
-    # their identity fast path for cards past the small-int cache (> 256)
+    # deck2 holds deck1's int objects, so identity compares cards, and list
+    # comparison and search take their identity fast path
     deck2 = [deck1[c - 1] for c in fisher_yates(n, rng)]
     lo = n - k                                   # first 0-based block position
-    step = 0
+    step = same = 0
     while deck1 != deck2:
         if step >= cap:
             return TrialStats(trial, seed, cap, True)
@@ -111,19 +134,25 @@ def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
             for u, f in zip(picks, fallbacks):
                 # deck1 moves its block card at lo + u; deck2 moves the same
                 # card when its block holds it, else a uniform card of its
-                # block that deck1's block lacks (never needed at k = n).
-                # A card already matched sits at p1 in deck2 too, so about
-                # half the picks skip the search.
+                # block that deck1's block lacks (never needed at k = n)
                 p1 = lo + u
                 card = deck1[p1]
-                p2 = p1 if deck2[p1] == card else deck2.index(card)
-                if p2 < lo:
-                    pool = sorted(set(deck2[lo:]).difference(deck1[lo:]))
-                    p2 = deck2.index(pool[int(f * len(pool))])
+                if deck2[p1] is card:            # (a)
+                    p2 = p1
+                    same += 1
+                else:
+                    try:
+                        p2 = deck2.index(card, lo)   # (e)
+                        same += 1
+                    except ValueError:               # (b)
+                        pool = sorted(set(deck2[lo:]).difference(deck1[lo:]))
+                        p2 = deck2.index(pool[int(f * len(pool))])
+                        same = 0
                 deck1.insert(0, deck1.pop(p1))
                 deck2.insert(0, deck2.pop(p2))
                 step += 1
-                if deck1 == deck2:
+                # same = 0 < min(step, lo) after (b), which needs lo > 0
+                if p2 != p1 and same >= min(step, lo) and deck1 == deck2:   # (d)
                     break
         else:
             coins = rng.integers(2, size=span).tolist()
@@ -137,15 +166,17 @@ def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
                 lead, trail = (deck1, deck2) if c == 0 else (deck2, deck1)
                 top = lead.pop(0)
                 lead.insert(slot, top)
-                p = trail.index(top)
-                if p > lo and slot == p:
-                    slot = p - 1
-                elif p > lo and slot == p - 1:
-                    slot = p
-                trail.insert(slot, trail.pop(0))
                 step += 1
-                if deck1 == deck2:
-                    break
+                if trail[0] is top:              # (a)
+                    trail.insert(slot, trail.pop(0))
+                    continue
+                p = trail.index(top)
+                if p > lo and (slot == p or slot == p - 1):
+                    trail.insert(p - 1 if slot == p else p, trail.pop(0))
+                    if deck1 == deck2:
+                        break
+                else:                            # (c)
+                    trail.insert(slot, trail.pop(0))
     return TrialStats(trial, seed, step, False)
 
 
@@ -169,46 +200,66 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
     return [_trial(n, k, kind, t, seed, cap, rng) for t in range(trials)]
 
 
-def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
-    """(empirical P(T > m), binomial standard error).
+def tail_estimates(stats: list[TrialStats], ms) -> list[tuple[float, float]]:
+    """(empirical P(T > m), binomial standard error) for each m in ms.
 
     A censored trial counts as exceeding every m: its true T exceeds the cap
     its recorded time equals.  Beyond the cap this errs toward a larger
-    P(T > m), the safe side of the bound P(T > m) >= TV.
+    P(T > m), the safe side of the bound P(T > m) >= TV.  The uncensored
+    times are sorted once and each m counts them by bisection.
     """
-    hits = sum(s.censored or s.coupling_time > m for s in stats)
+    times = sorted(s.coupling_time for s in stats if not s.censored)
     trials = len(stats)
-    p = hits / trials
-    return p, math.sqrt(p * (1 - p) / trials)
+    out = []
+    for m in ms:
+        p = (trials - bisect.bisect_right(times, m)) / trials
+        out.append((p, math.sqrt(p * (1 - p) / trials)))
+    return out
 
 
-def _unselected_chain(k: int, read, low: int, rate: float = 1.0):
-    """read(law) of the unselected count of :func:`unselected_tails` at
-    m = 0, 1, ..., the law one array stepped in place between items.  Each
-    step selects with probability rate, so u falls to u - 1 with probability
-    rate * u / k; rate = 1 is the plain walk, rate = p its p-lazy version.
-    It ends once no mass leaves a state u >= low: the law there is fixed."""
+def tail_estimate(stats: list[TrialStats], m: float) -> tuple[float, float]:
+    """:func:`tail_estimates` at the one point m."""
+    (estimate,) = tail_estimates(stats, [m])
+    return estimate
+
+
+def _unselected_chain(k: int, low: int, rate: float = 1.0):
+    """The law of the unselected count of :func:`unselected_tails` at
+    m = 0, 1, ..., one array stepped in place between items, so a caller
+    reads each item before asking for the next.  Each step selects with
+    probability rate, so u falls to u - 1 with probability rate * u / k;
+    rate = 1 is the plain walk, rate = p its p-lazy version.  It ends once no
+    mass leaves a state u >= low: the law there is fixed."""
     p, leave, moved = np.zeros(k + 1), rate * np.arange(k + 1) / k, np.empty(k + 1)
     p[k] = 1.0
     leaving, lower, inflow = moved[low:], p[:-1], moved[1:]     # views, stepped in place
     while True:
         np.multiply(p, leave, out=moved)
-        yield read(p)
+        yield p
         if not np.count_nonzero(leaving):
             return
         p -= moved
         lower += inflow
 
 
-def _values_at(values, ms) -> list:
-    """Value at floor(m) of ``values`` (m = 0, 1, ...) for each m in ms, read
-    no further than needed; once the chain ends, later m read its last value."""
+def _same(state):
+    return state
+
+
+def _values_at(chain, ms, read=_same) -> list:
+    """read(state) at floor(m) of ``chain`` (m = 0, 1, ...) for each m in ms,
+    stepping no further than the largest floor and reading only the kept
+    steps; once the chain ends, later m take the value of its last state,
+    read at most once more.  A state is read before the next is requested,
+    so the chain may step it in place."""
     floors = [math.floor(m) for m in ms]
-    got, value = dict.fromkeys(floors), None
-    for m, value in zip(range(max(floors, default=-1) + 1), values):
-        if m in got:
-            got[m] = value
-    return [value if got[m] is None else got[m] for m in floors]
+    got, step = dict.fromkeys(floors), -1
+    for step, state in zip(range(max(floors, default=-1) + 1), chain):
+        if step in got:
+            got[step] = read(state)
+    if step >= 0 and step not in got:            # the chain ended before a kept floor
+        got[step] = read(state)
+    return [got[min(m, step)] for m in floors]
 
 
 def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
@@ -222,8 +273,9 @@ def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     """
     if k < 1 or j < 0 or m_max < 0:
         raise ValueError("need k >= 1, j >= 0 and m_max >= 0")
-    tails = _unselected_chain(k, lambda law: law[j + 1:].sum(), j + 1)
-    return np.array(_values_at(tails, range(m_max + 1)))
+    tails = _values_at(_unselected_chain(k, j + 1), range(m_max + 1),
+                       lambda law: law[j + 1:].sum())
+    return np.array(tails)
 
 
 @dataclass(frozen=True)
@@ -274,7 +326,7 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstima
         raise ValueError(f"k={k} outside [1, {n}]")
     if m < 0:
         raise ValueError(f"m={m} is negative")
-    (p_tail,) = _values_at(_unselected_chain(k, lambda law: float(law[j + 1:].sum()), j + 1), [m])
+    (p_tail,) = _values_at(_unselected_chain(k, j + 1), [m], lambda law: float(law[j + 1:].sum()))
     return BoundEstimate(p_tail - 1 / math.factorial(j), p_tail)
 
 

@@ -293,7 +293,7 @@ def _top_to_random_distances(n: int, rate: float):
             terms.append(share[r] * abs(g - inv_fact[r]))
         return 0.5 * math.fsum(terms)
 
-    return _unselected_chain(n, tv, 1, rate)
+    return map(tv, _unselected_chain(n, 1, rate))
 
 
 def top_to_random_tv(n: int, p=None, m_max: int = 200,
@@ -400,11 +400,12 @@ def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
         raise ValueError(f"tail points must be finite, got {ms}")
     if kind == "bottom_k_to_top" and k == n:
         miss = np.array([1 - 1 / math.factorial(u) for u in range(n + 1)])
-        tails = _unselected_chain(n, lambda law: math.fsum((law * miss).tolist()), 2, float(p))
+        tails = _values_at(_unselected_chain(n, 2, float(p)), ms,
+                           lambda law: math.fsum((law * miss).tolist()))
     else:
         require_dense(n)
-        tails = _relative_tails(n, k, kind, float(p))
-    return [1.0 if m < 0 else tail for m, tail in zip(ms, _values_at(tails, ms))]
+        tails = _values_at(_relative_tails(n, k, kind, float(p)), ms)
+    return [1.0 if m < 0 else tail for m, tail in zip(ms, tails)]
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from . import __version__ as TOOL_VERSION
 
 
 def render_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
+    """A CSV cell: floats (numpy's too) to 17 significant digits, Python
+    bools as true/false, anything else, a Fraction's "p/q" included, by str."""
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, bool):
@@ -40,8 +40,7 @@ def csv_bytes(header, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([render_value(v) for v in row])
+    writer.writerows(map(render_value, row) for row in rows)
     return buf.getvalue().encode("utf-8")
 
 

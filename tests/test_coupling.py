@@ -26,6 +26,7 @@ from oracles import (
 )
 from shufflemix.coupling import (
     _rekey,
+    _unselected_chain,
     _values_at,
     coupling_trials,
     coupon_collector,
@@ -34,6 +35,7 @@ from shufflemix.coupling import (
     lazy_trial_wrapper,
     single_card_lower_bound,
     tail_estimate,
+    tail_estimates,
     trial_rng,
     unselected_tails,
 )
@@ -177,6 +179,43 @@ def test_trials_match_the_oracle_replay(kind, n):
                 assert any(s.censored for s in out)
 
 
+@pytest.mark.parametrize("kind", ["bottom_k_to_top", "top_insert"])
+def test_trials_match_the_oracle_on_small_decks(kind):
+    # every 2 <= k <= n <= 5, over many seeds.  Before step n - k the card
+    # coupling compares its decks only while every move so far moved one
+    # card in both, so trials that couple that early must be among them,
+    # as must trials whose decks start equal
+    started_equal = 0
+    for n in (3, 4, 5):
+        for k in range(2, n + 1):
+            times = []
+            for seed in range(6):
+                out = coupling_trials(n, k, kind, 40, seed=seed)
+                ref = [reference_trial(n, k, kind, seed, t, 50 * n**3)[:2] for t in range(40)]
+                assert [(s.coupling_time, s.censored) for s in out] == ref, (n, k, seed)
+                times += [s.coupling_time for s in out]
+            started_equal += times.count(0)
+            if kind == "bottom_k_to_top" and n - k >= 2:
+                assert any(0 < t < n - k for t in times), (n, k)
+    assert started_equal > 0
+
+
+@pytest.mark.parametrize("kind", ["bottom_k_to_top", "top_insert"])
+def test_trials_censored_inside_and_at_the_edge_of_a_block_match_the_oracle(kind):
+    for cap in (1, 63, 64, 65, 128, 129):
+        out = coupling_trials(12, 2, kind, 3, seed=4, cap=cap)
+        ref = [reference_trial(12, 2, kind, 4, t, cap)[:2] for t in range(3)]
+        assert [(s.coupling_time, s.censored) for s in out] == ref, cap
+        assert all(s.censored for s in out), cap
+
+
+def test_card_trials_at_the_benchmark_size_match_the_oracle():
+    out = coupling_trials(200, 100, "bottom_k_to_top", 3, seed=1)
+    ref = [reference_trial(200, 100, "bottom_k_to_top", 1, t, 50 * 200**3)[:2]
+           for t in range(3)]
+    assert [(s.coupling_time, s.censored) for s in out] == ref
+
+
 def test_trials_are_deterministic_in_seed():
     a = coupling_trials(6, 3, "top_insert", 30, seed=9)
     b = coupling_trials(6, 3, "top_insert", 30, seed=9)
@@ -295,6 +334,23 @@ def test_bottom_step_can_break_a_match():
             break
     else:
         pytest.fail("card 3 never selected in 50 draws")
+
+
+def test_tail_estimates_equal_the_per_point_scan():
+    # 5 of the 40 trials are censored at 300; each m counts them as exceeding
+    stats = coupling_trials(12, 2, "bottom_k_to_top", 40, seed=3, cap=300)
+    assert sum(s.censored for s in stats) == 5
+    ms = [-math.inf, -1, 0, 0.5, 67, 68, 68.5, *range(100, 320, 3), 299.5, 300, 301, 1e9,
+          math.inf]
+
+    def scan(m):
+        p = sum(s.censored or s.coupling_time > m for s in stats) / len(stats)
+        return p, math.sqrt(p * (1 - p) / len(stats))
+
+    want = [scan(m) for m in ms]
+    assert tail_estimates(stats, ms) == want
+    assert [tail_estimate(stats, m) for m in ms] == want
+    assert tail_estimates(stats, []) == []
 
 
 def test_coupling_tail_dominates_exact_tv():
@@ -427,6 +483,49 @@ def test_values_at_reads_to_the_largest_floor_and_repeats_a_settled_value():
     # a chain that ends has settled: later m read its last value
     assert _values_at(chain([20, 21]), [5, 1, 1e300]) == [21, 21, 21]
     assert _values_at(chain([30]), []) == []
+
+
+def test_values_at_reads_each_kept_floor_once():
+    reads = []
+
+    def chain(length):
+        state = [None]                   # one state, stepped in place
+        for m in range(length):
+            state[0] = m
+            yield state
+
+    def read(state):
+        reads.append(state[0])
+        return 10 * state[0]
+
+    assert _values_at(chain(10), [2.5, 2, 7, 0.1, 7.9], read) == [20, 20, 70, 0, 70]
+    assert reads == [0, 2, 7]
+    # a chain that ends before a kept floor has its last state read once more
+    reads.clear()
+    assert _values_at(chain(4), [1, 5, 9], read) == [10, 30, 30]
+    assert reads == [1, 3]
+    # and not again when that last state is itself kept
+    reads.clear()
+    assert _values_at(chain(4), [3, 9, 5], read) == [30, 30, 30]
+    assert reads == [3]
+    reads.clear()
+    assert _values_at(chain(4), [], read) == [] and reads == []
+
+
+def test_the_unselected_chain_is_read_only_at_kept_steps():
+    # the chain yields one law stepped in place; reading it at the kept steps
+    # gives the values of reading every step
+    every = [float(law[3:].sum()) for law in _unselected_chain(30, 3)]
+    reads = []
+
+    def read(law):
+        reads.append(1)
+        return float(law[3:].sum())
+
+    ms = [0, 5, 5.5, 40, 700, 10**6]
+    assert _values_at(_unselected_chain(30, 3), ms, read) == \
+        [every[min(math.floor(m), len(every) - 1)] for m in ms]
+    assert len(reads) == 5               # 0, 5, 40, 700 and the last law
 
 
 @pytest.mark.parametrize("k,j,m_past", [(50, 4, 7_500), (12, 0, 9_000), (5, 6, 1)])

@@ -624,12 +624,12 @@ def test_top_to_random_tv_reads_past_the_settled_chain():
     # at n = 2 the unselected chain settles, and ends, after 1 076 values;
     # the profile still has all 3 001 entries, equal to the dense walk's,
     # which is exactly uniform from one step on
-    assert sum(1 for _ in _unselected_chain(2, len, 1)) == 1076
+    assert sum(1 for _ in _unselected_chain(2, 1)) == 1076
     got = top_to_random_tv(2, m_max=3000)
     assert [m for m, _ in got.profile] == list(range(3001))
     assert got == mixing_time(top_to_bottom_k(2, 2), "tv", 3000)
     # the lazy chain settles later; every value from there on is the last one
-    settled = sum(1 for _ in _unselected_chain(2, len, 1, 0.5))
+    settled = sum(1 for _ in _unselected_chain(2, 1, 0.5))
     lazy_tail = [d for _, d in top_to_random_tv(2, Fraction(1, 2), m_max=5000).profile[settled - 1:]]
     assert len(lazy_tail) == 5002 - settled > 1 and set(lazy_tail) == {lazy_tail[0]}
 

@@ -27,6 +27,14 @@ def test_render_value_forms():
     assert render_value(12) == "12"
 
 
+def test_render_value_on_each_cell_type():
+    cells = [1 / 3, np.float64(1 / 3), 7, np.int64(7), True, np.bool_(True), Fraction(-2, 6), "x"]
+    assert [render_value(v) for v in cells] == [
+        "0.33333333333333331", "0.33333333333333331", "7", "7", "true", "True", "-1/3", "x"]
+    assert csv_bytes(("a", "b"), [cells[:2], cells[2:4], cells[4:6], cells[6:]]) == (
+        b"a,b\n0.33333333333333331,0.33333333333333331\n7,7\ntrue,True\n-1/3,x\n")
+
+
 def test_float_rendering_roundtrips():
     for x in (0.1, 1 / 3, 2.5e-17, 118.22227361425757, -0.0):
         assert float(render_value(x)) == x

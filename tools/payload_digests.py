@@ -1,0 +1,70 @@
+"""SHA-256 of every payload file that the benchmark's workloads write.
+
+Usage (from the root of a checkout)::
+
+    python3 tools/payload_digests.py [--tree DIR] [--tiny] > digests.json
+
+Every argv of ``perfbench.workloads.invocations``, for each workload at the
+full and tiny sizes and seeds 1 and 7, runs in this process through
+``shufflemix.cli.run``, both imported from the tree DIR (default: the
+checkout holding this script), each argv into its own temporary output
+directory.  The JSON printed is one record per payload file: workload, seed,
+size, index of the argv in its sequence, file name, the argv's exit code and
+the file's sha256; an argv that writes no payload gets one record with file
+and sha256 null.  Manifests are left out, since they hold clock fields.  Two
+trees write the same payload bytes when ``diff`` finds their outputs equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7)
+
+
+def digests(tree: Path, sizes=("full", "tiny")) -> list[dict]:
+    """The records of every workload argv run from ``tree``, in run order."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from shufflemix.cli import run
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads.NAMES:
+            for seed in SEEDS:
+                for size in sizes:
+                    argvs = workloads.invocations(workload, seed, tiny=size == "tiny")
+                    for index, argv in enumerate(argvs):
+                        out = Path(tmp, workload, str(seed), size, f"{index:02d}")
+                        with contextlib.redirect_stdout(sys.stderr):
+                            code = run(argv + ["--out", str(out)])
+                        files = sorted(p for p in out.glob("*")
+                                       if not p.name.endswith(".manifest.json"))
+                        key = {"workload": workload, "seed": seed, "size": size,
+                               "index": index, "exit": code}
+                        records += [{**key, "file": p.name,
+                                     "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                                    for p in files] or [{**key, "file": None, "sha256": None}]
+    return records
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="checkout whose src/ and perfbench/ to run (default: this one)")
+    parser.add_argument("--tiny", action="store_true", help="run only the tiny sizes")
+    args = parser.parse_args(argv)
+    records = digests(args.tree.resolve(), ("tiny",) if args.tiny else ("full", "tiny"))
+    print(json.dumps(records, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
