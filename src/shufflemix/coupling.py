@@ -145,7 +145,9 @@ def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
                         p2 = deck2.index(card, lo)   # (e)
                         same += 1
                     except ValueError:               # (b)
-                        pool = sorted(set(deck2[lo:]).difference(deck1[lo:]))
+                        # deck 2's block cards that deck 1's block lacks are
+                        # the ones deck 1 holds above its block
+                        pool = sorted(set(deck1[:lo]).intersection(deck2[lo:]))
                         p2 = deck2.index(pool[int(f * len(pool))])
                         same = 0
                 deck1.insert(0, deck1.pop(p1))
