@@ -21,6 +21,7 @@ import math
 import statistics
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .coupling import (
@@ -514,10 +515,17 @@ def _replay_argv(argv: list[str]) -> list[str]:
     return stored
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves an
+    argparse parser unchanged, so every call can share it."""
+    return build_parser()
+
+
 def _run(argv: list[str]) -> int:
     if any(a == "--manifest" or a.startswith("--manifest=") for a in argv):
         argv = _replay_argv(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in ("cmd", "out")}
     manifest = RunManifest(
         subcommand=args.cmd,

@@ -21,12 +21,16 @@ per walk, from which both exact T2s and the comparison bound are read; all
 share its dense cap n <= 8.  Flows themselves are exact and have no
 size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
 through one table per n, whose order numbers them.  A path is just its word;
-a flow owns n and reads its words once, when built, as runs of one repeated
-letter (path index, letter id, run length), and checks its letters off them.
-Congestion is a per-letter tally over those runs, and every endpoint comes
-from one batched fold that right-multiplies by a run's power s^r in a single
-gather.  The measures are read through ``SparseMeasure.weight`` and
-``items``, by rank.
+a flow owns n and stores its paths only as runs of one repeated letter (path
+index, letter id, run length) plus one int multiplicity per path, and checks
+its letters off the runs.  The general-k builder writes those runs directly
+from (i, j, l); the other builders pass words, which the flow reads once,
+when built.  Words are decoded from the runs only when ``flow.paths`` is
+iterated (path export, tests), never for the path count, congestion or
+verification.  Congestion is a per-letter tally over the runs, and every
+endpoint comes from one batched fold that right-multiplies by a run's power
+s^r in a single gather.  The measures are read through
+``SparseMeasure.weight`` and ``items``, by rank.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -41,7 +45,7 @@ absorbed in a constant.
 from __future__ import annotations
 
 import math
-import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -127,6 +131,14 @@ class _Runs(NamedTuple):
 _CHUNK = 256       # words per run chunk; bounds every temporary of a pass
 
 
+def _chunk(path: np.ndarray, letter: np.ndarray, length: np.ndarray, nwords: int) -> _Runs:
+    """One run chunk of ``nwords`` words in its stored dtypes: ``path`` (the
+    word index within the chunk) and ``length`` in the least dtype holding
+    their values; ``letter`` keeps the caller's id dtype."""
+    return _Runs(path=path.astype(np.min_scalar_type(max(nwords - 1, 0))), letter=letter,
+                 length=length.astype(np.min_scalar_type(length.max(initial=0))))
+
+
 def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
     """Run encoding of ``words`` (tuples of letter names) at deck size n, one
     chunk per ``_CHUNK`` words; ValueError names the sorted-first unknown."""
@@ -147,12 +159,22 @@ def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
         first[1:] = flat[1:] != flat[:-1]
         first[(ends - sizes)[sizes > 0]] = True
         starts = np.flatnonzero(first)
-        length = np.diff(starts, append=len(flat))
-        path = np.searchsorted(ends, starts, side="right")
-        chunks.append(_Runs(path=path.astype(np.min_scalar_type(max(len(chunk) - 1, 0))),
-                            letter=flat[starts],
-                            length=length.astype(np.min_scalar_type(length.max(initial=0)))))
+        chunks.append(_chunk(np.searchsorted(ends, starts, side="right"), flat[starts],
+                             np.diff(starts, append=len(flat)), len(chunk)))
     return tuple(chunks)
+
+
+def _decode_words(n: int, chunks: tuple[_Runs, ...], npaths: int) -> list[tuple[str, ...]]:
+    """The ``npaths`` words that run chunks spell, as tuples of the shared
+    letter names of :func:`_letters`; the inverse of :func:`_encode_runs`."""
+    names = list(_letters(n))
+    words = []
+    for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
+        flat = [names[x] for x in np.repeat(runs.letter, runs.length).tolist()]
+        sizes = np.bincount(runs.path, weights=runs.length, minlength=min(_CHUNK, npaths - lo))
+        ends = np.cumsum(sizes.astype(np.intp)).tolist()
+        words += [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    return words
 
 
 @lru_cache(maxsize=None)
@@ -212,15 +234,57 @@ class CayleyPath(NamedTuple):
         return len(self.word)
 
 
+def _multiplicities(values: list) -> np.ndarray:
+    """Int multiplicities as an int64 array, or an object array of Python
+    ints when one is past the int64 range (odd flows reach it at n = 25)."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+class _RunPaths(Mapping):
+    """A flow's paths as it stores them: the run chunks ``runs`` of their
+    words at deck size ``n`` (``_CHUNK`` words a chunk, in path order) and
+    one int multiplicity per path in ``mult`` (:func:`_multiplicities`).
+
+    As a ``Mapping[CayleyPath, int]`` its length is ``len(mult)``; the first
+    lookup or iteration decodes every word from the runs, once.
+    """
+
+    def __init__(self, n: int, runs: tuple[_Runs, ...], mult: np.ndarray):
+        self.n, self.runs, self.mult = n, runs, mult
+        self._decoded: dict[CayleyPath, int] | None = None
+
+    def _paths(self) -> dict[CayleyPath, int]:
+        if self._decoded is None:
+            words = _decode_words(self.n, self.runs, len(self.mult))
+            self._decoded = dict(zip(map(CayleyPath, words), self.mult.tolist()))
+        return self._decoded
+
+    def __len__(self) -> int:
+        return len(self.mult)
+
+    def __iter__(self):
+        return iter(self._paths())
+
+    def __getitem__(self, path: CayleyPath) -> int:
+        return self._paths()[path]
+
+
 @dataclass(frozen=True)
 class Flow:
     """Paths routing ``target`` through the Cayley graph of ``q``; a path of
     int multiplicity c >= 0 carries mass c * ``unit``.
 
-    Letters must name support elements of q (the identity may appear as a
-    letter only when q(e) > 0, which odd loop flows at k = n exploit).  The
-    words are encoded here, once, as letter runs in ``paths`` order
-    (``_runs``); ValueError names the sorted-first unknown letter, else the
+    ``paths`` may be any ``Mapping[CayleyPath, int]``; the flow keeps it only
+    as run chunks and multiplicities (:class:`_RunPaths`), so ``flow.paths``
+    decodes its words when first iterated.  A words mapping is encoded here,
+    once; a :class:`_RunPaths` at the flow's n, as
+    :func:`build_flow_general` writes and ``dataclasses.replace`` passes on,
+    is kept as it is.  Letters must name support elements of q (the identity
+    may appear as a letter only when q(e) > 0, which odd loop flows at k = n
+    exploit); ValueError names the sorted-first unknown letter, else the
     sorted-first letter outside q's support.  Marginals are checked by
     :func:`verify_flow`, not here, so a mis-weighted flow can be reported on.
     """
@@ -228,24 +292,27 @@ class Flow:
     target: SparseMeasure
     q: SparseMeasure
     unit: Fraction
-    paths: dict[CayleyPath, int] = field(compare=False)
-    _runs: tuple[_Runs, ...] = field(init=False, repr=False, compare=False)
+    paths: Mapping[CayleyPath, int] = field(compare=False)
 
     def __post_init__(self):
         if self.target.n != self.q.n:
             raise ValueError(f"size mismatch: target n={self.target.n}, q n={self.q.n}")
         if not (isinstance(self.unit, Fraction) and self.unit > 0):
             raise ValueError(f"unit must be a positive Fraction, got {self.unit!r}")
-        for c in self.paths.values():
-            if not (isinstance(c, int) and c >= 0):
-                raise ValueError(f"multiplicity must be a nonnegative int, got {c!r}")
-        runs = _encode_runs(self.n, [p.word for p in self.paths])
+        paths = self.paths
+        if not (isinstance(paths, _RunPaths) and paths.n == self.n):
+            mult = list(paths.values())
+            for c in mult:
+                if not (isinstance(c, int) and c >= 0):
+                    raise ValueError(f"multiplicity must be a nonnegative int, got {c!r}")
+            paths = _RunPaths(self.n, _encode_runs(self.n, [p.word for p in paths]),
+                              _multiplicities(mult))
         names = list(_letters(self.n))
-        used = sum(np.bincount(chunk.letter, minlength=len(names)) for chunk in runs)
+        used = sum(np.bincount(chunk.letter, minlength=len(names)) for chunk in paths.runs)
         for name in sorted(names[i] for i in np.flatnonzero(used)):
             if self.q.weight(letter_perm(name, self.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
-        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "paths", paths)
 
     @property
     def n(self) -> int:
@@ -253,7 +320,7 @@ class Flow:
 
     def _endpoints(self) -> np.ndarray:
         """One-line endpoint of every path, rows in ``paths`` order."""
-        return _fold_endpoints(self.n, self._runs, len(self.paths))
+        return _fold_endpoints(self.n, self.paths.runs, len(self.paths))
 
 
 @dataclass(frozen=True)
@@ -271,7 +338,7 @@ def verify_flow(flow: Flow) -> FlowVerification:
     """
     ends = flow._endpoints()
     routed: dict[bytes, int] = {}
-    for key, c in zip(map(bytes, ends), flow.paths.values()):
+    for key, c in zip(map(bytes, ends), flow.paths.mult.tolist()):
         routed[key] = routed.get(key, 0) + c
     target = {np.array(g.map, ends.dtype).tobytes(): w for g, w in flow.target.items()}
     labels = {key: np.frombuffer(key, ends.dtype).tolist() for key in routed.keys() | target.keys()}
@@ -294,22 +361,25 @@ def congestion_A(flow: Flow) -> FlowReport:
     """Exact congestion constant A(eta) with a per-generator breakdown.
 
     Traffic c * |delta| * N(s, delta) is tallied per letter id over the
-    flow's letter runs: |delta| * (run length) is summed in int64 per
-    (multiplicity, letter id) class, then each class sum is scaled by its
-    multiplicity c as a Python int, so A is exact for any c.  A class sum is
-    at most the sum of |delta|^2 over the flow's words, which stays far
-    below 2^63 for any words that fit in memory.  Letters
+    flow's letter runs, without decoding a word: each path's length |delta|
+    is one ``bincount`` of its run lengths, |delta| * (run length) is summed
+    in int64 per (multiplicity, letter id) class, then each class sum is
+    scaled by its multiplicity c as a Python int, so A is exact for any c.  A
+    class sum is at most the sum of |delta|^2 over the flow's words, which
+    stays far below 2^63 for any words that fit in memory.  Letters
     naming one permutation (s1 and s1inv; sigma_2^{+-1} and tau at n = 2)
     merge their traffic, scaled by the unit once per generator.
     """
-    classes: dict[int, int] = {}                # multiplicity -> class index
-    cls = np.array([classes.setdefault(c, len(classes)) for c in flow.paths.values()], np.intp)
-    lengths = np.fromiter((p.length for p in flow.paths), np.int64, count=len(flow.paths))
+    paths = flow.paths
+    classes, cls = np.unique(paths.mult, return_inverse=True)
+    path = np.concatenate([runs.path.astype(np.intp) + c * _CHUNK
+                           for c, runs in enumerate(paths.runs)])
+    letter = np.concatenate([runs.letter for runs in paths.runs])
+    length = np.concatenate([runs.length for runs in paths.runs]).astype(np.int64)
+    lengths = np.bincount(path, weights=length, minlength=len(cls)).astype(np.int64)
     sums = np.zeros((len(classes), len(_letters(flow.n))), np.int64)
-    for lo, runs in zip(range(0, len(cls), _CHUNK), flow._runs):
-        path = runs.path.astype(np.intp) + lo
-        np.add.at(sums, (cls[path], runs.letter), lengths[path] * runs.length)
-    tally = [sum(map(int.__mul__, classes, column)) for column in sums.T.tolist()]
+    np.add.at(sums, (cls[path], letter), lengths[path] * length)
+    tally = [sum(map(int.__mul__, classes.tolist(), column)) for column in sums.T.tolist()]
     traffic: dict[Permutation, int] = {}
     for g, t in zip(_letters(flow.n).values(), tally):
         traffic[g] = traffic.get(g, 0) + t
@@ -362,33 +432,6 @@ def transposition_word_large_k(n: int, C: int, i: int, j: int) -> tuple[str, ...
     if j <= n - C:
         return (f"s{n}inv",) * m + _short_word(C + 1, j + C - i + 1) + (f"s{n}",) * m
     return (f"s{n-C}inv",) * m + _short_word(C + 1, j) + (f"s{n-C}",) * m
-
-
-def transposition_words_general(n: int, k: int, i: int, j: int) -> tuple[tuple[str, ...], ...]:
-    """Words ending at (i, j) over the bottom-k generators: one short word
-    when i sits in the generator range, otherwise k - 1 conjugations, one per
-    l in (n-k, n)."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j})")
-    if i > n - k:
-        return (_strip_identity(_short_word(i, j)),)
-    words = []
-    for l in range(n - k + 1, n):
-        sl, sli = sys.intern(f"s{l}"), sys.intern(f"s{l}inv")   # shared across words
-        if j > l:
-            words.append((sli,) * (l - i) + _short_word(l, j) + (sl,) * (l - i))
-        else:
-            adj = _short_word(l, l + 1)
-            words.append(
-                (sli,) * (l - j)
-                + adj
-                + (sli,) * (j - i)
-                + adj
-                + (sl,) * (j - i)
-                + adj
-                + (sl,) * (l - j)
-            )
-    return tuple(words)
 
 
 def build_odd_flow_tbk(n: int, k: int) -> Flow:
@@ -457,6 +500,57 @@ def build_flow_large_k(n: int, C: int) -> Flow:
     return Flow(target=target, q=q, unit=Fraction(1, n * n), paths=paths)
 
 
+def _general_runs(n: int, k: int) -> tuple[tuple[_Runs, ...], np.ndarray]:
+    """Run chunks and multiplicities of the general-k flow, written straight
+    from (i, j, l) without forming a word.
+
+    Paths come in builder order: e, then each transposition (i, j) in
+    lexicographic order, its long words by ascending l.  Letter s{x} has id
+    2(x - 1) and s{x}inv the next.  A short word is the four runs s{i}inv,
+    s{j}, s{j-1}inv, s{i}, less the identity letters s1, s1inv at i = 1
+    (k = n).  In a long word each sigma_l power merges into the neighbouring
+    s{l}inv or s{l} letter: j > l gives s{l}inv^(l-i+1), s{j}, s{j-1}inv,
+    s{l}^(l-i+1); j <= l, with a = l - j and b = j - i, gives the 12 runs
+    s{l}inv^(a+1) s{l+1} s{l}inv s{l} s{l}inv^(b+1) s{l+1} s{l}inv s{l}^(b+1)
+    s{l}inv s{l+1} s{l}inv s{l}^(a+1).
+    """
+    i, j = (x.astype(np.int32) + 1 for x in np.triu_indices(n, 1))   # i < j, lexicographic
+    short = i > n - k
+    m = k - 1                                   # long words per pair
+    il, jl = np.repeat(i[~short], m), np.repeat(j[~short], m)
+    l = np.tile(np.arange(n - k + 1, n, dtype=np.int32), len(il) // m)
+    sl, one, a, b = 2 * (l - 1), np.ones_like(l), l - jl, jl - il
+    long_letter = np.stack([sl + 1, sl + 2, sl + 1, sl] * 3, axis=1)
+    long_length = np.stack([a + 1, one, one, one, b + 1, one, one, b + 1, one, one, one, a + 1],
+                           axis=1)
+    up = jl > l                                 # these take four runs
+    long_letter[up, :4] = np.stack([sl + 1, 2 * jl - 2, 2 * jl - 3, sl], axis=1)[up]
+    long_length[up, :4] = np.stack([l - il + 1, one, one, l - il + 1], axis=1)[up]
+    si, sj = 2 * (i[short] - 1), 2 * (j[short] - 1)
+    short_letter = np.stack([si + 1, sj, sj - 1, si], axis=1)
+    short_runs = np.full(len(si), 4, np.int32)
+    at_one = si == 0                            # s1inv s{j} s{j-1}inv s1 keeps runs 2, 3
+    short_letter[at_one, :2] = short_letter[at_one, 1:3]
+    short_runs[at_one] = np.where(sj[at_one] == 2, 1, 2)     # at j = 2, run 3 is s1inv
+    npaths = 1 + len(l) + len(si)
+    letter = np.zeros((npaths, 12), np.int32)
+    length = np.ones((npaths, 12), np.int32)
+    letter[1:1 + len(l)], length[1:1 + len(l)] = long_letter, long_length
+    letter[1 + len(l):, :4] = short_letter
+    runs = np.concatenate(([0], np.where(up, 4, 12), short_runs))
+    keep = np.arange(12) < runs[:, None]
+    path = np.repeat(np.arange(npaths), runs)
+    letter, length = letter[keep].astype(np.min_scalar_type(len(_letters(n)))), length[keep]
+    offsets = np.concatenate(([0], np.cumsum(runs))).tolist()
+    chunks = []
+    for lo in range(0, npaths, _CHUNK):
+        hi = min(lo + _CHUNK, npaths)
+        at = slice(offsets[lo], offsets[hi])
+        chunks.append(_chunk(path[at] - lo, letter[at], length[at], hi - lo))
+    mult = np.concatenate(([m * n], np.full(len(l), 2), np.full(len(si), 2 * m)))
+    return tuple(chunks), mult
+
+
 def build_flow_general(n: int, k: int) -> Flow:
     """Random-transposition flow over the shuffle generators for any k.
 
@@ -465,21 +559,19 @@ def build_flow_general(n: int, k: int) -> Flow:
     l in (n-k, n): conjugating by sigma_l powers either reduces to a short
     word (j > l) or to three copies of the adjacent transposition word
     delta_{l,l+1} separated by sigma_l powers (j <= l).
+
+    The words' letter runs are written directly, vectorised over (i, j, l)
+    (:func:`_general_runs`), so building makes no word tuple; ``flow.paths``
+    decodes the words only when something iterates it.
     """
     if not (isinstance(k, int) and 1 < k <= n):
         raise ValueError(f"need n >= k > 1, got n={n}, k={k}")
     q = symmetrize(top_to_bottom_k(n, k))
     target = random_transposition(n)
     # unit 1/((k-1)n^2): e carries 1/n, a short word 2/n^2, a long word 2 units
-    paths = {CayleyPath(()): (k - 1) * n}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            words = transposition_words_general(n, k, i, j)
-            c = 2 * (k - 1) if len(words) == 1 else 2
-            for word in words:
-                p = CayleyPath(word)
-                paths[p] = paths.get(p, 0) + c
-    return Flow(target=target, q=q, unit=Fraction(1, (k - 1) * n * n), paths=paths)
+    runs, mult = _general_runs(n, k)
+    return Flow(target=target, q=q, unit=Fraction(1, (k - 1) * n * n),
+                paths=_RunPaths(n, runs, mult))
 
 
 def build_flow_rudvalis(n: int, k: int) -> Flow:
@@ -576,11 +668,14 @@ def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:
 
 
 def flow_to_json_obj(flow: Flow) -> dict:
-    rows = sorted(zip(flow._endpoints().tolist(), flow.paths.items()),
-                  key=lambda row: (row[0], row[1][0].word))
+    """Target, q and every path as {"word", "weight"}, paths ordered by
+    (one-line endpoint, word); the words are decoded once, and each distinct
+    multiplicity's weight is rendered once."""
+    mult = flow.paths.mult.tolist()
+    weight = {c: str(flow.unit * c) for c in set(mult)}
+    rows = sorted(zip(flow._endpoints().tolist(), (p.word for p in flow.paths), mult))
     return {
         "target": measure_to_json_obj(flow.target),
         "q": measure_to_json_obj(flow.q),
-        "paths": [{"word": list(p.word), "weight": str(flow.unit * c)} for _, (p, c) in rows],
+        "paths": [{"word": list(word), "weight": weight[c]} for _, word, c in rows],
     }
-

@@ -723,3 +723,43 @@ def l2_from_spectrum(q: SparseMeasure, m: int) -> float:
     """
     eig = spectrum(q).eigenvalues
     return fsum(float(b) ** (2 * m) for b in eig[:-1])
+
+
+def transposition_words_general(n: int, k: int, i: int, j: int) -> tuple[tuple[str, ...], ...]:
+    """Words ending at (i, j) over the bottom-k generators, letter by letter:
+    one short word s{i}inv s{j} s{j-1}inv s{i} (less the identity letters s1,
+    s1inv) when i sits in the generator range, otherwise k - 1 conjugations,
+    one per l in (n-k, n), of a short word (j > l) or of three adjacent
+    transposition words (j <= l) by sigma_l powers."""
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j})")
+
+    def short(a, b):
+        return (f"s{a}inv", f"s{b}", f"s{b-1}inv", f"s{a}")
+
+    if i > n - k:
+        return (tuple(x for x in short(i, j) if x not in ("s1", "s1inv")),)
+    words = []
+    for l in range(n - k + 1, n):
+        sl, sli = f"s{l}", f"s{l}inv"
+        if j > l:
+            words.append((sli,) * (l - i) + short(l, j) + (sl,) * (l - i))
+        else:
+            adj = short(l, l + 1)
+            words.append((sli,) * (l - j) + adj + (sli,) * (j - i) + adj
+                         + (sl,) * (j - i) + adj + (sl,) * (l - j))
+    return tuple(words)
+
+
+def general_flow_words(n: int, k: int) -> dict[tuple[str, ...], int]:
+    """word -> multiplicity of the general-k flow, in builder order: e with
+    (k-1)n, then every (i, j) in lexicographic order, a lone short word with
+    2(k-1) and each of k - 1 long words with 2, equal words merged."""
+    paths = {(): (k - 1) * n}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            words = transposition_words_general(n, k, i, j)
+            c = 2 * (k - 1) if len(words) == 1 else 2
+            for word in words:
+                paths[word] = paths.get(word, 0) + c
+    return paths

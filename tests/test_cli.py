@@ -425,6 +425,43 @@ def test_lowerbound_requires_step_count(tmp_path, capsys):
     capsys.readouterr()
 
 
+ONE_PER_SUBCOMMAND = [
+    ["exact", "--n", "4", "--k", "3", "--metric", "l2", "--mmax", "15"],
+    ["spectrum", "--n", "4", "--k", "2"],
+    ["couple", "--n", "9", "--k", "3", "--trials", "20", "--seed", "1"],
+    ["collector", "--n", "20", "--j", "0"],
+    ["lowerbound", "--method", "single-card", "--n", "30", "--k", "6", "--steps", "100"],
+    ["wilson", "--n", "64"],
+    ["flow", "--builder", "general", "--n", "5", "--k", "3", "--verify", "--export-paths"],
+    ["transfer", "--n", "4", "--k", "2"],
+]
+
+
+def payloads(out):
+    return {p.name: p.read_bytes() for p in Path(out).iterdir()
+            if not p.name.endswith(".manifest.json")}
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    # every subcommand, an argparse error and a manifest replay back to back
+    # through the process's cached parser write the bytes of fresh-parser runs
+    argvs = [argv + ["--out", str(tmp_path / "shared" / argv[0])] for argv in ONE_PER_SUBCOMMAND]
+    replay = ["--manifest", str(tmp_path / "shared" / "exact" / "exact_n4_k3_tbk_l2.manifest.json"),
+              "--out", str(tmp_path / "shared" / "replay")]
+    cli._parser.cache_clear()
+    for argv in argvs:
+        assert run(argv) == 0
+    assert run(["flow", "--builder", "sideways", "--n", "5"]) == 2    # an argparse error
+    assert run(replay) == 0
+    assert cli._parser.cache_info().misses == 1
+    for argv in ONE_PER_SUBCOMMAND:
+        cli._parser.cache_clear()
+        assert run(argv + ["--out", str(tmp_path / "fresh" / argv[0])]) == 0
+        assert payloads(tmp_path / "shared" / argv[0]) == payloads(tmp_path / "fresh" / argv[0])
+    assert payloads(tmp_path / "shared" / "replay") == payloads(tmp_path / "fresh" / "exact")
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("workload", workloads.NAMES)
 @pytest.mark.parametrize("tiny", [True, False])
 def test_benchmark_invocations_parse(workload, tiny):

@@ -15,10 +15,12 @@ from oracles import (
     dirichlet_form,
     flow_discrepancies,
     dirichlet_form_operator,
+    general_flow_words,
     hitting_time,
     o_compose,
     parse,
     path_endpoint,
+    transposition_words_general,
 )
 from shufflemix.errors import CapacityError, UnreachableTargetError
 from shufflemix.exact import (
@@ -50,7 +52,6 @@ from shufflemix.flows import (
     rudvalis_congestion_bound,
     rudvalis_generator_word,
     transposition_word_large_k,
-    transposition_words_general,
     verify_flow,
 )
 from shufflemix.measures import (
@@ -519,6 +520,37 @@ def test_general_words_end_at_their_transposition():
                         assert len(word) <= 2 * n + 12
                         assert fold(n, [word]) == [transposition(i, j, n).map], (n, k, i, j, word)
 
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 15) for k in range(2, n + 1)]
+                         + [(24, 12), (32, 16), (40, 20)])
+def test_general_flow_runs_equal_the_word_oracle(n, k):
+    # the runs written from (i, j, l) spell the oracle's words in its order,
+    # with its multiplicities, and equal the word encoder's chunks, dtypes too
+    flow = build_flow_general(n, k)
+    words = general_flow_words(n, k)
+    assert [(p.word, c) for p, c in flow.paths.items()] == list(words.items())
+    assert flow.paths.mult.tolist() == list(words.values())
+    want = _encode_runs(n, list(words))
+    assert len(flow.paths.runs) == len(want)
+    for got, chunk in zip(flow.paths.runs, want):
+        for a, b in zip(got, chunk):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_general_flow_payload_path_decodes_no_word(monkeypatch):
+    # the path count, congestion and verification read runs and
+    # multiplicities only; decoding a word (iterating flow.paths) fails here
+    def refuse(*args):
+        raise AssertionError("a word was decoded")
+
+    monkeypatch.setattr("shufflemix.flows._decode_words", refuse)
+    flow = build_flow_general(24, 12)
+    assert len(flow.paths) == 2377
+    assert congestion_A(flow).a_value > 0
+    assert verify_flow(flow).exact
+    with pytest.raises(AssertionError, match="a word was decoded"):
+        next(iter(flow.paths))
 
 def test_large_k_words_end_at_their_transposition():
     for n, C in ((6, 0), (7, 1), (9, 2), (11, 3), (12, 3), (12, 4)):

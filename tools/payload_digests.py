@@ -8,10 +8,13 @@ Every argv of ``perfbench.workloads.invocations``, for each workload at the
 full and tiny sizes and seeds 1 and 7, runs in this process through
 ``shufflemix.cli.run``, both imported from the tree DIR (default: the
 checkout holding this script), each argv into its own temporary output
-directory.  The JSON printed is one record per payload file: workload, seed,
-size, index of the argv in its sequence, file name, the argv's exit code and
-the file's sha256; an argv that writes no payload gets one record with file
-and sha256 null.  Manifests are left out, since they hold clock fields.  Two
+directory.  The full size also runs the fixed argvs of ``EXTRA`` once, as
+workload "extra" with seed null: every flow builder's ``--export-paths``,
+which no workload writes, and the general flow's dense comparison blocks.
+The JSON printed is one record per payload file: workload, seed, size,
+index of the argv in its sequence, file name, the argv's exit code and the
+file's sha256; an argv that writes no payload gets one record with file and
+sha256 null.  Manifests are left out, since they hold clock fields.  Two
 trees write the same payload bytes when ``diff`` finds their outputs equal.
 """
 
@@ -27,31 +30,41 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)
+EXTRA = [argv.split() for argv in (
+    "flow --builder general --n 8 --k 3 --export-paths",
+    "flow --builder general --n 12 --k 6 --export-paths",
+    "flow --builder general --n 40 --k 20 --export-paths",
+    "flow --builder large-k --n 12 --C 3 --export-paths",
+    "flow --builder rudvalis --n 8 --k 8 --export-paths",
+    "flow --builder odd --n 6 --k 4 --export-paths",
+    "flow --builder general --n 6 --k 3 --lower-bound --dirichlet 50 --compare-t2",
+)]
 
 
 def digests(tree: Path, sizes=("full", "tiny")) -> list[dict]:
-    """The records of every workload argv run from ``tree``, in run order."""
+    """The records of every workload argv run from ``tree``, in run order,
+    then of ``EXTRA`` when the full size is asked for."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from shufflemix.cli import run
 
+    jobs = [((workload, seed, size), workloads.invocations(workload, seed, tiny=size == "tiny"))
+            for workload in workloads.NAMES for seed in SEEDS for size in sizes]
+    if "full" in sizes:
+        jobs.append((("extra", None, "full"), EXTRA))
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads.NAMES:
-            for seed in SEEDS:
-                for size in sizes:
-                    argvs = workloads.invocations(workload, seed, tiny=size == "tiny")
-                    for index, argv in enumerate(argvs):
-                        out = Path(tmp, workload, str(seed), size, f"{index:02d}")
-                        with contextlib.redirect_stdout(sys.stderr):
-                            code = run(argv + ["--out", str(out)])
-                        files = sorted(p for p in out.glob("*")
-                                       if not p.name.endswith(".manifest.json"))
-                        key = {"workload": workload, "seed": seed, "size": size,
-                               "index": index, "exit": code}
-                        records += [{**key, "file": p.name,
-                                     "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                                    for p in files] or [{**key, "file": None, "sha256": None}]
+        for (workload, seed, size), argvs in jobs:
+            for index, argv in enumerate(argvs):
+                out = Path(tmp, workload, str(seed), size, f"{index:02d}")
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = run(argv + ["--out", str(out)])
+                files = sorted(p for p in out.glob("*") if not p.name.endswith(".manifest.json"))
+                key = {"workload": workload, "seed": seed, "size": size, "index": index,
+                       "exit": code}
+                records += [{**key, "file": p.name,
+                             "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                            for p in files] or [{**key, "file": None, "sha256": None}]
     return records
 
 
