@@ -267,6 +267,19 @@ def test_batched_endpoints_and_verify_match_the_letter_oracle(builder, n, k):
 # flow construction and verification
 
 
+def test_flow_encodes_the_paths_of_another_deck_size_afresh():
+    # a flow's stored paths reused at another n are read as words: letter ids
+    # depend on n (tau is id 10 at n = 5, where id 10 is s6 at n = 6)
+    small = build_flow_rudvalis(5, 5)
+    names = [f"s{l}{suf}" for l in range(1, 7) for suf in ("", "inv")] + ["tau"]
+    ranks = {rank(letter_perm(name, 6)) for name in names}
+    q = SparseMeasure(6, {r: Fraction(1, len(ranks)) for r in ranks})
+    moved = Flow(target=delta_e(6), q=q, unit=small.unit, paths=small.paths)
+    assert dict(moved.paths) == dict(small.paths)
+    assert any("tau" in p.word for p in moved.paths)
+    ends = [tuple(row) for row in moved._endpoints().tolist()]
+    assert ends == [path_endpoint(6, p.word).map for p in moved.paths]
+
 def test_flow_rejects_letter_outside_support():
     q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
     target = SparseMeasure(5, {rank(cycle_generator(2, 5)): Fraction(1)})
