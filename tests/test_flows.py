@@ -280,6 +280,7 @@ def test_flow_encodes_the_paths_of_another_deck_size_afresh():
     ends = [tuple(row) for row in moved._endpoints().tolist()]
     assert ends == [path_endpoint(6, p.word).map for p in moved.paths]
 
+
 def test_flow_rejects_letter_outside_support():
     q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
     target = SparseMeasure(5, {rank(cycle_generator(2, 5)): Fraction(1)})
@@ -534,7 +535,6 @@ def test_general_words_end_at_their_transposition():
                         assert fold(n, [word]) == [transposition(i, j, n).map], (n, k, i, j, word)
 
 
-
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 15) for k in range(2, n + 1)]
                          + [(24, 12), (32, 16), (40, 20)])
 def test_general_flow_runs_equal_the_word_oracle(n, k):
@@ -564,6 +564,7 @@ def test_general_flow_payload_path_decodes_no_word(monkeypatch):
     assert verify_flow(flow).exact
     with pytest.raises(AssertionError, match="a word was decoded"):
         next(iter(flow.paths))
+
 
 def test_large_k_words_end_at_their_transposition():
     for n, C in ((6, 0), (7, 1), (9, 2), (11, 3), (12, 3), (12, 4)):
