@@ -262,8 +262,6 @@ def _cmd_lowerbound(args, sink: _Sink) -> str:
             m = args.m_mult * args.n * math.log(args.n)
         else:
             raise ValueError("one of --m or --m-mult is required")
-        if not math.isfinite(m):
-            raise ValueError(f"the step count must be finite, got {m}")
         est = increasing_bottom_statistic(args.n, args.k, args.j, m)
         payload = {
             "method": args.method,

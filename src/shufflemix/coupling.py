@@ -326,6 +326,8 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstima
         raise ValueError(f"j={j} too large; factorials beyond 8! drown the signal")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
+    if not math.isfinite(m):
+        raise ValueError(f"the step count m must be finite, got {m}")
     if m < 0:
         raise ValueError(f"m={m} is negative")
     (p_tail,) = _values_at(_unselected_chain(k, j + 1), [m], lambda law: float(law[j + 1:].sum()))

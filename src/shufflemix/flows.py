@@ -21,15 +21,16 @@ per walk, from which both exact T2s and the comparison bound are read; all
 share its dense cap n <= 8.  Flows themselves are exact and have no
 size cap.  Letters (s{l}, s{l}inv for sigma_l^{+-1}, tau for (1, n)) resolve
 through one table per n, whose order numbers them.  A path is just its word;
-a flow owns n and stores its paths only as runs of one repeated letter (path
-index, letter id, run length) plus one int multiplicity per path, and checks
-its letters off the runs.  The general-k builder writes those runs directly
-from (i, j, l); the other builders pass words, which the flow reads once,
-when built.  Words are decoded from the runs only when ``flow.paths`` is
-iterated (path export, tests), never for the path count, congestion or
-verification.  Congestion is a per-letter tally over the runs, and every
-endpoint comes from one batched fold that right-multiplies by a run's power
-s^r in a single gather.  The measures are read through
+a flow owns n and stores its paths only as one flat table of runs of one
+repeated letter (global path index, letter id, run length; in path then word
+order) plus one int multiplicity per path, and checks its letters off the
+runs.  The general-k builder writes that table directly from (i, j, l); the
+other builders pass words, which the flow encodes once, when built.  Words
+are decoded from the runs only when ``flow.paths`` is iterated (path export,
+tests), never for the path count, congestion or verification.  Congestion is
+a per-letter tally over the table, and every endpoint comes from one batched
+fold, block by block of paths, that right-multiplies by a run's power s^r in
+a single gather.  The measures are read through
 ``SparseMeasure.weight`` and ``items``, by rank.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
@@ -119,62 +120,50 @@ def generator_name(g: Permutation) -> str:
 
 
 class _Runs(NamedTuple):
-    """A chunk of words as maximal runs of one repeated letter, in word
-    order: run i is letter id ``letter[i]`` (:func:`_letters` order) repeated
-    ``length[i]`` times in the chunk's word ``path[i]``."""
+    """Words as maximal runs of one repeated letter, in path then word order:
+    run i is letter id ``letter[i]`` (:func:`_letters` order) repeated
+    ``length[i]`` times in word ``path[i]``, so ``path`` is nondecreasing.
+    Each field holds its values in the least dtype that fits them."""
 
     path: np.ndarray
     letter: np.ndarray
     length: np.ndarray
 
-
-_CHUNK = 256       # words per run chunk; bounds every temporary of a pass
-
-
-def _chunk(path: np.ndarray, letter: np.ndarray, length: np.ndarray, nwords: int) -> _Runs:
-    """One run chunk of ``nwords`` words in its stored dtypes: ``path`` (the
-    word index within the chunk) and ``length`` in the least dtype holding
-    their values; ``letter`` keeps the caller's id dtype."""
-    return _Runs(path=path.astype(np.min_scalar_type(max(nwords - 1, 0))), letter=letter,
-                 length=length.astype(np.min_scalar_type(length.max(initial=0))))
+    @classmethod
+    def packed(cls, *fields: np.ndarray) -> _Runs:
+        """The table of ``fields`` (path, letter, length), each cast to the
+        least dtype holding its values."""
+        return cls(*(x.astype(np.min_scalar_type(x.max(initial=0))) for x in fields))
 
 
-def _encode_runs(n: int, words: list) -> tuple[_Runs, ...]:
-    """Run encoding of ``words`` (tuples of letter names) at deck size n, one
-    chunk per ``_CHUNK`` words; ValueError names the sorted-first unknown."""
+def _encode_runs(n: int, words: list) -> _Runs:
+    """Run encoding of ``words`` (tuples of letter names) at deck size n;
+    ValueError names the sorted-first unknown letter."""
     ids = {name: i for i, name in enumerate(_letters(n))}
-    id_type = np.min_scalar_type(len(ids))
-    chunks = []
-    for lo in range(0, max(len(words), 1), _CHUNK):
-        chunk = words[lo:lo + _CHUNK]
-        sizes = np.fromiter(map(len, chunk), np.intp, count=len(chunk))
-        ends = np.cumsum(sizes)
-        try:
-            flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)), id_type,
-                               count=int(sizes.sum()))
-        except KeyError:
-            bad = min(set(chain.from_iterable(words)).difference(ids))
-            raise ValueError(f"unknown generator name {bad!r} at n={n}") from None
-        first = np.ones(len(flat), bool)
-        first[1:] = flat[1:] != flat[:-1]
-        first[(ends - sizes)[sizes > 0]] = True
-        starts = np.flatnonzero(first)
-        chunks.append(_chunk(np.searchsorted(ends, starts, side="right"), flat[starts],
-                             np.diff(starts, append=len(flat)), len(chunk)))
-    return tuple(chunks)
+    sizes = np.fromiter(map(len, words), np.intp, count=len(words))
+    ends = np.cumsum(sizes)
+    try:
+        flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(words)),
+                           np.min_scalar_type(len(ids)), count=int(sizes.sum()))
+    except KeyError:
+        bad = min(set(chain.from_iterable(words)).difference(ids))
+        raise ValueError(f"unknown generator name {bad!r} at n={n}") from None
+    first = np.ones(len(flat), bool)
+    first[1:] = flat[1:] != flat[:-1]
+    first[(ends - sizes)[sizes > 0]] = True
+    starts = np.flatnonzero(first)
+    return _Runs.packed(np.searchsorted(ends, starts, side="right"), flat[starts],
+                        np.diff(starts, append=len(flat)))
 
 
-def _decode_words(n: int, chunks: tuple[_Runs, ...], npaths: int) -> list[tuple[str, ...]]:
-    """The ``npaths`` words that run chunks spell, as tuples of the shared
+def _decode_words(n: int, runs: _Runs, npaths: int) -> list[tuple[str, ...]]:
+    """The ``npaths`` words that ``runs`` spell, as tuples of the shared
     letter names of :func:`_letters`; the inverse of :func:`_encode_runs`."""
-    names = list(_letters(n))
-    words = []
-    for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
-        flat = [names[x] for x in np.repeat(runs.letter, runs.length).tolist()]
-        sizes = np.bincount(runs.path, weights=runs.length, minlength=min(_CHUNK, npaths - lo))
-        ends = np.cumsum(sizes.astype(np.intp)).tolist()
-        words += [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-    return words
+    names = np.array(list(_letters(n)), object)
+    flat = names[np.repeat(runs.letter, runs.length)].tolist()
+    sizes = np.bincount(runs.path, weights=runs.length, minlength=npaths)
+    ends = np.cumsum(sizes.astype(np.intp)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 @lru_cache(maxsize=None)
@@ -183,39 +172,45 @@ def _letter_orders(n: int) -> tuple[int, ...]:
     return tuple(map(order, _letters(n).values()))
 
 
-def _fold_endpoints(n: int, chunks: tuple[_Runs, ...], npaths: int) -> np.ndarray:
-    """The endpoints of ``npaths`` words given as run chunks: row p is word
-    p's product in one-line form, in ``np.min_scalar_type(n)``.
+_FOLD_ROWS = 256       # paths per fold block; bounds the fold's gather temporaries
+
+
+def _fold_endpoints(n: int, runs: _Runs, npaths: int) -> np.ndarray:
+    """The endpoints of the ``npaths`` words that ``runs`` spell: row p is
+    word p's product in one-line form, in ``np.min_scalar_type(n)``.
 
     A run of r letters s is one right multiplication by s^r, a gather through
     s^r's one-line map.  Runs reduce by their letter's order, and the powers
     of every letter the words use are tabled once, up to the longest reduced
-    run.  Each chunk lays its runs out as a (most runs, words) key matrix,
-    short words padded with the identity, and folds it one row, one gather,
-    at a time.
+    run.  Each block of ``_FOLD_ROWS`` paths finds its runs by a search on
+    ``runs.path``, lays them out as a (most runs, paths) key matrix, short
+    words padded with the identity, and folds it one row, one gather, at a
+    time.
     """
-    used = sum(np.bincount(runs.letter, minlength=len(_letters(n))) for runs in chunks) > 0
+    used = np.bincount(runs.letter, minlength=len(_letters(n))) > 0
     slot = np.cumsum(used) - 1                            # letter id -> table block
     maps = np.array([g.map for g, u in zip(_letters(n).values(), used) if u], np.intp) - 1
     orders = np.array(_letter_orders(n))
     dtype = np.min_scalar_type(n)
-    longest = max(int(runs.length.max(initial=0)) for runs in chunks)
-    top = min(longest, int(orders[used].max(initial=1)) - 1) + 1
+    top = min(int(runs.length.max(initial=0)), int(orders[used].max(initial=1)) - 1) + 1
     table = np.empty((len(maps), top, n), dtype)         # [slot, r] = s^r, 0-based
     table[:, 0] = np.arange(n)
     for r in range(1, top):
         table[:, r] = np.take_along_axis(table[:, r - 1], maps, axis=1)
     table = table.reshape(-1, n)                          # row slot * top + r
-    row_start = np.arange(0, _CHUNK * n, n)[:, None]
+    row_start = np.arange(0, _FOLD_ROWS * n, n)[:, None]
     ends = np.empty((npaths, n), dtype)
-    for lo, runs in zip(range(0, npaths, _CHUNK), chunks):
-        rows = ends[lo:lo + _CHUNK]
+    starts = range(0, npaths, _FOLD_ROWS)
+    edges = np.searchsorted(runs.path, starts).tolist() + [len(runs.path)]
+    for lo, a, b in zip(starts, edges, edges[1:]):
+        rows = ends[lo:lo + _FOLD_ROWS]
         rows[:] = np.arange(1, n + 1)
-        counts = np.bincount(runs.path, minlength=len(rows))
-        step = np.arange(len(runs.path)) - (np.cumsum(counts) - counts)[runs.path]
-        letter = runs.letter.astype(np.intp)
+        path = runs.path[a:b].astype(np.intp) - lo
+        counts = np.bincount(path, minlength=len(rows))
+        step = np.arange(len(path)) - (np.cumsum(counts) - counts)[path]
+        letter = runs.letter[a:b].astype(np.intp)
         keys = np.zeros((counts.max(initial=0), len(rows)), np.intp)     # 0: e
-        keys[step, runs.path] = slot[letter] * top + runs.length % orders[letter]
+        keys[step, path] = slot[letter] * top + runs.length[a:b] % orders[letter]
         for key in keys:
             rows[:] = np.take(rows, table[key] + row_start[:len(rows)])
     return ends
@@ -244,15 +239,15 @@ def _multiplicities(values: list) -> np.ndarray:
 
 
 class _RunPaths(Mapping):
-    """A flow's paths as it stores them: the run chunks ``runs`` of their
-    words at deck size ``n`` (``_CHUNK`` words a chunk, in path order) and
-    one int multiplicity per path in ``mult`` (:func:`_multiplicities`).
+    """A flow's paths as it stores them: the one run table ``runs`` of their
+    words at deck size ``n`` (:class:`_Runs`, in path order) and one int
+    multiplicity per path in ``mult`` (:func:`_multiplicities`).
 
     As a ``Mapping[CayleyPath, int]`` its length is ``len(mult)``; the first
     lookup or iteration decodes every word from the runs, once.
     """
 
-    def __init__(self, n: int, runs: tuple[_Runs, ...], mult: np.ndarray):
+    def __init__(self, n: int, runs: _Runs, mult: np.ndarray):
         self.n, self.runs, self.mult = n, runs, mult
         self._decoded: dict[CayleyPath, int] | None = None
 
@@ -278,7 +273,7 @@ class Flow:
     int multiplicity c >= 0 carries mass c * ``unit``.
 
     ``paths`` may be any ``Mapping[CayleyPath, int]``; the flow keeps it only
-    as run chunks and multiplicities (:class:`_RunPaths`), so ``flow.paths``
+    as one run table and multiplicities (:class:`_RunPaths`), so ``flow.paths``
     decodes its words when first iterated.  A words mapping is encoded here,
     once; a :class:`_RunPaths` at the flow's n, as
     :func:`build_flow_general` writes and ``dataclasses.replace`` passes on,
@@ -308,7 +303,7 @@ class Flow:
             paths = _RunPaths(self.n, _encode_runs(self.n, [p.word for p in paths]),
                               _multiplicities(mult))
         names = list(_letters(self.n))
-        used = sum(np.bincount(chunk.letter, minlength=len(names)) for chunk in paths.runs)
+        used = np.bincount(paths.runs.letter, minlength=len(names))
         for name in sorted(names[i] for i in np.flatnonzero(used)):
             if self.q.weight(letter_perm(name, self.n)) == 0:
                 raise ValueError(f"letter {name!r} is not in the support of q")
@@ -370,15 +365,12 @@ def congestion_A(flow: Flow) -> FlowReport:
     naming one permutation (s1 and s1inv; sigma_2^{+-1} and tau at n = 2)
     merge their traffic, scaled by the unit once per generator.
     """
-    paths = flow.paths
-    classes, cls = np.unique(paths.mult, return_inverse=True)
-    path = np.concatenate([runs.path.astype(np.intp) + c * _CHUNK
-                           for c, runs in enumerate(paths.runs)])
-    letter = np.concatenate([runs.letter for runs in paths.runs])
-    length = np.concatenate([runs.length for runs in paths.runs]).astype(np.int64)
-    lengths = np.bincount(path, weights=length, minlength=len(cls)).astype(np.int64)
+    runs = flow.paths.runs
+    classes, cls = np.unique(flow.paths.mult, return_inverse=True)
+    length = runs.length.astype(np.int64)
+    lengths = np.bincount(runs.path, weights=length, minlength=len(cls)).astype(np.int64)
     sums = np.zeros((len(classes), len(_letters(flow.n))), np.int64)
-    np.add.at(sums, (cls[path], letter), lengths[path] * length)
+    np.add.at(sums, (cls[runs.path], runs.letter), lengths[runs.path] * length)
     tally = [sum(map(int.__mul__, classes.tolist(), column)) for column in sums.T.tolist()]
     traffic: dict[Permutation, int] = {}
     for g, t in zip(_letters(flow.n).values(), tally):
@@ -410,11 +402,9 @@ def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
 # builders
 
 
-@lru_cache(maxsize=None)
 def _short_word(i: int, j: int) -> tuple[str, ...]:
     # ends at the transposition (i, j) for j > i; the trailing pair
-    # degenerates to s{i}inv s{i} when j = i + 1, which is kept as printed.
-    # Cached, so the flows' many copies share one set of letter strings
+    # degenerates to s{i}inv s{i} when j = i + 1, which is kept as printed
     return (f"s{i}inv", f"s{j}", f"s{j-1}inv", f"s{i}")
 
 
@@ -500,8 +490,8 @@ def build_flow_large_k(n: int, C: int) -> Flow:
     return Flow(target=target, q=q, unit=Fraction(1, n * n), paths=paths)
 
 
-def _general_runs(n: int, k: int) -> tuple[tuple[_Runs, ...], np.ndarray]:
-    """Run chunks and multiplicities of the general-k flow, written straight
+def _general_runs(n: int, k: int) -> tuple[_Runs, np.ndarray]:
+    """Run table and multiplicities of the general-k flow, written straight
     from (i, j, l) without forming a word.
 
     Paths come in builder order: e, then each transposition (i, j) in
@@ -519,10 +509,14 @@ def _general_runs(n: int, k: int) -> tuple[tuple[_Runs, ...], np.ndarray]:
     m = k - 1                                   # long words per pair
     il, jl = np.repeat(i[~short], m), np.repeat(j[~short], m)
     l = np.tile(np.arange(n - k + 1, n, dtype=np.int32), len(il) // m)
+    npaths = 1 + len(l) + int(short.sum())
+    letter = np.zeros((npaths, 12), np.int32)   # a path's runs, padded to 12
+    length = np.ones((npaths, 12), np.int32)
+    long_letter, long_length = letter[1:1 + len(l)], length[1:1 + len(l)]
     sl, one, a, b = 2 * (l - 1), np.ones_like(l), l - jl, jl - il
-    long_letter = np.stack([sl + 1, sl + 2, sl + 1, sl] * 3, axis=1)
-    long_length = np.stack([a + 1, one, one, one, b + 1, one, one, b + 1, one, one, one, a + 1],
-                           axis=1)
+    long_letter[:] = np.stack([sl + 1, sl + 2, sl + 1, sl] * 3, axis=1)
+    long_length[:] = np.stack([a + 1, one, one, one, b + 1, one, one, b + 1, one, one, one, a + 1],
+                              axis=1)
     up = jl > l                                 # these take four runs
     long_letter[up, :4] = np.stack([sl + 1, 2 * jl - 2, 2 * jl - 3, sl], axis=1)[up]
     long_length[up, :4] = np.stack([l - il + 1, one, one, l - il + 1], axis=1)[up]
@@ -532,23 +526,12 @@ def _general_runs(n: int, k: int) -> tuple[tuple[_Runs, ...], np.ndarray]:
     at_one = si == 0                            # s1inv s{j} s{j-1}inv s1 keeps runs 2, 3
     short_letter[at_one, :2] = short_letter[at_one, 1:3]
     short_runs[at_one] = np.where(sj[at_one] == 2, 1, 2)     # at j = 2, run 3 is s1inv
-    npaths = 1 + len(l) + len(si)
-    letter = np.zeros((npaths, 12), np.int32)
-    length = np.ones((npaths, 12), np.int32)
-    letter[1:1 + len(l)], length[1:1 + len(l)] = long_letter, long_length
     letter[1 + len(l):, :4] = short_letter
     runs = np.concatenate(([0], np.where(up, 4, 12), short_runs))
     keep = np.arange(12) < runs[:, None]
-    path = np.repeat(np.arange(npaths), runs)
-    letter, length = letter[keep].astype(np.min_scalar_type(len(_letters(n)))), length[keep]
-    offsets = np.concatenate(([0], np.cumsum(runs))).tolist()
-    chunks = []
-    for lo in range(0, npaths, _CHUNK):
-        hi = min(lo + _CHUNK, npaths)
-        at = slice(offsets[lo], offsets[hi])
-        chunks.append(_chunk(path[at] - lo, letter[at], length[at], hi - lo))
     mult = np.concatenate(([m * n], np.full(len(l), 2), np.full(len(si), 2 * m)))
-    return tuple(chunks), mult
+    path = np.repeat(np.arange(npaths, dtype=np.int32), runs)
+    return _Runs.packed(path, letter[keep], length[keep]), mult
 
 
 def build_flow_general(n: int, k: int) -> Flow:

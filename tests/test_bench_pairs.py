@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -43,3 +44,23 @@ def test_summary_quartiles_interpolate():
     assert wall["every_change_above_every_parent"] is False      # 2..5 overlaps 1..4
     assert wall["change_lower_in_pairs"] == 0
 
+
+
+def test_the_change_is_copied_without_ignored_files(tmp_path):
+    # like the parent's git export, the change's copy starts with no
+    # bytecode: ignored files stay behind, untracked ones and edits come along
+    root, dest = tmp_path / "tree", tmp_path / "copy"
+    (root / "src" / "__pycache__").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\n")
+    (root / "src" / "kept.py").write_text("old\n")
+    (root / "src" / "gone.py").write_text("x\n")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=root, check=True)
+    (root / "src" / "kept.py").write_text("edited\n")
+    (root / "src" / "gone.py").unlink()
+    (root / "src" / "new.py").write_text("y\n")
+    (root / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"\0")
+    bench_pairs.copy_work_tree(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "edited\n"

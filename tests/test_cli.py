@@ -417,6 +417,17 @@ def test_exact_subcommands_reject_bad_arguments(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--m", "--m-mult"])
+def test_lowerbound_refuses_an_infinite_step_count(tmp_path, capsys, flag):
+    assert run(["lowerbound", "--method", "increasing-bottom", "--n", "20", "--k", "5",
+                flag, "inf", "--out", str(tmp_path)]) == 2
+    assert "the step count m must be finite, got inf" in capsys.readouterr().err
+    manifest = read_json(tmp_path / "lowerbound.manifest.json")
+    assert manifest["status"] == "error"
+    assert "the step count m must be finite, got inf" in manifest["error"]
+    assert not (tmp_path / "lowerbound_increasing-bottom_n20_k5.json").exists()
+
+
 def test_lowerbound_requires_step_count(tmp_path, capsys):
     assert run(["lowerbound", "--method", "increasing-bottom", "--n", "10",
                 "--k", "10", "--out", str(tmp_path)]) == 2

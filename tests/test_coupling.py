@@ -470,6 +470,12 @@ def test_increasing_bottom_small_k_reduces_to_block_collection():
             increasing_bottom_statistic(*args)
 
 
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_increasing_bottom_statistic_rejects_a_non_finite_step_count(m):
+    with pytest.raises(ValueError, match=f"^the step count m must be finite, got {m}$"):
+        increasing_bottom_statistic(10, 5, 2, m)
+
+
 def test_values_at_reads_to_the_largest_floor_and_repeats_a_settled_value():
     pulled = []
 

@@ -33,6 +33,8 @@ from shufflemix.flows import (
     CayleyPath,
     ComparisonBoundReport,
     Flow,
+    _FOLD_ROWS,
+    _decode_words,
     _encode_runs,
     _fold_endpoints,
     build_flow_general,
@@ -195,7 +197,7 @@ def test_flow_names_its_first_bad_letter_in_sorted_order():
         ([("s5", "z"), ("tau", "y")], "unknown generator name 'y' at n=5"),
         ([("s5", "s9inv", "s6")], "unknown generator name 's6' at n=5"),
         ([("s4", "tau"), ("s5inv", "s3inv")], "letter 's3inv' is not in the support of q"),
-        # the two bad letters in different run chunks of 256 words
+        # the two bad letters 300 words apart in the run table
         ([("s4",) * r for r in range(1, 300)] + [("s3",)], "letter 's3' is not in the support of q"),
         ([("z",)] + [("s4",) * r for r in range(1, 300)] + [("a",)],
          "unknown generator name 'a' at n=5"),
@@ -207,7 +209,7 @@ def test_flow_names_its_first_bad_letter_in_sorted_order():
 
 def test_run_fold_matches_the_letter_oracle_across_chunks():
     # long runs (past each letter's order, which the fold reduces by) and
-    # enough words for several chunks, with empty words among them
+    # enough words for several fold blocks, with empty words among them
     rng = np.random.default_rng(7)
     n = 7
     names = [f"s{l}{suf}" for l in range(1, n + 1) for suf in ("", "inv")] + ["tau"]
@@ -221,11 +223,37 @@ def test_run_fold_matches_the_letter_oracle_across_chunks():
     ranks = {rank(letter_perm(name, n)) for name in names}
     q = SparseMeasure(n, {r: Fraction(1, len(ranks)) for r in ranks})
     flow = Flow(target=delta_e(n), q=q, unit=Fraction(1), paths={CayleyPath(w): 1 for w in words})
-    assert len(words) > 2 * 256
+    assert len(words) > 2 * _FOLD_ROWS
     ends = flow._endpoints()
     assert ends.dtype == np.uint8 and ends.shape == (len(words), n)
     assert [tuple(row) for row in ends.tolist()] == [path_endpoint(n, w).map for w in words]
     assert verify_flow(flow).discrepancies == flow_discrepancies(flow)
+
+
+def test_runs_are_one_table_in_path_then_word_order():
+    # global path indices, nondecreasing, skipping empty words; each field in
+    # the least dtype holding its values; decoding restores trailing empties
+    words = [("s3", "s3", "s4"), (), ("tau",), ("s5inv",) * 300, ()]
+    runs = _encode_runs(5, words)
+    assert [x.tolist() for x in runs] == [[0, 0, 2, 3], [4, 6, 10, 9], [2, 1, 1, 300]]
+    assert [x.dtype for x in runs] == [np.uint8, np.uint8, np.uint16]
+    assert _decode_words(5, runs, len(words)) == words
+    assert [x.size for x in _encode_runs(5, [(), ()])] == [0, 0, 0]
+    assert _decode_words(5, _encode_runs(5, [(), ()]), 2) == [(), ()]
+
+
+@pytest.mark.parametrize("count", [0, 1, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 1,
+                                   2 * _FOLD_ROWS + 1])
+def test_run_fold_at_its_block_edges(count):
+    # every block's first and last word is empty but the last word, which is
+    # the longest, alone in the last block at B + 1 and 2B + 1 words
+    n = 6
+    names = [f"s{l}{suf}" for l in range(1, n + 1) for suf in ("", "inv")] + ["tau"]
+    words = [() if p % _FOLD_ROWS in (0, _FOLD_ROWS - 1)
+             else tuple(names[(p + r) % len(names)] for r in range(p % 7)) for p in range(count)]
+    if count:
+        words[-1] = ("s6",) * 9 + ("tau", "s5inv", "s2") * 3 + ("s4",) * 4
+    assert fold(n, words) == [path_endpoint(n, w).map for w in words]
 
 
 def test_run_fold_at_one_card_and_on_empty_words():
@@ -539,16 +567,15 @@ def test_general_words_end_at_their_transposition():
                          + [(24, 12), (32, 16), (40, 20)])
 def test_general_flow_runs_equal_the_word_oracle(n, k):
     # the runs written from (i, j, l) spell the oracle's words in its order,
-    # with its multiplicities, and equal the word encoder's chunks, dtypes too
+    # with its multiplicities, and equal the word encoder's table, dtypes too
     flow = build_flow_general(n, k)
     words = general_flow_words(n, k)
     assert [(p.word, c) for p, c in flow.paths.items()] == list(words.items())
     assert flow.paths.mult.tolist() == list(words.values())
-    want = _encode_runs(n, list(words))
-    assert len(flow.paths.runs) == len(want)
-    for got, chunk in zip(flow.paths.runs, want):
-        for a, b in zip(got, chunk):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    got, want = flow.paths.runs, _encode_runs(n, list(words))
+    for name in ("path", "letter", "length"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_general_flow_payload_path_decodes_no_word(monkeypatch):

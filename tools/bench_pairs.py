@@ -4,22 +4,26 @@ Usage (from the root of a checkout)::
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_21.json
 
-The parent ref is exported with ``git archive`` into a temporary directory.
-Each of 10 pairs runs ``perfbench/run.py --workload W --seed 1 --seconds S
---trace 0`` once on each side, with the workloads and S = run_seconds read
-from ``BENCHMARK.json``, the parent first in even pairs and the work tree
-first in odd ones, and the workloads interleaved pair by pair; one run at a
-time.  The output JSON holds, per workload and per
-end-to-end metric, each side's median and quartiles (inclusive method), the
-number of pairs in which the work tree read lower, and whether every work
-tree run read below (or above) every parent run; ``runs`` keeps every run's
-figures.  A run that exits nonzero stops the script.
+The parent ref is exported with ``git archive`` into a temporary directory,
+and the work tree's files, tracked or untracked but not ignored, are copied
+into another, so neither side starts with bytecode (``__pycache__`` is
+ignored) or run outputs left in the work tree.  Each of 10 pairs runs
+``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` once on
+each side, with the workloads and S = run_seconds read from
+``BENCHMARK.json``, the parent first in even pairs and the work tree first
+in odd ones, and the workloads interleaved pair by pair; one run at a time.
+The output JSON holds, per workload and per end-to-end metric, each side's
+median and quartiles (inclusive method), the number of pairs in which the
+work tree read lower, and whether every work tree run read below (or above)
+every parent run; ``runs`` keeps every run's figures.  A run that exits
+nonzero stops the script.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,6 +91,18 @@ def export(ref: str, dest: Path) -> str:
     return short
 
 
+def copy_work_tree(root: Path, dest: Path) -> None:
+    """Copy the files of the work tree at root that git tracks or would
+    track (not ignored, not deleted) into dest, as they are on disk."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                              "--exclude-standard"], cwd=root, check=True,
+                             capture_output=True).stdout.decode()
+    for name in filter(None, listing.split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
@@ -97,11 +113,13 @@ def main(argv=None) -> int:
     runs: dict[str, list] = {w: [] for w in workloads}
     machine = None
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
+        parent_root, change_root = Path(tmp, "parent"), Path(tmp, "change")
+        parent_root.mkdir()
         parent = export(args.parent, parent_root)
+        copy_work_tree(ROOT, change_root)
         for i in range(PAIRS):
             for workload in workloads:
-                sides = [("parent", parent_root), ("change", ROOT)]
+                sides = [("parent", parent_root), ("change", change_root)]
                 pair = {}
                 for side, root in sides if i % 2 == 0 else sides[::-1]:
                     pair[side], machine = run_once(root, workload, seconds)
@@ -112,7 +130,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
                    f"--seconds {seconds:g} --trace 0",
         "parent": parent,
-        "change": "the work tree",
+        "change": "the work tree, copied without its ignored files",
         "order": f"{PAIRS} pairs per workload; within pair i the parent runs first "
                  "when i is even, the change first when i is odd; the workloads are "
                  "interleaved pair by pair; one run at a time on one host",
