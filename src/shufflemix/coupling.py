@@ -10,8 +10,10 @@ copies the slot except in the two swap cases that create a match.  Coupling
 times upper-bound total variation distance.  Their tails are computed
 exactly (:func:`shufflemix.exact.coupling_tail`) at n <= 8 for both
 couplings, and at k = n, any n, for the card coupling; this module's Monte
-Carlo trials run only the rest: the card coupling at n > 8 with k < n, and
-the position coupling at n > 8.
+Carlo trials run only the rest: :func:`_card_trial` the card coupling at
+n > 8 with k < n, in two phases (deck 2 as move stamps until the two top
+regions agree, then only the block cards both decks held at that step),
+and :func:`_position_trial` the position coupling at n > 8, on plain lists.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
 simulated, and take no seed.  One pure-death chain on the count of
@@ -47,9 +49,10 @@ DRAW_BLOCK = 64                # steps per draw block; part of the replay
 
 def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
     """Reset rng's Philox to the stream of (seed, trial): key (seed, trial),
-    counter 0, no buffered output, exactly as a new Philox(key=...) starts."""
-    if seed < 0 or trial < 0:
-        raise ValueError("seed and trial must be nonnegative")
+    counter 0, no buffered output, exactly as a new Philox(key=...) starts.
+    The key holds two 64-bit words, so seed and trial must lie in [0, 2**64)."""
+    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
+        raise ValueError(f"seed and trial must lie in [0, 2**64), got seed={seed}, trial={trial}")
     rng.bit_generator.state = {
         "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
         "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, trial], np.uint64)},
@@ -88,97 +91,145 @@ class TrialStats:
     censored: bool
 
 
-def _trial(n: int, k: int, kind: str, trial: int, seed: int, cap: int,
-           rng: np.random.Generator) -> TrialStats:
-    """One coupling trial on plain lists, reading rng re-keyed to (seed, trial).
-
-    Each block of DRAW_BLOCK steps draws its two arrays up front: for the
-    card coupling the block-position picks then the fallback uniforms, for
-    the position coupling the leader coins then the slot picks.
-
-    The decks are compared only after a step that can make them equal:
-
-    (a) A step that moves the same card from the same position in both decks
-        (the card coupling when deck 2 holds deck 1's pick at its position,
-        the position coupling when both decks have the same top card) moves
-        both by one position map, which only shifts the set of mismatched
-        positions: decks that differed still differ.
-    (b) The card coupling's fallback moves different cards to the two tops,
-        so the decks differ after it.
-    (c) In the position coupling with different top cards and no swap, the
-        leader's card lands at slot in the leader's deck and at the trailer's
-        p - 1 (p <= slot) or p (p > slot) in the other, never at slot.
-    (d) Every card coupling step moves a block card to the top in both
-        decks, so every card above position n - k moves down one place per
-        step, and after step t the top min(t, n - k) positions hold
-        the cards moved by the last min(t, n - k) steps: the decks can be
-        equal only if each of those steps moved the same card in both decks.
-        ``same`` counts the run of such steps.
-    (e) Deck 2's block holds the card iff deck2.index(card, n - k) succeeds,
-        since a card appears once in a deck.
-    """
+def _decks(n: int, seed: int, trial: int, rng: np.random.Generator) -> tuple[list, list]:
+    """Deck 1 (the identity) and deck 2 (shuffled), after re-keying rng to
+    (seed, trial).  Deck 2 holds deck 1's int objects, so identity compares
+    cards, and list comparison and search take their identity fast path."""
     _rekey(rng, seed, trial)
     deck1 = list(range(1, n + 1))
-    # deck2 holds deck1's int objects, so identity compares cards, and list
-    # comparison and search take their identity fast path
-    deck2 = [deck1[c - 1] for c in fisher_yates(n, rng)]
+    return deck1, [deck1[c - 1] for c in fisher_yates(n, rng)]
+
+
+def _card_trial(n: int, k: int, trial: int, seed: int, cap: int,
+                rng: np.random.Generator) -> TrialStats:
+    """One card coupling trial, reading rng re-keyed to (seed, trial).
+
+    Each block of DRAW_BLOCK steps draws its block-position picks, then its
+    fallback uniforms.  Deck 1 picks the card at lo + u (lo = n - k) and
+    moves it to the top; deck 2 moves the same card when its block holds
+    it, else the card at position floor(f * len(pool)) of the sorted pool of
+    deck 2's block cards that deck 1's block lacks.  The trial runs in two
+    phases.
+
+    Phase 1: deck 2 as stamps.  stamp2[c] is the step that last moved card
+    c, or -(initial position).  Every step moves a block card to the top,
+    and a moved card cannot be picked again for lo steps, so deck 2 is its
+    cards by decreasing stamp, and before step t its block is exactly
+    {c : stamp2[c] <= t - 1 - lo}.  The pool is then the sorted cards of
+    deck1[1:lo + 1] (deck 1's top region before its move) whose stamp is in
+    deck 2's block.  ``same`` counts the run of steps that moved one card in
+    both decks; decks that differ stay different under such a step unless
+    it moved the card from different positions, and after step t the top
+    min(t, lo) positions hold the cards of the last min(t, lo) steps, so the
+    decks can be equal only if same >= min(t, lo).  While same = t < lo,
+    deck 2 is its moved cards by decreasing stamp followed by its unmoved
+    cards in their initial order, and deck 1 is compared with that.
+
+    Phase 2: after sync, the step at which same reaches lo.  Both top regions
+    then hold the same cards in the same order and the two blocks hold the
+    same cards, so every later pick is a card of both blocks and every card
+    that enters a block enters both at the front.  The state is ``new``,
+    the count of cards that entered after sync and are still in the block
+    (a prefix shared by both blocks), ``old1`` = deck 1's other block cards
+    in deck order, and ``old2``, the same cards in deck 2's order.  A pick
+    u < new changes neither list; a pick u >= new removes old1[u - new] from
+    both and adds 1 to new.  The decks are equal iff old1 == old2.  Each
+    block still draws its fallback uniforms, which phase 2 discards, so the
+    stream is read as in phase 1.
+    """
+    deck1, deck2 = _decks(n, seed, trial, rng)
+    if deck1 == deck2:
+        return TrialStats(trial, seed, 0, False)
     lo = n - k                                   # first 0-based block position
+    stamp2 = [0] * (n + 1)
+    for p, card in enumerate(deck2):
+        stamp2[card] = -p
     step = same = 0
+    old1 = None                                  # phase 2's state, set at sync
+    while True:
+        if step >= cap:
+            return TrialStats(trial, seed, cap, True)
+        span = min(DRAW_BLOCK, cap - step)
+        draws = zip(rng.integers(k, size=span).tolist(), rng.random(size=span).tolist())
+        if same < lo:
+            for u, f in draws:
+                card = deck1.pop(lo + u)
+                deck1.insert(0, card)
+                top = step - lo                  # deck 2's block: stamps <= top
+                if stamp2[card] <= top:
+                    same += 1
+                else:
+                    pool = sorted(c for c in deck1[1:lo + 1] if stamp2[c] <= top)
+                    card = pool[int(f * len(pool))]
+                    same = 0
+                step += 1
+                stamp2[card] = step
+                if same >= lo:
+                    break
+                if same == step and deck1[step:] == [c for c in deck2 if stamp2[c] <= 0]:
+                    return TrialStats(trial, seed, step, False)
+            else:
+                continue
+        if old1 is None:                         # sync (at step 0 when k = n)
+            old1 = deck1[lo:]
+            old2 = sorted(old1, key=stamp2.__getitem__, reverse=True)
+            new = 0
+            if old1 == old2:
+                return TrialStats(trial, seed, step, False)
+        for u, _ in draws:
+            step += 1
+            if u >= new:
+                card = old1.pop(u - new)
+                old2.remove(card)
+                new += 1
+                if old1 == old2:
+                    return TrialStats(trial, seed, step, False)
+
+
+def _position_trial(n: int, k: int, trial: int, seed: int, cap: int,
+                    rng: np.random.Generator) -> TrialStats:
+    """One position coupling trial, reading rng re-keyed to (seed, trial).
+
+    Each block of DRAW_BLOCK steps draws its leader coins, then its slot
+    picks.  The decks are compared only after a step that can make them
+    equal:
+
+    (a) When both decks have the same top card, both move by one position
+        map, which only shifts the set of mismatched positions: decks that
+        differed still differ.
+    (b) With different top cards and no swap, the leader's card lands at
+        slot in the leader's deck and at the trailer's p - 1 (p <= slot) or
+        p (p > slot) in the other, never at slot.
+    """
+    deck1, deck2 = _decks(n, seed, trial, rng)
+    lo = n - k                                   # first 0-based block position
+    step = 0
     while deck1 != deck2:
         if step >= cap:
             return TrialStats(trial, seed, cap, True)
         span = min(DRAW_BLOCK, cap - step)
-        if kind == "bottom_k_to_top":
-            picks = rng.integers(k, size=span).tolist()
-            fallbacks = rng.random(size=span).tolist()
-            for u, f in zip(picks, fallbacks):
-                # deck1 moves its block card at lo + u; deck2 moves the same
-                # card when its block holds it, else a uniform card of its
-                # block that deck1's block lacks (never needed at k = n)
-                p1 = lo + u
-                card = deck1[p1]
-                if deck2[p1] is card:            # (a)
-                    p2 = p1
-                    same += 1
-                else:
-                    try:
-                        p2 = deck2.index(card, lo)   # (e)
-                        same += 1
-                    except ValueError:               # (b)
-                        # deck 2's block cards that deck 1's block lacks are
-                        # the ones deck 1 holds above its block
-                        pool = sorted(set(deck1[:lo]).intersection(deck2[lo:]))
-                        p2 = deck2.index(pool[int(f * len(pool))])
-                        same = 0
-                deck1.insert(0, deck1.pop(p1))
-                deck2.insert(0, deck2.pop(p2))
-                step += 1
-                # same = 0 < min(step, lo) after (b), which needs lo > 0
-                if p2 != p1 and same >= min(step, lo) and deck1 == deck2:   # (d)
+        coins = rng.integers(2, size=span).tolist()
+        slots = rng.integers(k, size=span).tolist()
+        for c, u in zip(coins, slots):
+            # the leader inserts its top card at slot; the trailer copies
+            # the slot unless that card sits in the trailer's bottom k - 1
+            # block at p and the slot hits {p - 1, p}: then the two slots
+            # swap and the card lands at the same position in both decks
+            slot = lo + u
+            lead, trail = (deck1, deck2) if c == 0 else (deck2, deck1)
+            top = lead.pop(0)
+            lead.insert(slot, top)
+            step += 1
+            if trail[0] is top:                  # (a)
+                trail.insert(slot, trail.pop(0))
+                continue
+            p = trail.index(top)
+            if p > lo and (slot == p or slot == p - 1):
+                trail.insert(p - 1 if slot == p else p, trail.pop(0))
+                if deck1 == deck2:
                     break
-        else:
-            coins = rng.integers(2, size=span).tolist()
-            slots = rng.integers(k, size=span).tolist()
-            for c, u in zip(coins, slots):
-                # the leader inserts its top card at slot; the trailer copies
-                # the slot unless that card sits in the trailer's bottom k - 1
-                # block at p and the slot hits {p - 1, p}: then the two slots
-                # swap and the card lands at the same position in both decks
-                slot = lo + u
-                lead, trail = (deck1, deck2) if c == 0 else (deck2, deck1)
-                top = lead.pop(0)
-                lead.insert(slot, top)
-                step += 1
-                if trail[0] is top:              # (a)
-                    trail.insert(slot, trail.pop(0))
-                    continue
-                p = trail.index(top)
-                if p > lo and (slot == p or slot == p - 1):
-                    trail.insert(p - 1 if slot == p else p, trail.pop(0))
-                    if deck1 == deck2:
-                        break
-                else:                            # (c)
-                    trail.insert(slot, trail.pop(0))
+            else:                                # (b)
+                trail.insert(slot, trail.pop(0))
     return TrialStats(trial, seed, step, False)
 
 
@@ -199,7 +250,8 @@ def coupling_trials(n: int, k: int, kind: str, trials: int, seed: int = 0,
     if trials < 1 or cap < 1:
         raise ValueError(f"need trials >= 1 and cap >= 1, got trials={trials}, cap={cap}")
     rng = np.random.Generator(np.random.Philox(0))
-    return [_trial(n, k, kind, t, seed, cap, rng) for t in range(trials)]
+    one = _card_trial if kind == "bottom_k_to_top" else _position_trial
+    return [one(n, k, t, seed, cap, rng) for t in range(trials)]
 
 
 def tail_estimates(stats: list[TrialStats], ms) -> list[tuple[float, float]]:

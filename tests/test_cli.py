@@ -748,6 +748,9 @@ def test_newton_failure_writes_a_numeric_manifest(tmp_path, capsys, monkeypatch)
       "--m-mult", "inf"], 2, "error"),
     (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail", "nan"], 2, "error"),
     (["couple", "--n", "6", "--k", "3", "--trials", "3", "--tail-mult", "inf"], 2, "error"),
+    (["couple", "--n", "12", "--k", "6", "--trials", "2", "--seed", "18446744073709551616"],
+     2, "error"),
+    (["couple", "--n", "12", "--k", "6", "--trials", "2", "--seed", "-1"], 2, "error"),
 ])
 def test_failed_run_manifest_status(tmp_path, capsys, argv, code, status):
     assert run(argv + ["--out", str(tmp_path)]) == code

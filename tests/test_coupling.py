@@ -100,6 +100,21 @@ def test_trial_rng_is_keyed_and_validated():
         trial_rng(-1, 0)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (3 * 2**70, 1)])
+def test_rekey_refuses_keys_outside_64_bits(seed, trial):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        trial_rng(seed, trial)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        _rekey(trial_rng(0, 0), seed, trial)
+    if trial == 0:
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            coupling_trials(12, 6, "bottom_k_to_top", 2, seed=seed)
+
+
+def test_rekey_takes_the_largest_64_bit_seed():
+    _same_stream(trial_rng(2**64 - 1, 2**64 - 1), fresh_philox(2**64 - 1, 2**64 - 1))
+
+
 def test_fisher_yates_uniform_chi_square():
     counts = {}
     rng = trial_rng(11, 0)
@@ -124,7 +139,7 @@ def test_fisher_yates_reads_the_stream_like_scalar_draws():
         assert a.random(size=3).tolist() == b.random(size=3).tolist()
 
 
-def reference_trial(n, k, kind, seed, trial, cap, rng=None):
+def reference_trial(n, k, kind, seed, trial, cap, rng=None, watch=None):
     """(coupling time, censored, tau) of one trial replayed with the oracle
     moves under the draw protocol the package promises: a Philox stream
     keyed by (seed, trial), a back-to-front Fisher-Yates shuffle of deck 2,
@@ -133,7 +148,8 @@ def reference_trial(n, k, kind, seed, trial, cap, rng=None):
     integers(k) for the position coupling).
 
     tau[c - 1] is the step at which card c last became matched, or -1 while
-    it is unmatched.  rng, when given, replaces the fresh Philox stream.
+    it is unmatched.  rng, when given, replaces the fresh Philox stream;
+    watch, when given, is called with the deck pair after every step.
     """
     if rng is None:
         rng = fresh_philox(seed, trial)
@@ -155,6 +171,8 @@ def reference_trial(n, k, kind, seed, trial, cap, rng=None):
             draws = zip(rng.integers(2, size=span).tolist(), rng.integers(k, size=span).tolist())
         for a, b in draws:
             pair = move(pair, k, a, b)
+            if watch is not None:
+                watch(pair)
             for card, other in zip(pair.deck1, pair.deck2):
                 if card != other:
                     tau[card - 1] = -1
@@ -163,6 +181,22 @@ def reference_trial(n, k, kind, seed, trial, cap, rng=None):
             if pair.deck1 == pair.deck2:
                 break
     return pair.steps, False, tau
+
+
+def card_replay(n, k, seed, trial, cap):
+    """(coupling time, censored, sync) of one card coupling trial replayed by
+    reference_trial.  sync is the step at which the run of steps that moved
+    one card to both tops first reaches n - k (0 at k = n), or None if the
+    trial ends before it: from sync on, both top regions agree."""
+    lo, run, sync = n - k, [0], [0 if k == n else None]
+
+    def watch(pair):
+        run[0] = run[0] + 1 if pair.deck1[0] == pair.deck2[0] else 0
+        if sync[0] is None and run[0] >= lo:
+            sync[0] = pair.steps
+
+    steps, censored, _ = reference_trial(n, k, "bottom_k_to_top", seed, trial, cap, watch=watch)
+    return steps, censored, sync[0]
 
 
 @pytest.mark.parametrize("kind", ["bottom_k_to_top", "top_insert"])
@@ -207,6 +241,40 @@ def test_trials_censored_inside_and_at_the_edge_of_a_block_match_the_oracle(kind
         ref = [reference_trial(12, 2, kind, 4, t, cap)[:2] for t in range(3)]
         assert [(s.coupling_time, s.censored) for s in out] == ref, cap
         assert all(s.censored for s in out), cap
+
+
+# (n, k, seed, trial, cap): one card coupling trial per row, with n - k below
+# DRAW_BLOCK in the first rows and above it (n - k = 70) in the last two
+PHASE_EDGE_TRIALS = [
+    (6, 3, 0, 23, None), (7, 3, 0, 23, None), (8, 4, 1, 12, None), (9, 2, 0, 23, None),
+    (10, 2, 0, 27, None), (12, 3, 0, 9, 66), (40, 30, 2, 2, 80),
+    (90, 20, 1, 10, None), (90, 20, 1, 10, 780),
+]
+
+
+def test_card_trials_match_the_oracle_at_the_phase_edges():
+    # each edge of the two-phase card trial is reached by some row, as the
+    # oracle's replay reports it: coupling before step n - k, at the sync
+    # step itself, sync at the last step of a draw block, and a cap that
+    # censors after sync, the last two both below and above DRAW_BLOCK
+    reached = set()
+    for n, k, seed, trial, cap in PHASE_EDGE_TRIALS:
+        limit = 50 * n**3 if cap is None else cap
+        time, censored, sync = card_replay(n, k, seed, trial, limit)
+        s = coupling_trials(n, k, "bottom_k_to_top", trial + 1, seed=seed, cap=cap)[trial]
+        assert (s.coupling_time, s.censored) == (time, censored), (n, k, seed, trial, cap)
+        above = n - k > coupling.DRAW_BLOCK
+        if 0 < time < n - k and not censored:
+            reached.add(("couples before n - k", above))
+        if sync is not None and time == sync and not censored:
+            reached.add(("couples at sync", above))
+        if sync and sync % coupling.DRAW_BLOCK == 0:
+            reached.add(("sync at a block's last step", above))
+        if sync is not None and censored:
+            reached.add(("censored after sync", above))
+    assert reached == {("couples before n - k", False), ("couples at sync", False),
+                       ("sync at a block's last step", False), ("censored after sync", False),
+                       ("sync at a block's last step", True), ("censored after sync", True)}
 
 
 def test_card_trials_at_the_benchmark_size_match_the_oracle():
