@@ -30,8 +30,9 @@ are decoded from the runs only when ``flow.paths`` is iterated (path export,
 tests), never for the path count, congestion or verification.  Congestion is
 a per-letter tally over the table, and every endpoint comes from one batched
 fold, block by block of paths, that right-multiplies by a run's power s^r in
-a single gather.  The measures are read through
-``SparseMeasure.weight`` and ``items``, by rank.
+a single gather.  Letters are checked against q through
+``SparseMeasure.weight``, by rank; the target is read through the one-line
+maps each measure stores, with no unranking.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -69,6 +70,7 @@ from .measures import (
 from .perms import (
     Permutation,
     cycle_generator,
+    identity,
     inverse,
     order,
     rank,
@@ -111,12 +113,20 @@ def invert_letter(name: str) -> str:
     return name[:-3] if name.endswith("inv") else name + "inv"
 
 
+@lru_cache(maxsize=None)
+def _names(n: int) -> dict:
+    """One-line map -> display name at deck size n: e for the identity, else
+    the first name in :func:`_letters` order resolving to the map."""
+    names = {identity(n).map: "e"}
+    for name, g in _letters(n).items():
+        names.setdefault(g.map, name)
+    return names
+
+
 def generator_name(g: Permutation) -> str:
     """Canonical display name for a permutation: e, the first generator name
     resolving to it (s{l}, s{l}inv, or tau), otherwise its one-line form."""
-    if g.is_identity():
-        return "e"
-    return next((name for name, h in _letters(g.n).items() if h == g), serialize(g))
+    return _names(g.n).get(g.map) or serialize(g)
 
 
 class _Runs(NamedTuple):
@@ -328,14 +338,16 @@ def verify_flow(flow: Flow) -> FlowVerification:
     """Exact rational check that path-endpoint marginals equal the target.
 
     The endpoints come from one fold over the flow's letter runs; routed
-    multiplicities are summed as ints keyed by each endpoint row's bytes, and
-    discrepancies are listed in lexicographic order of the one-line form.
+    multiplicities are summed as ints keyed by each endpoint row's bytes.
+    The target is keyed by the bytes of its stored one-line maps, which share
+    the endpoints' dtype, so no target atom becomes a Permutation.
+    Discrepancies are listed in lexicographic order of the one-line form.
     """
     ends = flow._endpoints()
     routed: dict[bytes, int] = {}
     for key, c in zip(map(bytes, ends), flow.paths.mult.tolist()):
         routed[key] = routed.get(key, 0) + c
-    target = {np.array(g.map, ends.dtype).tobytes(): w for g, w in flow.target.items()}
+    target = dict(zip(map(bytes, flow.target._maps), flow.target.atoms.values()))
     labels = {key: np.frombuffer(key, ends.dtype).tolist() for key in routed.keys() | target.keys()}
     bad = []
     for key in sorted(labels, key=labels.get):

@@ -2,16 +2,21 @@
 
 All measures here carry exact rational weights (``fractions.Fraction``),
 keyed by lexicographic permutation rank, so measure-level identities and
-flow marginals can be checked with equality rather than tolerances.  Dense
-float work lives in :mod:`shufflemix.exact`.
+flow marginals can be checked with equality rather than tolerances.  Each
+measure also keeps its atoms' one-line maps, one array row per atom in rank
+order, so reading a measure never unranks.  Dense float work lives in
+:mod:`shufflemix.exact`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+
+import numpy as np
 
 from .perms import (
     Permutation,
@@ -30,33 +35,50 @@ from .perms import (
 class SparseMeasure:
     """Finitely supported probability measure on S_n.
 
-    atoms maps permutation rank -> weight; zero-weight atoms are dropped.
-    It is a read-only view, so a measure can be shared (and cached).
+    atoms maps permutation rank -> weight, in rank order; zero-weight atoms
+    are dropped.  It is a read-only view, so a measure can be shared (and
+    cached).  ``_maps`` holds the atoms' one-line maps as one read-only
+    (atoms, n) array in ``np.min_scalar_type(n)``, row i for the i-th rank
+    of ``atoms``.  Pass it, in that dtype with rows in sorted rank order of
+    the given atoms, when the permutations are at hand (:func:`_from_pairs`);
+    without it each atom is unranked once, here.  Equality and hash read only
+    n and the weights.
     """
 
     n: int
     atoms: MappingProxyType = field(compare=False)
+    _maps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        ranks = sorted(self.atoms)
         cleaned = {}
-        for r, w in self.atoms.items():
-            w = Fraction(w)
+        for r in ranks:
+            w = self.atoms[r]
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight {w} at rank {r}")
             if w > 0:
-                cleaned[r] = cleaned.get(r, Fraction(0)) + w
-        total = sum(cleaned.values(), Fraction(0))
+                cleaned[r] = w
+        total = sum((w * c for w, c in Counter(cleaned.values()).items()), Fraction(0))
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
+        maps = self._maps
+        if maps is None:
+            maps = np.array([unrank(r, self.n).map for r in cleaned], np.min_scalar_type(self.n))
+        elif len(cleaned) < len(ranks):
+            maps = maps[[r in cleaned for r in ranks]]
+        maps.flags.writeable = False
         object.__setattr__(self, "atoms", MappingProxyType(cleaned))
+        object.__setattr__(self, "_maps", maps)
 
     def weight(self, g: Permutation) -> Fraction:
         return self.atoms.get(rank(g), Fraction(0))
 
     def items(self):
         """(Permutation, weight) pairs in deterministic rank order."""
-        for r in sorted(self.atoms):
-            yield unrank(r, self.n), self.atoms[r]
+        for row, w in zip(self._maps.tolist(), self.atoms.values()):
+            yield Permutation(self.n, tuple(row)), w
 
     def support(self) -> list[Permutation]:
         return [g for g, _ in self.items()]
@@ -69,11 +91,18 @@ class SparseMeasure:
 
 
 def _from_pairs(n: int, pairs) -> SparseMeasure:
+    """The measure summing the (Permutation, Fraction weight) pairs; each
+    permutation is ranked once, and the first one of every rank gives its
+    map."""
     atoms: dict[int, Fraction] = {}
+    maps: dict[int, tuple] = {}
     for g, w in pairs:
         r = rank(g)
-        atoms[r] = atoms.get(r, Fraction(0)) + Fraction(w)
-    return SparseMeasure(n, atoms)
+        if r in atoms:
+            atoms[r] += w
+        else:
+            atoms[r], maps[r] = w, g.map
+    return SparseMeasure(n, atoms, np.array([maps[r] for r in sorted(maps)], np.min_scalar_type(n)))
 
 
 def delta_e(n: int) -> SparseMeasure:

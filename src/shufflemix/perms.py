@@ -129,16 +129,14 @@ def rank(a: Permutation) -> int:
     >>> rank(Permutation(3, (3, 2, 1)))
     5
     """
-    # factorial number system: count smaller unused labels at each position
-    r = 0
-    seen = 0  # bitmask of used labels
-    fact = math.factorial(a.n - 1)
+    # Horner form of the factorial number system: the digit at position i is
+    # the count of unused labels below label; seen holds the used labels and
+    # label itself, so the popcount is one more than the used labels below it
+    r = seen = 0
+    n = a.n
     for i, label in enumerate(a.map):
-        smaller = (seen & ((1 << (label - 1)) - 1)).bit_count()
-        r += (label - 1 - smaller) * fact
-        seen |= 1 << (label - 1)
-        if i < a.n - 1:
-            fact //= a.n - 1 - i
+        seen |= 1 << label
+        r = r * (n - i) + label - (seen & ((2 << label) - 1)).bit_count()
     return r
 
 

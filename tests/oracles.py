@@ -47,6 +47,20 @@ def o_inverse(a):
     return tuple(out)
 
 
+def o_rank(a):
+    """Lexicographic rank of the one-line tuple a in the factorial number
+    system: sum over positions i of (unused labels below a[i]) * (n-1-i)!."""
+    n, r, seen = len(a), 0, 0
+    fact = factorial(n - 1)
+    for i, label in enumerate(a):
+        smaller = (seen & ((1 << (label - 1)) - 1)).bit_count()
+        r += (label - 1 - smaller) * fact
+        seen |= 1 << (label - 1)
+        if i < n - 1:
+            fact //= n - 1 - i
+    return r
+
+
 def o_transposition(i, j, n):
     m = list(range(1, n + 1))
     m[i - 1], m[j - 1] = j, i

@@ -125,6 +125,32 @@ def test_generator_name_roundtrip():
     assert generator_name(Permutation(4, (2, 1, 4, 3))) == "2,1,4,3"
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_generator_name_table_agrees_with_a_scan_on_all_of_s_n(n):
+    # the old lookup: e, else the first name in letter order, else one-line
+    def scanned(g):
+        if g.is_identity():
+            return "e"
+        names = [f"s{l}{suf}" for l in range(1, n + 1) for suf in ("", "inv")]
+        names += ["tau"] if n > 1 else []
+        return next((name for name in names if letter_perm(name, n) == g), str(g))
+
+    for m in itertools.permutations(range(1, n + 1)):
+        g = Permutation(n, m)
+        assert generator_name(g) == scanned(g), m
+
+
+@pytest.mark.parametrize("flow", [
+    pytest.param(lambda: build_flow_rudvalis(130, 130), id="rudvalis-130-130"),
+    pytest.param(lambda: build_flow_rudvalis(260, 8), id="rudvalis-260-8"),
+    pytest.param(lambda: build_flow_large_k(130, 4), id="large-k-130-4"),
+])
+def test_verify_flow_is_exact_past_signed_and_one_byte_labels(flow):
+    # labels above 127 overflow int8 and above 255 overflow uint8; the target's
+    # stored maps and the folded endpoints must agree byte for byte anyway
+    assert verify_flow(flow()).exact
+
+
 def test_endpoint_convention_pin():
     # sigma_3^{-1} sigma_5 sigma_4^{-1} sigma_3, multiplied left to right,
     # must land on the transposition (3, 5); this fixes the word-order

@@ -1,12 +1,18 @@
+import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import convolution_power
+import shufflemix.perms as perms
+from shufflemix.flows import build_flow_general, build_flow_large_k, build_flow_rudvalis, verify_flow
 from shufflemix.measures import (
     SparseMeasure,
+    _from_pairs,
     convolve_measures,
     delta_e,
     lazy,
@@ -17,7 +23,7 @@ from shufflemix.measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.perms import compose, cycle_generator, identity, inverse, rank, transposition
+from shufflemix.perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition
 
 HALF = Fraction(1, 2)
 
@@ -119,6 +125,67 @@ def test_atoms_are_read_only_so_random_transposition_is_shared():
         del q.atoms[0]
     # a measure built from another's atoms is equal and independent
     assert SparseMeasure(6, q.atoms) == q
+
+
+@pytest.mark.parametrize("n", [127, 128, 256])
+def test_maps_stored_from_permutations_equal_those_unranked_from_ranks(n):
+    # one-line maps in np.min_scalar_type(n): uint8 up to n = 255, uint16 at
+    # 256; the reversed deck puts label n first
+    rng = random.Random(n)
+    decks = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    decks += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)]
+    pairs = [(Permutation(n, m), Fraction(1, 64)) for m in decks]
+    pairs += [(Permutation(n, decks[0]), Fraction(1, 32))] * 16     # repeats merge
+    built = _from_pairs(n, pairs)
+    from_ranks = SparseMeasure(n, dict(built.atoms))
+    assert list(built.items()) == list(from_ranks.items())
+    for q in (built, from_ranks):
+        assert q._maps.dtype == np.min_scalar_type(n)
+        assert q._maps.tolist() == sorted(map(list, set(decks)))    # rank order is lex order
+        assert not q._maps.flags.writeable
+    assert built.weight(Permutation(n, decks[0])) == Fraction(33, 64)
+
+
+def test_zero_weight_atoms_drop_their_maps():
+    q = _from_pairs(4, [(cycle_generator(4, 4), Fraction(1)), (identity(4), 0)])
+    assert len(q) == 1 and q._maps.tolist() == [[2, 3, 4, 1]]
+    assert q == SparseMeasure(4, {0: 0, rank(cycle_generator(4, 4)): 1})
+
+
+@pytest.fixture
+def unrank_calls(monkeypatch):
+    """Ranks passed to perms.unrank, through every by-name import of it."""
+    calls = []
+    real = perms.unrank
+
+    def counted(r, n):
+        calls.append(r)
+        return real(r, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shufflemix") and getattr(module, "unrank", None) is real:
+            monkeypatch.setattr(module, "unrank", counted)
+    return calls
+
+
+def test_measures_built_from_permutations_never_unrank(unrank_calls):
+    q = top_to_bottom_k(40, 20)
+    assert len(list(q.items())) == 20
+    assert reversal(reversal(q)) == q
+    assert symmetrize(q).support()
+    for flow in (build_flow_general(24, 12), build_flow_rudvalis(40, 40),
+                 build_flow_large_k(40, 8)):
+        assert verify_flow(flow).exact
+    assert unrank_calls == []
+
+
+def test_measures_built_from_ranks_unrank_each_atom_once(unrank_calls):
+    q = random_transposition(6)
+    copy = SparseMeasure(6, q.atoms)
+    assert sorted(unrank_calls) == sorted(q.atoms)
+    assert list(copy.items()) == list(q.items())
+    assert reversal(copy) == copy and symmetrize(copy) == copy
+    assert sorted(unrank_calls) == sorted(q.atoms)
 
 
 def test_rudvalis_four_atoms():

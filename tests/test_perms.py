@@ -1,10 +1,12 @@
 import math
+import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import compose_word, o_compose, parse
+from oracles import compose_word, o_compose, o_rank, parse
 from shufflemix.perms import (
     Permutation,
     compose,
@@ -117,6 +119,24 @@ def test_rank_matches_lex_order():
     import itertools
     for r, tup in enumerate(itertools.permutations(range(1, 5))):
         assert unrank(r, 4).map == tup
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rank_matches_the_factorial_number_system_on_all_of_s_n(n):
+    for m in permutations(range(1, n + 1)):
+        g = Permutation(n, m)
+        assert rank(g) == o_rank(m), m
+        assert unrank(rank(g), n) == g
+
+
+@pytest.mark.parametrize("n", [20, 21, 40, 130])
+def test_rank_matches_the_factorial_number_system_on_random_decks(n):
+    rng = random.Random(n)
+    decks = [list(range(n, 0, -1))] + [rng.sample(range(1, n + 1), n) for _ in range(200)]
+    for m in map(tuple, decks):
+        g = Permutation(n, m)
+        assert rank(g) == o_rank(m), m
+        assert unrank(rank(g), n) == g
 
 
 @given(st.integers(0, math.factorial(7) - 1))

@@ -10,9 +10,10 @@ full and tiny sizes and seeds 1 and 7, runs in this process through
 checkout holding this script), each argv into its own temporary output
 directory.  The full size also runs the fixed argvs of ``EXTRA`` once, as
 workload "extra" with seed null: every flow builder's ``--export-paths``,
-which no workload writes, the general flow's dense comparison blocks, and
-Monte Carlo card couplings with n - k below and above the 64-step draw
-block, a lazy tail grid, and a cap that censors trials.
+which no workload writes, the general flow's dense comparison blocks,
+verified Rudvalis flows at decks whose labels pass one signed and one
+unsigned byte, and Monte Carlo card couplings with n - k below and above
+the 64-step draw block, a lazy tail grid, and a cap that censors trials.
 The JSON printed is one record per payload file: workload, seed, size,
 index of the argv in its sequence, file name, the argv's exit code and the
 file's sha256; an argv that writes no payload gets one record with file and
@@ -40,6 +41,8 @@ EXTRA = [argv.split() for argv in (
     "flow --builder rudvalis --n 8 --k 8 --export-paths",
     "flow --builder odd --n 6 --k 4 --export-paths",
     "flow --builder general --n 6 --k 3 --lower-bound --dirichlet 50 --compare-t2",
+    "flow --builder rudvalis --n 130 --k 130 --verify",
+    "flow --builder rudvalis --n 260 --k 8 --verify",
     "couple --n 100 --k 90 --trials 200 --tail-mult 1.25",
     "couple --n 100 --k 30 --trials 40 --tail-mult 1.25",
     "couple --n 80 --k 8 --trials 10 --tail-grid 50 --lazy-p 0.5",
