@@ -11,9 +11,12 @@ times upper-bound total variation distance.  Their tails are computed
 exactly (:func:`shufflemix.exact.coupling_tail`) at n <= 8 for both
 couplings, and at k = n, any n, for the card coupling; this module's Monte
 Carlo trials run only the rest: :func:`_card_trial` the card coupling at
-n > 8 with k < n, in two phases (deck 2 as move stamps until the two top
-regions agree, then only the block cards both decks held at that step),
-and :func:`_position_trial` the position coupling at n > 8, on plain lists.
+n > 8 with k < n, in two phases (both decks as move stamps, with the
+fallback pool kept sorted from step to step, until the two top regions
+agree, then only the block cards both decks held at that step), and
+:func:`_position_trial` the position coupling at n > 8, as one row of card
+pairs, so that a step is one list move and a swap is found by reading the
+two rows at the slot.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
 simulated, and take no seed.  One pure-death chain on the count of
@@ -111,19 +114,28 @@ def _card_trial(n: int, k: int, trial: int, seed: int, cap: int,
     deck 2's block cards that deck 1's block lacks.  The trial runs in two
     phases.
 
-    Phase 1: deck 2 as stamps.  stamp2[c] is the step that last moved card
-    c, or -(initial position).  Every step moves a block card to the top,
-    and a moved card cannot be picked again for lo steps, so deck 2 is its
-    cards by decreasing stamp, and before step t its block is exactly
-    {c : stamp2[c] <= t - 1 - lo}.  The pool is then the sorted cards of
-    deck1[1:lo + 1] (deck 1's top region before its move) whose stamp is in
-    deck 2's block.  ``same`` counts the run of steps that moved one card in
-    both decks; decks that differ stay different under such a step unless
-    it moved the card from different positions, and after step t the top
-    min(t, lo) positions hold the cards of the last min(t, lo) steps, so the
-    decks can be equal only if same >= min(t, lo).  While same = t < lo,
-    deck 2 is its moved cards by decreasing stamp followed by its unmoved
-    cards in their initial order, and deck 1 is compared with that.
+    Phase 1: both decks as stamps.  stamp1[c] and stamp2[c] are the step
+    that last moved card c in that deck, or -(initial position).  Every step
+    moves a block card to the top, and a moved card cannot be picked again
+    for lo steps, so each deck is its cards by decreasing stamp, and after
+    t steps its block is exactly {c : stamp <= t - lo}, its top region the
+    rest.  Deck 1 stays a list as well, for its picks by position.  The
+    pool, deck 2's block cards in deck 1's top region, is kept sorted from
+    step to step, changed only by the three cards that cross a region edge
+    at step t + 1: deck 2's fallback card leaves deck 2's block, deck1[lo]
+    (after the move) leaves deck 1's top region, and the one card stamped
+    t + 1 - lo enters deck 2's block, joining the pool if deck 1's top
+    region now holds it.  That card is read from ``ring``, deck 2's cards by
+    stamp modulo n: a stamp is read lo steps after it is written and
+    overwritten only n steps after, so the last n stamps, all distinct
+    modulo n, are enough.
+    ``same`` counts the run of steps that moved one card in both decks;
+    decks that differ stay different under such a step unless it moved the
+    card from different positions, and after step t the top min(t, lo)
+    positions hold the cards of the last min(t, lo) steps, so the decks can
+    be equal only if same >= min(t, lo).  While same = t < lo, deck 2 is its
+    moved cards by decreasing stamp followed by its unmoved cards in their
+    initial order, and deck 1 is compared with that.
 
     Phase 2: after sync, the step at which same reaches lo.  Both top regions
     then hold the same cards in the same order and the two blocks hold the
@@ -141,9 +153,11 @@ def _card_trial(n: int, k: int, trial: int, seed: int, cap: int,
     if deck1 == deck2:
         return TrialStats(trial, seed, 0, False)
     lo = n - k                                   # first 0-based block position
-    stamp2 = [0] * (n + 1)
-    for p, card in enumerate(deck2):
-        stamp2[card] = -p
+    stamp1, stamp2, ring = [0] * (n + 1), [0] * (n + 1), [0] * n
+    for p in range(n):
+        stamp1[deck1[p]] = stamp2[deck2[p]] = -p
+        ring[-p] = deck2[p]
+    pool = [c for c in deck1[:lo] if stamp2[c] <= -lo]      # sorted: deck 1 is 1..n
     step = same = 0
     old1 = None                                  # phase 2's state, set at sync
     while True:
@@ -155,19 +169,27 @@ def _card_trial(n: int, k: int, trial: int, seed: int, cap: int,
             for u, f in draws:
                 card = deck1.pop(lo + u)
                 deck1.insert(0, card)
-                top = step - lo                  # deck 2's block: stamps <= top
+                top = step - lo                  # both blocks: stamps <= top
+                step += 1
+                stamp1[card] = step
                 if stamp2[card] <= top:
                     same += 1
                 else:
-                    pool = sorted(c for c in deck1[1:lo + 1] if stamp2[c] <= top)
-                    card = pool[int(f * len(pool))]
+                    card = pool.pop(int(f * len(pool)))
                     same = 0
-                step += 1
                 stamp2[card] = step
+                ring[step % n] = card
                 if same >= lo:
                     break
                 if same == step and deck1[step:] == [c for c in deck2 if stamp2[c] <= 0]:
                     return TrialStats(trial, seed, step, False)
+                left = deck1[lo]                 # leaves deck 1's top region
+                if stamp2[left] <= top:
+                    pool.remove(left)
+                top += 1
+                entered = ring[top % n]          # enters deck 2's block
+                if stamp1[entered] > top:
+                    bisect.insort(pool, entered)
             else:
                 continue
         if old1 is None:                         # sync (at step 0 when k = n)
@@ -191,45 +213,61 @@ def _position_trial(n: int, k: int, trial: int, seed: int, cap: int,
     """One position coupling trial, reading rng re-keyed to (seed, trial).
 
     Each block of DRAW_BLOCK steps draws its leader coins, then its slot
-    picks.  The decks are compared only after a step that can make them
-    equal:
+    picks.  The leader inserts its top card L at slot; the trailer copies
+    the slot unless L sits in the trailer's bottom k - 1 block at p and the
+    slot hits {p - 1, p}: then the two slots swap and L lands at the same
+    position in both decks.
 
-    (a) When both decks have the same top card, both move by one position
-        map, which only shifts the set of mismatched positions: decks that
-        differed still differ.
-    (b) With different top cards and no swap, the leader's card lands at
-        slot in the leader's deck and at the trailer's p - 1 (p <= slot) or
-        p (p > slot) in the other, never at slot.
+    The decks are one row of card pairs: ``rows`` lists pair ids in deck
+    order, pair i holds deck 1's card a[i] and deck 2's card b[i] at its
+    position, own1[c] and own2[c] are the pairs holding card c in each deck,
+    and ``apart`` counts the pairs whose two cards differ.  A step without a
+    swap moves both decks by one position map, the top to slot, so it is
+    one move of the top pair P (``top``) and changes no pair.  A matched top
+    is never a swap, since then L's trailer pair Q (``q``) is P itself; an
+    unmatched top with no swap puts L at slot in the leader and at p - 1 or
+    p in the trailer, so no pair becomes matched.  After P is popped, Q sits
+    at p - 1, so the swap fires iff rows[slot] is Q (slot = p - 1) or
+    rows[slot - 1] is Q with slot > lo (slot = p > lo).  A sentinel id after
+    the last row keeps rows[slot] in range at slot = n - 1.  A swap leaves Q
+    holding (L, L) and P, at slot + 1 or slot - 1, holding Q's leader card
+    x opposite the trailer's old top t: it swaps the leader's cards of P and
+    Q and matches one pair, or two when x is t.  The decks are equal iff
+    apart is 0, which only a swap can bring about.
     """
-    deck1, deck2 = _decks(n, seed, trial, rng)
+    a, b = _decks(n, seed, trial, rng)
     lo = n - k                                   # first 0-based block position
+    rows = list(range(n + 1))                    # pair ids, then the sentinel n
+    own1, own2 = [0] * (n + 1), [0] * (n + 1)
+    for i in rows[:n]:
+        own1[a[i]] = own2[b[i]] = i
+    apart = sum(x is not y for x, y in zip(a, b))
     step = 0
-    while deck1 != deck2:
+    while apart:
         if step >= cap:
             return TrialStats(trial, seed, cap, True)
         span = min(DRAW_BLOCK, cap - step)
         coins = rng.integers(2, size=span).tolist()
         slots = rng.integers(k, size=span).tolist()
         for c, u in zip(coins, slots):
-            # the leader inserts its top card at slot; the trailer copies
-            # the slot unless that card sits in the trailer's bottom k - 1
-            # block at p and the slot hits {p - 1, p}: then the two slots
-            # swap and the card lands at the same position in both decks
             slot = lo + u
-            lead, trail = (deck1, deck2) if c == 0 else (deck2, deck1)
-            top = lead.pop(0)
-            lead.insert(slot, top)
+            top = rows.pop(0)
             step += 1
-            if trail[0] is top:                  # (a)
-                trail.insert(slot, trail.pop(0))
+            q = own1[b[top]] if c else own2[a[top]]
+            if rows[slot] is q:
+                rows.insert(slot + 1, top)
+            elif slot > lo and rows[slot - 1] is q:
+                rows.insert(slot - 1, top)
+            else:
+                rows.insert(slot, top)
                 continue
-            p = trail.index(top)
-            if p > lo and (slot == p or slot == p - 1):
-                trail.insert(p - 1 if slot == p else p, trail.pop(0))
-                if deck1 == deck2:
-                    break
-            else:                                # (b)
-                trail.insert(slot, trail.pop(0))
+            lead, own = (b, own2) if c else (a, own1)
+            card, x = lead[top], lead[q]
+            lead[top], lead[q] = x, card
+            own[card], own[x] = q, top
+            apart -= 1 + (a[top] is b[top])
+            if not apart:
+                break
     return TrialStats(trial, seed, step, False)
 
 

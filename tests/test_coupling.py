@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,112 @@ def test_card_trials_at_the_benchmark_size_match_the_oracle():
     out = coupling_trials(200, 100, "bottom_k_to_top", 3, seed=1)
     ref = [reference_trial(200, 100, "bottom_k_to_top", 1, t, 50 * 200**3)[:2]
            for t in range(3)]
+    assert [(s.coupling_time, s.censored) for s in out] == ref
+
+
+@pytest.mark.parametrize("n, k, seeds, trials", [(80, 8, (0, 1, 2), 3), (30, 2, (0, 1, 2, 3), 3)])
+def test_card_trials_that_stay_long_in_phase_1_match_the_oracle(n, k, seeds, trials):
+    # at small k almost every step is a phase 1 step, many of them fallbacks
+    # drawn from the kept pool, and sync comes within 30 steps of the end
+    for seed in seeds:
+        out = coupling_trials(n, k, "bottom_k_to_top", trials, seed=seed)
+        for s in out:
+            time, censored, sync = card_replay(n, k, seed, s.trial, 50 * n**3)
+            assert (s.coupling_time, s.censored) == (time, censored), (seed, s.trial)
+            assert not censored and time - 30 <= sync < time, (seed, s.trial, sync)
+
+
+def test_a_long_phase_1_keeps_a_fixed_peak_allocation():
+    # a (200, 2) trial stays in phase 1 up to its cap; its state is a few
+    # n-long lists and one draw block, however many steps it runs
+    coupling_trials(200, 2, "bottom_k_to_top", 1, seed=0, cap=1)
+    tracemalloc.start()
+    try:
+        (s,) = coupling_trials(200, 2, "bottom_k_to_top", 1, seed=0, cap=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.censored and s.coupling_time == 100_000
+    assert peak < 64 * 2**10, peak
+
+
+class RecordedDraws:
+    """A generator that keeps every array it draws, so a replay can read the
+    draws behind each step: the step-s draws are index (s - 1) % 64 of the
+    arrays of block (s - 1) // 64."""
+
+    def __init__(self, rng):
+        self.rng, self.arrays = rng, []
+
+    def integers(self, high, size=None):
+        out = self.rng.integers(high, size=size)
+        if size is not None:
+            self.arrays.append(out.tolist())
+        return out
+
+
+def position_replay(n, k, seed, trial, cap):
+    """(coupling time, censored, branches) of one position coupling trial
+    replayed by reference_trial.  branches names every kind of step the
+    replay took, read from the pair before the step and the step's draws:
+    a matched top, an unmatched top without a swap, the same when the slot
+    is n - k and the leader's top sits at n - k in the trailer (no swap,
+    though the slot is p), and a swap at slot p - 1 or p, at slot n - 1,
+    or matching two pairs (0-based positions)."""
+    lo, draws = n - k, RecordedDraws(fresh_philox(seed, trial))
+    before = [DeckPair(n, tuple(range(1, n + 1)), tuple(fisher_yates(n, trial_rng(seed, trial))))]
+    branches = set()
+
+    def watch(pair):
+        prev, before[0] = before[0], pair
+        block, i = divmod(pair.steps - 1, coupling.DRAW_BLOCK)
+        coin, slot = draws.arrays[2 * block][i], lo + draws.arrays[2 * block + 1][i]
+        lead, trail = (prev.deck1, prev.deck2) if coin == 0 else (prev.deck2, prev.deck1)
+        p = trail.index(lead[0])
+        if p == 0:
+            branches.add("matched top")
+        elif p > lo and slot in (p - 1, p):
+            branches.add("swap at slot p - 1" if slot == p - 1 else "swap at slot p")
+            if slot == n - 1:
+                branches.add("swap at slot n - 1")
+            if pair.matched() - prev.matched() == 2:
+                branches.add("swap matching two pairs")
+        else:
+            branches.add("unmatched top, no swap")
+            if slot == p == lo:
+                branches.add("no swap at slot p = n - k")
+
+    steps, censored, _ = reference_trial(n, k, "top_insert", seed, trial, cap, draws, watch)
+    return steps, censored, branches
+
+
+# (n, k, seed, trial, cap): one position coupling trial per row.  k = 2 has
+# a one-card swap block; (6, 3) meets the slot = p = n - k edge, where a swap
+# would change its time; k = n has no position above the block; the last
+# row's cap censors mid-block
+POSITION_EDGE_TRIALS = [
+    (5, 2, 0, 3, None), (6, 3, 0, 0, None), (9, 9, 0, 3, None), (12, 2, 4, 0, 100),
+]
+
+
+def test_position_trials_match_the_oracle_at_each_branch_of_the_step():
+    reached = set()
+    for n, k, seed, trial, cap in POSITION_EDGE_TRIALS:
+        limit = 50 * n**3 if cap is None else cap
+        time, censored, branches = position_replay(n, k, seed, trial, limit)
+        s = coupling_trials(n, k, "top_insert", trial + 1, seed=seed, cap=cap)[trial]
+        assert (s.coupling_time, s.censored) == (time, censored), (n, k, seed, trial, cap)
+        reached |= branches
+        if censored and time % coupling.DRAW_BLOCK:
+            reached.add("censored mid-block")
+    assert reached == {"matched top", "unmatched top, no swap", "no swap at slot p = n - k",
+                       "swap at slot p - 1", "swap at slot p", "swap at slot n - 1",
+                       "swap matching two pairs", "censored mid-block"}
+
+
+def test_position_trials_at_the_benchmark_size_match_the_oracle():
+    out = coupling_trials(40, 40, "top_insert", 3, seed=1)
+    ref = [reference_trial(40, 40, "top_insert", 1, t, 50 * 40**3)[:2] for t in range(3)]
     assert [(s.coupling_time, s.censored) for s in out] == ref
 
 

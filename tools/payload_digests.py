@@ -12,8 +12,11 @@ directory.  The full size also runs the fixed argvs of ``EXTRA`` once, as
 workload "extra" with seed null: every flow builder's ``--export-paths``,
 which no workload writes, the general flow's dense comparison blocks,
 verified Rudvalis flows at decks whose labels pass one signed and one
-unsigned byte, and Monte Carlo card couplings with n - k below and above
-the 64-step draw block, a lazy tail grid, and a cap that censors trials.
+unsigned byte, Monte Carlo card couplings with n - k below and above the
+64-step draw block, a lazy tail grid, a cap that censors trials, and a
+phase 1 that runs to a cap of 200 000 steps at k = 2, and Monte Carlo
+position couplings at k < n with a cap that censors trials, at k = n = 100
+with a tail grid, and a lazy one at k = 2.
 The JSON printed is one record per payload file: workload, seed, size,
 index of the argv in its sequence, file name, the argv's exit code and the
 file's sha256; an argv that writes no payload gets one record with file and
@@ -47,6 +50,10 @@ EXTRA = [argv.split() for argv in (
     "couple --n 100 --k 30 --trials 40 --tail-mult 1.25",
     "couple --n 80 --k 8 --trials 10 --tail-grid 50 --lazy-p 0.5",
     "couple --n 60 --k 20 --trials 30 --cap 300 --tail 200",
+    "couple --n 200 --k 2 --trials 2 --cap 200000",
+    "couple --kind top_insert --n 30 --k 10 --trials 20 --cap 1500 --tail 1000",
+    "couple --kind top_insert --n 100 --k 100 --trials 20 --tail-grid 20000",
+    "couple --kind top_insert --n 20 --k 2 --trials 20 --tail-grid 2000 --lazy-p 0.5",
 )]
 
 
