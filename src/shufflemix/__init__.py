@@ -44,7 +44,6 @@ from .flows import (
 )
 from .measures import (
     SparseMeasure,
-    convolve_measures,
     delta_e,
     lazy,
     random_transposition,
@@ -62,7 +61,6 @@ __all__ = [
     "NumericError",
     "UnreachableTargetError",
     "SparseMeasure",
-    "convolve_measures",
     "delta_e",
     "lazy",
     "random_transposition",

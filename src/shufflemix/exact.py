@@ -49,13 +49,7 @@ import numpy as np
 
 from .coupling import _from_top, _to_top, _unselected_chain, _values_at
 from .errors import CapacityError
-from .measures import (
-    SparseMeasure,
-    convolve_measures,
-    lazy,
-    reversal,
-    top_to_bottom_k,
-)
+from .measures import SparseMeasure, lazy, reversal, top_to_bottom_k
 from .perms import inverse, right_multiplier
 
 DENSE_CAP = 8
@@ -249,7 +243,7 @@ def mixing_time(q: SparseMeasure, metric: str = "tv", m_max: int = 200,
     if metric not in ("tv", "l2"):
         raise ValueError(f"metric must be 'tv' or 'l2', got {metric!r}")
     dists, threshold = ((map(tv_distance, _walk(q)), TV_THRESHOLD) if metric == "tv"
-                        else (_l2_distances(_blocks(q)), LP_THRESHOLD))
+                        else (_l2_distances(_nontrivial_blocks(q)), LP_THRESHOLD))
     return _report(dists, metric, threshold, m_max, label or f"measure(n={q.n})")
 
 
@@ -469,6 +463,11 @@ def _blocks(q: SparseMeasure):
         yield shape, sum(w * _rho(g, mats, d) for g, w in atoms)
 
 
+def _nontrivial_blocks(q: SparseMeasure) -> list[np.ndarray]:
+    """q's blocks (:func:`_blocks`) at every shape but the trivial one."""
+    return [b for shape, b in _blocks(q) if len(shape) > 1]
+
+
 def _symmetric_blocks(q: SparseMeasure):
     """:func:`_blocks` of a symmetric q (q equal to its reversal), each block
     checked symmetric because eigvalsh reads only one triangle."""
@@ -481,10 +480,9 @@ def _symmetric_blocks(q: SparseMeasure):
 
 
 def _l2_distances(blocks):
-    """d_2(q^m, pi) for m = 0, 1, ..., from q's blocks: by Plancherel,
-    d_2(q^m, pi)^2 = sum_{lambda != (n)} d_lambda ||q^(lambda)^m||_F^2
+    """d_2(q^m, pi) for m = 0, 1, ..., from q's nontrivial blocks: by
+    Plancherel, d_2(q^m, pi)^2 = sum_{lambda != (n)} d_lambda ||q^(lambda)^m||_F^2
     (Diaconis 1988, ch. 3), so each block's power takes one product a step."""
-    blocks = [b for shape, b in blocks if len(shape) > 1]
     powers = [np.eye(len(b)) for b in blocks]
     while True:
         yield math.sqrt(math.fsum(len(p) * float(np.vdot(p, p)) for p in powers))
@@ -519,9 +517,12 @@ def t2(q: SparseMeasure) -> int:
     >>> t2(lazy(top_to_bottom_k(4, 4), Fraction(1, 2)))
     9
     """
-    blocks = list(_blocks(q))
-    radius = max((float(np.abs(np.linalg.eigvals(b)).max())
-                  for shape, b in blocks if len(shape) > 1), default=0.0)
+    return _t2(_nontrivial_blocks(q))
+
+
+def _t2(blocks) -> int:
+    """T2 of the walk whose nontrivial blocks these are (:func:`t2`)."""
+    radius = max((float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks), default=0.0)
     if radius > 1 - 1e-9:
         raise ValueError(f"walk does not mix: a nontrivial Fourier block has "
                          f"spectral radius {radius}")
@@ -652,7 +653,16 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     For k < n, q * q* fixes the card at position 2 (every atom
     sigma_a sigma_b^{-1} has a, b >= 2), so T2(q * q*) is infinite and the
     doubling bound holds vacuously; the lazy pair lazy(q)* (*) lazy(q) always
-    generates and is checked too.  Every T2 comes from :func:`t2`.  q and
+    generates and is checked too.
+
+    Every T2 is read off one transform of q, its nontrivial blocks B
+    (:func:`_blocks`), by block algebra.  With q^(lambda) = sum_g q(g)
+    rho(g^{-1}), a convolution's blocks are (a * b)^ = b^ a^, in that order,
+    since rho((h u)^{-1}) = rho(u^{-1}) rho(h^{-1}) puts the second step's
+    factor first; the reversal q*'s blocks are the transposes B^T, since
+    rho(g) = rho(g^{-1})^T in the orthogonal form; and lazy_p(q)'s are
+    L = p B + (1 - p) I.  So q * q* has blocks B^T B and the lazy pair
+    lazy(q)* * lazy(q) has L L^T (Diaconis 1988, ch. 3).  q and
     lazy(q) are walked densely once each, to their TV thresholds only; the
     walks end because both mix: since 2 <= k <= n, q holds sigma_{n-1} and
     sigma_n, which generate S_n ((n-1, n) = sigma_{n-1}^{-1} sigma_n) and
@@ -671,9 +681,11 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     t_tv, t_tv_lazy = (next(m for m, d in enumerate(dists) if d <= TV_THRESHOLD)
                        for dists in profiles)
     vacuous = k < n
-    t_l2, t_l2_lazy = t2(q), t2(lazy_q)
-    t_qq = None if vacuous else t2(convolve_measures(q, reversal(q)))
-    t_pair = t2(convolve_measures(reversal(lazy_q), lazy_q))
+    blocks = _nontrivial_blocks(q)
+    lazy_blocks = [float(p) * b + float(1 - p) * np.eye(len(b)) for b in blocks]
+    t_l2, t_l2_lazy = _t2(blocks), _t2(lazy_blocks)
+    t_qq = None if vacuous else _t2([b.T @ b for b in blocks])
+    t_pair = _t2([b @ b.T for b in lazy_blocks])
     rows = []
     for eps in eps_grid:
         bound = max((2 + eps) / float(p) * t_tv, 80.0 / (float(p) * eps * eps))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .perms import (
     Permutation,
-    compose,
     cycle_generator,
     identity,
     inverse,
@@ -174,17 +173,6 @@ def rudvalis_symmetric(n: int) -> SparseMeasure:
         n,
         [(s, quarter), (inverse(s), quarter), (transposition(1, n, n), quarter), (identity(n), quarter)],
     )
-
-
-def convolve_measures(a: SparseMeasure, b: SparseMeasure) -> SparseMeasure:
-    """(a * b)(g) = sum_h a(h) b(h^{-1} g), i.e. step by a, then by b."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    pairs = []
-    for g, wa in a.items():
-        for h, wb in b.items():
-            pairs.append((compose(g, h), wa * wb))
-    return _from_pairs(a.n, pairs)
 
 
 def measure_to_json_obj(q: SparseMeasure) -> dict:

@@ -45,7 +45,10 @@ def csv_bytes(header, rows) -> bytes:
 
 
 def json_bytes(obj) -> bytes:
-    return (json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """obj as indented JSON with sorted keys and a final newline, in one
+    json.dumps pass (:func:`_json_default`); every dict key is a string."""
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    return (text + "\n").encode("utf-8")
 
 
 def emit_json(path, obj) -> Path:
@@ -54,21 +57,19 @@ def emit_json(path, obj) -> Path:
     return path
 
 
-def jsonable(obj):
-    """Recursively convert report objects to JSON-safe structures."""
+def _json_default(obj):
+    """What json.dumps cannot write itself, one level down (json.dumps calls
+    this again on anything inside): a Fraction as "p/q", a complex as
+    {re, im}, a dataclass as its fields, a numpy array or scalar by tolist."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     if hasattr(obj, "__dataclass_fields__"):
-        return jsonable(asdict(obj))
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     if hasattr(obj, "tolist"):
-        return jsonable(obj.tolist())
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def sha256_hex(data: bytes) -> str:

@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from shufflemix.report import json_bytes, jsonable
+from shufflemix.report import json_bytes
 
 
 class FixtureStore:
@@ -35,7 +35,7 @@ class FixtureStore:
     def record(self, key, value, note, force=False):
         if key in self._data and not force:
             raise ValueError(f"fixture {key!r} already frozen; pass force=True to overwrite")
-        self._data[key] = {"value": jsonable(value), "note": note}
+        self._data[key] = {"value": json.loads(json_bytes(value)), "note": note}
         self.path.write_bytes(json_bytes(self._data))
 
     def keys(self):

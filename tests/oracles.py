@@ -26,7 +26,7 @@ from shufflemix.exact import (
     tv_distance,
 )
 from shufflemix.flows import letter_perm
-from shufflemix.measures import SparseMeasure, convolve_measures, delta_e
+from shufflemix.measures import SparseMeasure, _from_pairs, delta_e
 # cycle_generator and transposition appear only in the doctests below
 from shufflemix.perms import Permutation, compose, cycle_generator, identity, rank, transposition
 
@@ -632,6 +632,17 @@ def congestion_from_weights(flow) -> tuple[Fraction, dict[int, Fraction]]:
             traffic[r] = traffic.get(r, Fraction(0)) + w * len(path.word)
     terms = {r: traffic.get(r, Fraction(0)) / qs for r, qs in flow.q.atoms.items()}
     return max(terms.values()), terms
+
+
+def convolve_measures(a: SparseMeasure, b: SparseMeasure) -> SparseMeasure:
+    """(a * b)(g) = sum_h a(h) b(h^{-1} g), i.e. step by a, then by b."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    pairs = []
+    for g, wa in a.items():
+        for h, wb in b.items():
+            pairs.append((compose(g, h), wa * wb))
+    return _from_pairs(a.n, pairs)
 
 
 def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:

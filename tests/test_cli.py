@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import shufflemix.cli as cli
 import shufflemix.wilson as wilson
-from oracles import congestion_from_weights, hitting_time, lp_distance
+from oracles import congestion_from_weights, convolve_measures, hitting_time, lp_distance
 from shufflemix.cli import run
 from shufflemix.coupling import (
     coupon_collector,
@@ -27,7 +29,6 @@ from shufflemix.exact import (
 )
 from shufflemix.flows import build_flow_general, build_odd_flow_tbk, flow_to_json_obj
 from shufflemix.measures import (
-    convolve_measures,
     lazy,
     random_transposition,
     reversal,
@@ -766,3 +767,15 @@ def test_usage_error_writes_no_manifest(tmp_path, capsys):
     assert run(["wilson", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_loads_nothing_outside_the_stdlib_but_numpy():
+    # site hooks may preload third-party modules before any import, so only
+    # the modules that importing the CLI adds count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; before = set(sys.modules); import shufflemix.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert added - set(sys.stdlib_module_names) == {"numpy", "shufflemix"}

@@ -12,6 +12,7 @@ import shufflemix.exact as exact
 from oracles import (
     bfs_distances_nx,
     brute_power,
+    convolve_measures,
     densify,
     dict_table,
     distance_profile,
@@ -48,7 +49,6 @@ from shufflemix.exact import (
 )
 from shufflemix.measures import (
     SparseMeasure,
-    convolve_measures,
     delta_e,
     lazy,
     random_transposition,
@@ -557,10 +557,51 @@ _HALF_AND_THIRD = [(n, k, p) for n in range(2, 8) for k in range(2, n + 1)
 def test_transfer_engines_match_the_dense_oracle(n, k, p):
     q = top_to_bottom_k(n, k)
     lq = lazy(q, p)
-    for walk in [q, lq] + _symmetric_walks(n, k, p):
+    pair, *qq = _symmetric_walks(n, k, p)
+    for walk in [q, lq, pair, *qq]:
         assert t2(walk) == hitting_time(walk, "l2")
     rep = transfer_checks(n, k, p)
     assert (rep.t_tv, rep.t_tv_lazy) == (hitting_time(q, "tv"), hitting_time(lq, "tv"))
+    # transfer reads every T2 off q's blocks; t2 transforms each walk itself
+    assert (rep.t_l2, rep.t_l2_lazy, rep.t_l2_lazy_pair) == (t2(q), t2(lq), t2(pair))
+    assert rep.t_l2_qq_star == (t2(qq[0]) if qq else None)
+
+
+@pytest.mark.parametrize("n,k,p", [
+    pytest.param(n, k, p, id=f"n{n}k{k}p{p.numerator}-{p.denominator}")
+    for n, k, p in _HALF_AND_THIRD if n <= 6])
+def test_transfer_block_algebra_matches_the_transforms(n, k, p):
+    # (a * b)^ = b^ a^, (q*)^ = (q^)^T and lazy_p(q)^ = p q^ + (1 - p) I, at
+    # every shape, the trivial one included
+    q = top_to_bottom_k(n, k)
+    lq = lazy(q, p)
+    derived = {"lazy": [], "qq_star": [], "pair": []}
+    for _, b in exact._blocks(q):
+        lb = float(p) * b + float(1 - p) * np.eye(len(b))
+        derived["lazy"].append(lb)
+        derived["qq_star"].append(b.T @ b)
+        derived["pair"].append(lb @ lb.T)
+    measures = {"lazy": lq, "qq_star": convolve_measures(q, reversal(q)),
+                "pair": convolve_measures(reversal(lq), lq)}
+    for name, walk in measures.items():
+        want = [b for _, b in exact._blocks(walk)]
+        assert len(want) == len(derived[name])
+        for got, block in zip(derived[name], want):
+            assert np.abs(got - block).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (6, 6), (8, 8)])
+def test_transfer_transforms_q_once(n, k, monkeypatch):
+    # the lazy walk, q * q* and the lazy pair take their blocks from q's
+    calls = []
+    blocks = exact._blocks
+
+    def counted(q):
+        calls.append(q)
+        return blocks(q)
+    monkeypatch.setattr(exact, "_blocks", counted)
+    transfer_checks(n, k)
+    assert calls == [top_to_bottom_k(n, k)]
 
 
 def test_spectral_t2_matches_the_dense_oracle_at_8():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import convolution_power
+from oracles import convolution_power, convolve_measures
 import shufflemix.perms as perms
 from shufflemix.flows import build_flow_general, build_flow_large_k, build_flow_rudvalis, verify_flow
 from shufflemix.measures import (
     SparseMeasure,
     _from_pairs,
-    convolve_measures,
     delta_e,
     lazy,
     measure_to_json_obj,

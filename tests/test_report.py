@@ -11,7 +11,6 @@ from shufflemix.report import (
     csv_bytes,
     emit_json,
     json_bytes,
-    jsonable,
     render_value,
     run_env,
     sha256_hex,
@@ -67,15 +66,18 @@ def test_jsonable_conversions():
         "frac": Fraction(1, 3),
         "cx": 1 + 2j,
         "arr": np.array([1.0, 2.0]),
+        "scalars": [np.int64(3), np.bool_(True), np.float64(0.5)],
         "nested": [_Inner(Fraction(5, 2), 0.1), (True, None)],
     }
-    out = jsonable(obj)
+    out = json.loads(json_bytes(obj))
     assert out["frac"] == "1/3"
     assert out["cx"] == {"re": 1.0, "im": 2.0}
     assert out["arr"] == [1.0, 2.0]
+    assert out["scalars"] == [3, True, 0.5]
     assert out["nested"][0] == {"x": "5/2", "y": 0.1}
     assert out["nested"][1] == [True, None]
-    json.dumps(out)
+    with pytest.raises(TypeError):
+        json_bytes({"set": {1, 2}})
 
 
 def test_json_float_text_pinned():

@@ -16,7 +16,9 @@ unsigned byte, Monte Carlo card couplings with n - k below and above the
 64-step draw block, a lazy tail grid, a cap that censors trials, and a
 phase 1 that runs to a cap of 200 000 steps at k = 2, and Monte Carlo
 position couplings at k < n with a cap that censors trials, at k = n = 100
-with a tail grid, and a lazy one at k = 2.
+with a tail grid, and a lazy one at k = 2, and ``transfer`` at k = n = 8
+and 7, where the doubling check reads T2(q q*), and at k < n with p = 9/10
+and p = 1/100.
 The JSON printed is one record per payload file: workload, seed, size,
 index of the argv in its sequence, file name, the argv's exit code and the
 file's sha256; an argv that writes no payload gets one record with file and
@@ -54,6 +56,10 @@ EXTRA = [argv.split() for argv in (
     "couple --kind top_insert --n 30 --k 10 --trials 20 --cap 1500 --tail 1000",
     "couple --kind top_insert --n 100 --k 100 --trials 20 --tail-grid 20000",
     "couple --kind top_insert --n 20 --k 2 --trials 20 --tail-grid 2000 --lazy-p 0.5",
+    "transfer --n 8 --k 8",
+    "transfer --n 7 --k 7 --p 1/3",
+    "transfer --n 8 --k 4 --p 9/10",
+    "transfer --n 4 --k 2 --p 1/100",
 )]
 
 
