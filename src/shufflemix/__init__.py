@@ -52,7 +52,7 @@ from .measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from .perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition, unrank
+from .perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition
 from .report import RunManifest, emit_json
 from .wilson import compute_params, lazy_transfer, step_bound, wilson_report
 
@@ -75,7 +75,6 @@ __all__ = [
     "inverse",
     "rank",
     "transposition",
-    "unrank",
     "coupling_tail",
     "dirichlet_constants",
     "least_eigenvalue_formula",

@@ -32,7 +32,7 @@ a per-letter tally over the table, and every endpoint comes from one batched
 fold, block by block of paths, that right-multiplies by a run's power s^r in
 a single gather.  Letters are checked against q through
 ``SparseMeasure.weight``, by rank; the target is read through the one-line
-maps each measure stores, with no unranking.
+maps each measure stores, so no target atom is rebuilt as a Permutation.
 
 Four constructions are provided: odd loops for the symmetrized shuffle, two
 routings of the random-transposition measure through shuffle generators (one
@@ -340,22 +340,26 @@ def verify_flow(flow: Flow) -> FlowVerification:
     The endpoints come from one fold over the flow's letter runs; routed
     multiplicities are summed as ints keyed by each endpoint row's bytes.
     The target is keyed by the bytes of its stored one-line maps, which share
-    the endpoints' dtype, so no target atom becomes a Permutation.
-    Discrepancies are listed in lexicographic order of the one-line form.
+    the endpoints' dtype, so no target atom becomes a Permutation.  Routed
+    and target masses are compared as int cross products; only the keys
+    that differ are decoded, then listed in lexicographic order of the
+    one-line form.
     """
     ends = flow._endpoints()
     routed: dict[bytes, int] = {}
     for key, c in zip(map(bytes, ends), flow.paths.mult.tolist()):
         routed[key] = routed.get(key, 0) + c
     target = dict(zip(map(bytes, flow.target._maps), flow.target.atoms.values()))
-    labels = {key: np.frombuffer(key, ends.dtype).tolist() for key in routed.keys() | target.keys()}
-    bad = []
-    for key in sorted(labels, key=labels.get):
-        got = flow.unit * routed.get(key, 0)
-        want = target.get(key, Fraction(0))
-        if got != want:
-            bad.append((",".join(map(str, labels[key])), got, want))
-    return FlowVerification(exact=not bad, discrepancies=tuple(bad))
+    zero, bad = Fraction(0), []
+    num, den = flow.unit.numerator, flow.unit.denominator
+    for key, c in routed.items():
+        want = target.pop(key, zero)
+        if c * num * want.denominator != want.numerator * den:      # unit * c != want
+            bad.append((key, flow.unit * c, want))
+    bad += [(key, zero, want) for key, want in target.items()]
+    rows = sorted((np.frombuffer(key, ends.dtype).tolist(), got, want) for key, got, want in bad)
+    return FlowVerification(exact=not rows, discrepancies=tuple(
+        (",".join(map(str, row)), got, want) for row, got, want in rows))
 
 
 @dataclass(frozen=True)

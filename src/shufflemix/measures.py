@@ -2,10 +2,11 @@
 
 All measures here carry exact rational weights (``fractions.Fraction``),
 keyed by lexicographic permutation rank, so measure-level identities and
-flow marginals can be checked with equality rather than tolerances.  Each
-measure also keeps its atoms' one-line maps, one array row per atom in rank
-order, so reading a measure never unranks.  Dense float work lives in
-:mod:`shufflemix.exact`.
+flow marginals can be checked with equality rather than tolerances.  A
+measure is built one way, :meth:`SparseMeasure.from_pairs`, from
+(Permutation, weight) pairs, and keeps its atoms' one-line maps, one array
+row per atom in rank order, so a permutation is only ever ranked, never
+rebuilt from its rank.  Dense float work lives in :mod:`shufflemix.exact`.
 """
 
 from __future__ import annotations
@@ -26,52 +27,60 @@ from .perms import (
     rank,
     serialize,
     transposition,
-    unrank,
 )
 
 
 @dataclass(frozen=True)
 class SparseMeasure:
-    """Finitely supported probability measure on S_n.
+    """Finitely supported probability measure on S_n, built only by
+    :meth:`from_pairs`, which makes every check.
 
     atoms maps permutation rank -> weight, in rank order; zero-weight atoms
     are dropped.  It is a read-only view, so a measure can be shared (and
     cached).  ``_maps`` holds the atoms' one-line maps as one read-only
     (atoms, n) array in ``np.min_scalar_type(n)``, row i for the i-th rank
-    of ``atoms``.  Pass it, in that dtype with rows in sorted rank order of
-    the given atoms, when the permutations are at hand (:func:`_from_pairs`);
-    without it each atom is unranked once, here.  Equality and hash read only
-    n and the weights.
+    of ``atoms``.  Equality reads n and the weights; the hash reads only n,
+    so measures on one S_n share a hash bucket.  That suits
+    ``GroupTable.atoms``, which keys on measures, of which a run holds only a
+    few per n.
     """
 
     n: int
     atoms: MappingProxyType = field(compare=False)
-    _maps: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _maps: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        ranks = sorted(self.atoms)
-        cleaned = {}
-        for r in ranks:
-            w = self.atoms[r]
-            if not isinstance(w, Fraction):
-                w = Fraction(w)
+    @classmethod
+    def from_pairs(cls, n: int, pairs) -> SparseMeasure:
+        """The measure on S_n summing the (Permutation, weight) pairs; each
+        permutation is ranked once, and the first one of every rank gives its
+        map.  Weights are kept as given (ints become Fractions)."""
+        sums: dict[int, Fraction] = {}
+        maps: dict[int, tuple] = {}
+        for g, w in pairs:
+            if g.n != n:
+                raise ValueError(f"size mismatch: S_{g.n} permutation, measure on S_{n}")
+            r = rank(g)
+            if r in sums:
+                sums[r] += w
+            else:
+                sums[r], maps[r] = w, g.map
+        atoms = {}
+        for r in sorted(sums):
+            w = sums[r] if isinstance(sums[r], Fraction) else Fraction(sums[r])
             if w < 0:
                 raise ValueError(f"negative weight {w} at rank {r}")
             if w > 0:
-                cleaned[r] = w
-        total = sum((w * c for w, c in Counter(cleaned.values()).items()), Fraction(0))
+                atoms[r] = w
+        total = sum((w * c for w, c in Counter(atoms.values()).items()), Fraction(0))
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
-        maps = self._maps
-        if maps is None:
-            maps = np.array([unrank(r, self.n).map for r in cleaned], np.min_scalar_type(self.n))
-        elif len(cleaned) < len(ranks):
-            maps = maps[[r in cleaned for r in ranks]]
-        maps.flags.writeable = False
-        object.__setattr__(self, "atoms", MappingProxyType(cleaned))
-        object.__setattr__(self, "_maps", maps)
+        rows = np.array([maps[r] for r in atoms], np.min_scalar_type(n))
+        rows.flags.writeable = False
+        return cls(n, MappingProxyType(atoms), rows)
 
     def weight(self, g: Permutation) -> Fraction:
+        if g.n != self.n:
+            raise ValueError(f"size mismatch: S_{g.n} permutation, measure on S_{self.n}")
         return self.atoms.get(rank(g), Fraction(0))
 
     def items(self):
@@ -89,24 +98,9 @@ class SparseMeasure:
         return len(self.atoms)
 
 
-def _from_pairs(n: int, pairs) -> SparseMeasure:
-    """The measure summing the (Permutation, Fraction weight) pairs; each
-    permutation is ranked once, and the first one of every rank gives its
-    map."""
-    atoms: dict[int, Fraction] = {}
-    maps: dict[int, tuple] = {}
-    for g, w in pairs:
-        r = rank(g)
-        if r in atoms:
-            atoms[r] += w
-        else:
-            atoms[r], maps[r] = w, g.map
-    return SparseMeasure(n, atoms, np.array([maps[r] for r in sorted(maps)], np.min_scalar_type(n)))
-
-
 def delta_e(n: int) -> SparseMeasure:
     """Point mass at the identity."""
-    return _from_pairs(n, [(identity(n), Fraction(1))])
+    return SparseMeasure.from_pairs(n, [(identity(n), Fraction(1))])
 
 
 def top_to_bottom_k(n: int, k: int) -> SparseMeasure:
@@ -120,12 +114,13 @@ def top_to_bottom_k(n: int, k: int) -> SparseMeasure:
     if not (isinstance(k, int) and 1 < k <= n):
         raise ValueError(f"need n >= k > 1, got n={n}, k={k}")
     w = Fraction(1, k)
-    return _from_pairs(n, [(cycle_generator(l, n), w) for l in range(n - k + 1, n + 1)])
+    pairs = [(cycle_generator(l, n), w) for l in range(n - k + 1, n + 1)]
+    return SparseMeasure.from_pairs(n, pairs)
 
 
 def reversal(q: SparseMeasure) -> SparseMeasure:
     """q*(g) = q(g^{-1}); drives the time-reversed walk."""
-    return _from_pairs(q.n, [(inverse(g), w) for g, w in q.items()])
+    return SparseMeasure.from_pairs(q.n, [(inverse(g), w) for g, w in q.items()])
 
 
 def symmetrize(q: SparseMeasure) -> SparseMeasure:
@@ -133,7 +128,7 @@ def symmetrize(q: SparseMeasure) -> SparseMeasure:
     half = Fraction(1, 2)
     pairs = [(g, w * half) for g, w in q.items()]
     pairs += [(inverse(g), w * half) for g, w in q.items()]
-    return _from_pairs(q.n, pairs)
+    return SparseMeasure.from_pairs(q.n, pairs)
 
 
 def lazy(q: SparseMeasure, p) -> SparseMeasure:
@@ -143,7 +138,7 @@ def lazy(q: SparseMeasure, p) -> SparseMeasure:
         raise ValueError(f"laziness p must be in (0,1), got {p}")
     pairs = [(g, w * p) for g, w in q.items()]
     pairs.append((identity(q.n), 1 - p))
-    return _from_pairs(q.n, pairs)
+    return SparseMeasure.from_pairs(q.n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +152,7 @@ def random_transposition(n: int) -> SparseMeasure:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pairs.append((transposition(i, j, n), w))
-    return _from_pairs(n, pairs)
+    return SparseMeasure.from_pairs(n, pairs)
 
 
 def rudvalis_symmetric(n: int) -> SparseMeasure:
@@ -167,12 +162,9 @@ def rudvalis_symmetric(n: int) -> SparseMeasure:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    quarter = Fraction(1, 4)
     s = cycle_generator(n, n)
-    return _from_pairs(
-        n,
-        [(s, quarter), (inverse(s), quarter), (transposition(1, n, n), quarter), (identity(n), quarter)],
-    )
+    gens = (s, inverse(s), transposition(1, n, n), identity(n))
+    return SparseMeasure.from_pairs(n, [(g, Fraction(1, 4)) for g in gens])
 
 
 def measure_to_json_obj(q: SparseMeasure) -> dict:

@@ -3,7 +3,9 @@
 A permutation sigma is stored in one-line form: ``sigma.map[i]`` is the card
 label held at position i+1, matching the convention "position i holds the
 card with label sigma(i)".  Positions and labels are 1-based in every public
-interface; storage is 0-based.
+interface; storage is 0-based.  Ranking runs one way: :func:`rank` gives
+the lexicographic index, and nothing rebuilds a permutation from it, since
+measures and dense tables keep the one-line maps they rank.
 
 The product (a * b)(i) = a(b(i)) has one implementation, right_multiplier.
 The shuffle walk multiplies generators on the right, so right multiplication
@@ -138,25 +140,6 @@ def rank(a: Permutation) -> int:
         seen |= 1 << label
         r = r * (n - i) + label - (seen & ((2 << label) - 1)).bit_count()
     return r
-
-
-def unrank(r: int, n: int) -> Permutation:
-    """Inverse of :func:`rank`.
-
-    >>> all(unrank(rank(unrank(i, 4)), 4) == unrank(i, 4) for i in range(24))
-    True
-    """
-    if not 0 <= r < math.factorial(n):
-        raise ValueError(f"rank {r} outside [0, {n}!-1]")
-    labels = list(range(1, n + 1))
-    out = []
-    fact = math.factorial(n - 1)
-    for i in range(n):
-        idx, r = divmod(r, fact)
-        out.append(labels.pop(idx))
-        if i < n - 1:
-            fact //= n - 1 - i
-    return Permutation(n, tuple(out))
 
 
 def serialize(a: Permutation) -> str:

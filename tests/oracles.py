@@ -26,7 +26,7 @@ from shufflemix.exact import (
     tv_distance,
 )
 from shufflemix.flows import letter_perm
-from shufflemix.measures import SparseMeasure, _from_pairs, delta_e
+from shufflemix.measures import SparseMeasure, delta_e
 # cycle_generator and transposition appear only in the doctests below
 from shufflemix.perms import Permutation, compose, cycle_generator, identity, rank, transposition
 
@@ -642,7 +642,7 @@ def convolve_measures(a: SparseMeasure, b: SparseMeasure) -> SparseMeasure:
     for g, wa in a.items():
         for h, wb in b.items():
             pairs.append((compose(g, h), wa * wb))
-    return _from_pairs(a.n, pairs)
+    return SparseMeasure.from_pairs(a.n, pairs)
 
 
 def convolution_power(q: SparseMeasure, m: int) -> SparseMeasure:

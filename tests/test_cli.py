@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -38,7 +39,8 @@ from shufflemix.measures import (
 )
 from shufflemix.report import json_bytes, run_env, sha256_hex
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's workload definitions)
 
 
@@ -480,6 +482,17 @@ def test_benchmark_invocations_parse(workload, tiny):
     # every command line the benchmark runs must keep parsing
     parser = cli.build_parser()
     for argv in workloads.invocations(workload, 7, tiny):
+        parser.parse_args(argv)
+
+
+def test_payload_digest_extra_argvs_parse():
+    # tools/payload_digests.py runs its fixed EXTRA argvs only at full size
+    spec = importlib.util.spec_from_file_location(
+        "payload_digests", ROOT / "tools" / "payload_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    parser = cli.build_parser()
+    for argv in digests.EXTRA:
         parser.parse_args(argv)
 
 

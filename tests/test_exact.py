@@ -57,7 +57,7 @@ from shufflemix.measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.perms import cycle_generator, identity, inverse, rank, transposition, unrank
+from shufflemix.perms import cycle_generator, identity, inverse, rank, transposition
 
 
 def uniform(n):
@@ -243,7 +243,7 @@ def test_dirichlet_constants_refuse_asymmetric_or_non_generating_walks():
             exact.dirichlet_constants(target, q)
     # each generates a proper subgroup; in floats the point mass at (2, 4)
     # leaves a Cholesky pivot of about 1e-16 rather than failing outright
-    swap = SparseMeasure(4, {rank(transposition(2, 4, 4)): 1})
+    swap = SparseMeasure.from_pairs(4, [(transposition(2, 4, 4), 1)])
     for q in (delta_e(4), lazy(swap, Fraction(1, 2)), swap):
         with pytest.raises(ValueError, match="does not generate"):
             exact.dirichlet_constants(random_transposition(4), q)
@@ -368,8 +368,8 @@ def test_cayley_distances_mark_a_proper_subgroup():
     gens = convolve_measures(q, reversal(q)).support()
     dist = cayley_distances(4, gens)
     assert dist.tolist() == _nx_distances(gens, 4)
-    reached = [unrank(r, 4) for r in np.flatnonzero(dist >= 0)]
-    assert len(reached) == 2 and all(g.map[1] == 2 for g in reached)
+    reached = [dict_table(4).perms[r] for r in np.flatnonzero(dist >= 0)]
+    assert len(reached) == 2 and all(m[1] == 2 for m in reached)
     # the identity alone reaches nothing else, and inverses are one step away
     assert cayley_distances(4, [identity(4)]).tolist() == [0] + [-1] * 23
     c = cycle_generator(4, 4)
@@ -499,12 +499,6 @@ def test_dense_distribution_refuses_a_sum_off_by_2e_12(n, off):
         DenseDistribution(n, probs)
     probs[0] -= 3 * off / 4                  # 5e-13 off: accepted
     DenseDistribution(n, probs)
-
-
-def test_unrank_consistent_with_table():
-    t = dict_table(4)
-    for r in (0, 5, 17, 23):
-        assert unrank(r, 4).map == t.perms[r]
 
 
 def _symmetric_walks(n, k, p):
@@ -701,15 +695,15 @@ def test_fourier_l2_profile_matches_the_dense_walk(n):
 
 
 def _sigma_n(n):
-    return SparseMeasure(n, {rank(cycle_generator(n, n)): 1})
+    return SparseMeasure.from_pairs(n, [(cycle_generator(n, n), 1)])
 
 
 NEVER_MIXES = [pytest.param(_sigma_n(n), id=f"sigma{n}") for n in (3, 5, 8)] + [
     pytest.param(convolve_measures(q, reversal(q)), id=f"qq_star_n{q.n}")
     for q in (top_to_bottom_k(4, 2), top_to_bottom_k(6, 5))] + [
     # generates S_4 but every step is odd: periodic, with the sign block at -1
-    pytest.param(SparseMeasure(4, {rank(transposition(1, 2, 4)): Fraction(1, 2),
-                                   rank(cycle_generator(4, 4)): Fraction(1, 2)}),
+    pytest.param(SparseMeasure.from_pairs(4, [(transposition(1, 2, 4), Fraction(1, 2)),
+                                              (cycle_generator(4, 4), Fraction(1, 2))]),
                  id="odd_coset")]
 
 
@@ -805,8 +799,8 @@ def test_tv_profile_is_the_scalar_fsum_profile_bit_for_bit(walk, m_max):
 
 
 def test_walk_atoms_are_resolved_once_per_measure(monkeypatch):
-    # each step reads the cached (weight, table) pairs; no atom is unranked
-    # or inverted again after the first step
+    # each step reads the cached (weight, table) pairs; no atom is inverted
+    # again after the first step
     q = top_to_bottom_k(6, 3)
     t = group_table(6)
     d = convolve_step(point_mass(6), q)

@@ -77,6 +77,11 @@ from shufflemix.perms import (
 from shufflemix.report import csv_bytes, json_bytes
 
 
+def _uniform(n, perms):
+    """Uniform on the distinct permutations perms."""
+    return SparseMeasure.from_pairs(n, [(g, Fraction(1, len(perms))) for g in perms])
+
+
 # ---------------------------------------------------------------------------
 # letters and endpoints
 
@@ -246,8 +251,7 @@ def test_run_fold_matches_the_letter_oracle_across_chunks():
                                                         rng.integers(1, 2 * n + 2, runs))
                            for _ in range(r)))
     words = list(dict.fromkeys(words))
-    ranks = {rank(letter_perm(name, n)) for name in names}
-    q = SparseMeasure(n, {r: Fraction(1, len(ranks)) for r in ranks})
+    q = _uniform(n, {letter_perm(name, n) for name in names})
     flow = Flow(target=delta_e(n), q=q, unit=Fraction(1), paths={CayleyPath(w): 1 for w in words})
     assert len(words) > 2 * _FOLD_ROWS
     ends = flow._endpoints()
@@ -326,8 +330,7 @@ def test_flow_encodes_the_paths_of_another_deck_size_afresh():
     # depend on n (tau is id 10 at n = 5, where id 10 is s6 at n = 6)
     small = build_flow_rudvalis(5, 5)
     names = [f"s{l}{suf}" for l in range(1, 7) for suf in ("", "inv")] + ["tau"]
-    ranks = {rank(letter_perm(name, 6)) for name in names}
-    q = SparseMeasure(6, {r: Fraction(1, len(ranks)) for r in ranks})
+    q = _uniform(6, {letter_perm(name, 6) for name in names})
     moved = Flow(target=delta_e(6), q=q, unit=small.unit, paths=small.paths)
     assert dict(moved.paths) == dict(small.paths)
     assert any("tau" in p.word for p in moved.paths)
@@ -337,7 +340,7 @@ def test_flow_encodes_the_paths_of_another_deck_size_afresh():
 
 def test_flow_rejects_letter_outside_support():
     q = rudvalis_symmetric(5)       # support: sigma_5^{+-1}, (1,5), e
-    target = SparseMeasure(5, {rank(cycle_generator(2, 5)): Fraction(1)})
+    target = _uniform(5, [cycle_generator(2, 5)])
     with pytest.raises(ValueError, match="^letter 's2' is not in the support of q$"):
         Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(("s2",)): 1})
 
@@ -384,7 +387,7 @@ def test_verify_flow_flags_half_weights():
 
 def test_verify_single_path_per_atom_passes():
     g = cycle_generator(3, 4)
-    target = SparseMeasure(4, {rank(g): Fraction(2, 3), rank(identity(4)): Fraction(1, 3)})
+    target = SparseMeasure.from_pairs(4, [(g, Fraction(2, 3)), (identity(4), Fraction(1, 3))])
     q = symmetrize(top_to_bottom_k(4, 4))
     flow = Flow(target=target, q=q, unit=Fraction(1, 3),
                 paths={CayleyPath(("s3",)): 2, CayleyPath(()): 1})
@@ -400,7 +403,7 @@ def test_verify_single_path_per_atom_passes():
 def test_congestion_single_path_formula():
     # one path of length 1 through s with weight w: A = w / q(s)
     q = symmetrize(top_to_bottom_k(3, 3))
-    target = SparseMeasure(3, {rank(cycle_generator(3, 3)): Fraction(1)})
+    target = _uniform(3, [cycle_generator(3, 3)])
     flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(("s3",)): 1})
     assert flow.unit * flow.paths[CayleyPath(("s3",))] == 1
     rep = congestion_A(flow)
@@ -411,7 +414,7 @@ def test_congestion_single_path_formula():
 
 def test_congestion_tally_is_exact_past_the_int64_range():
     q = symmetrize(top_to_bottom_k(4, 2))
-    target = SparseMeasure(4, {rank(cycle_generator(3, 4)): Fraction(1)})
+    target = _uniform(4, [cycle_generator(3, 4)])
     # multiplicities past 2^63, one shared by two words, and mixed run lengths
     paths = {CayleyPath(("s3",)): 2 ** 63, CayleyPath(("s3", "s3inv")): 2 ** 63,
              CayleyPath(("s3",) * 2 + ("s3inv",) * 3): 2 ** 100 + 1, CayleyPath(()): 3}
@@ -434,7 +437,7 @@ def test_congestion_of_the_odd_flow_past_the_int64_range():
 
 def test_congestion_empty_path_contributes_nothing():
     q = symmetrize(top_to_bottom_k(4, 4))
-    target = SparseMeasure(4, {rank(identity(4)): Fraction(1)})
+    target = delta_e(4)
     flow = Flow(target=target, q=q, unit=Fraction(1), paths={CayleyPath(()): 1})
     assert flow.unit * flow.paths[CayleyPath(())] == 1
     assert congestion_A(flow).a_value == 0
@@ -817,10 +820,6 @@ def test_comparison_bound_nonnegative_spectrum_drops_third_term():
     assert rep.reference_t2 == t2_rt
     assert rep.bound == 1755
     assert rep.holds
-
-
-def _uniform(n, perms):
-    return SparseMeasure(n, {rank(g): Fraction(1, len(perms)) for g in perms})
 
 
 NEVER_MIXES = [

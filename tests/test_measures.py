@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import convolution_power, convolve_measures
-import shufflemix.perms as perms
-from shufflemix.flows import build_flow_general, build_flow_large_k, build_flow_rudvalis, verify_flow
+from oracles import convolution_power, convolve_measures, dict_table
 from shufflemix.measures import (
     SparseMeasure,
-    _from_pairs,
     delta_e,
     lazy,
     measure_to_json_obj,
@@ -122,8 +118,8 @@ def test_atoms_are_read_only_so_random_transposition_is_shared():
         q.atoms[0] = Fraction(1)
     with pytest.raises(TypeError):
         del q.atoms[0]
-    # a measure built from another's atoms is equal and independent
-    assert SparseMeasure(6, q.atoms) == q
+    # a measure built from another's pairs is equal and independent
+    assert SparseMeasure.from_pairs(6, q.items()) == q
 
 
 @pytest.mark.parametrize("n", [127, 128, 256])
@@ -135,56 +131,19 @@ def test_maps_stored_from_permutations_equal_those_unranked_from_ranks(n):
     decks += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)]
     pairs = [(Permutation(n, m), Fraction(1, 64)) for m in decks]
     pairs += [(Permutation(n, decks[0]), Fraction(1, 32))] * 16     # repeats merge
-    built = _from_pairs(n, pairs)
-    from_ranks = SparseMeasure(n, dict(built.atoms))
-    assert list(built.items()) == list(from_ranks.items())
-    for q in (built, from_ranks):
-        assert q._maps.dtype == np.min_scalar_type(n)
-        assert q._maps.tolist() == sorted(map(list, set(decks)))    # rank order is lex order
-        assert not q._maps.flags.writeable
+    built = SparseMeasure.from_pairs(n, pairs)
+    # row i is the permutation whose rank is the i-th key of atoms
+    assert [rank(Permutation(n, tuple(row))) for row in built._maps.tolist()] == list(built.atoms)
+    assert built._maps.dtype == np.min_scalar_type(n)
+    assert built._maps.tolist() == sorted(map(list, set(decks)))    # rank order is lex order
+    assert not built._maps.flags.writeable
     assert built.weight(Permutation(n, decks[0])) == Fraction(33, 64)
 
 
 def test_zero_weight_atoms_drop_their_maps():
-    q = _from_pairs(4, [(cycle_generator(4, 4), Fraction(1)), (identity(4), 0)])
+    q = SparseMeasure.from_pairs(4, [(cycle_generator(4, 4), Fraction(1)), (identity(4), 0)])
     assert len(q) == 1 and q._maps.tolist() == [[2, 3, 4, 1]]
-    assert q == SparseMeasure(4, {0: 0, rank(cycle_generator(4, 4)): 1})
-
-
-@pytest.fixture
-def unrank_calls(monkeypatch):
-    """Ranks passed to perms.unrank, through every by-name import of it."""
-    calls = []
-    real = perms.unrank
-
-    def counted(r, n):
-        calls.append(r)
-        return real(r, n)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("shufflemix") and getattr(module, "unrank", None) is real:
-            monkeypatch.setattr(module, "unrank", counted)
-    return calls
-
-
-def test_measures_built_from_permutations_never_unrank(unrank_calls):
-    q = top_to_bottom_k(40, 20)
-    assert len(list(q.items())) == 20
-    assert reversal(reversal(q)) == q
-    assert symmetrize(q).support()
-    for flow in (build_flow_general(24, 12), build_flow_rudvalis(40, 40),
-                 build_flow_large_k(40, 8)):
-        assert verify_flow(flow).exact
-    assert unrank_calls == []
-
-
-def test_measures_built_from_ranks_unrank_each_atom_once(unrank_calls):
-    q = random_transposition(6)
-    copy = SparseMeasure(6, q.atoms)
-    assert sorted(unrank_calls) == sorted(q.atoms)
-    assert list(copy.items()) == list(q.items())
-    assert reversal(copy) == copy and symmetrize(copy) == copy
-    assert sorted(unrank_calls) == sorted(q.atoms)
+    assert list(q.atoms) == [rank(cycle_generator(4, 4))]
 
 
 def test_rudvalis_four_atoms():
@@ -230,14 +189,9 @@ def test_lazy_decomposition_identity(n):
         left = convolve_measures(reversal(qhat), qhat)
         cross = convolve_measures(reversal(q), q)
         sym = symmetrize(q)
-        right_atoms = {}
-        for g, w in sym.items():
-            right_atoms[rank(g)] = right_atoms.get(rank(g), Fraction(0)) + w * HALF
-        for g, w in cross.items():
-            right_atoms[rank(g)] = right_atoms.get(rank(g), Fraction(0)) + w / 4
-        e_rank = rank(identity(n))
-        right_atoms[e_rank] = right_atoms.get(e_rank, Fraction(0)) + Fraction(1, 4)
-        assert left == SparseMeasure(n, right_atoms)
+        right = [(g, w * HALF) for g, w in sym.items()] + [(g, w / 4) for g, w in cross.items()]
+        right.append((identity(n), Fraction(1, 4)))
+        assert left == SparseMeasure.from_pairs(n, right)
 
 
 def test_lazy_convolution_dominates_symmetrization():
@@ -256,10 +210,26 @@ def test_convolution_power():
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        SparseMeasure(3, {0: Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        SparseMeasure(3, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    e, s = identity(3), cycle_generator(3, 3)
+    with pytest.raises(ValueError, match="sum to 1/2"):
+        SparseMeasure.from_pairs(3, [(e, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="negative weight -1/2"):
+        SparseMeasure.from_pairs(3, [(e, Fraction(3, 2)), (s, Fraction(-1, 2))])
+
+
+def test_from_pairs_refuses_a_permutation_of_another_deck_size():
+    pairs = [(identity(4), HALF), (cycle_generator(4, 4), HALF)]
+    with pytest.raises(ValueError, match="S_4 permutation, measure on S_3"):
+        SparseMeasure.from_pairs(3, pairs)
+
+
+@pytest.mark.parametrize("q,g", [
+    pytest.param(random_transposition(5), transposition(1, 2, 3), id="rt5-s3"),
+    pytest.param(top_to_bottom_k(4, 4), identity(3), id="tbk4-s3"),
+])
+def test_weight_refuses_a_permutation_of_another_deck_size(q, g):
+    with pytest.raises(ValueError, match=f"S_3 permutation, measure on S_{q.n}"):
+        q.weight(g)
 
 
 def test_json_form(frozen):
@@ -281,7 +251,9 @@ def sparse_measures(draw, n=4):
     ranks = draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count, unique=True))
     weights = draw(st.lists(st.integers(1, 8), min_size=count, max_size=count))
     total = sum(weights)
-    return SparseMeasure(n, {r: Fraction(w, total) for r, w in zip(ranks, weights)})
+    perms = dict_table(n).perms
+    return SparseMeasure.from_pairs(
+        n, [(Permutation(n, perms[r]), Fraction(w, total)) for r, w in zip(ranks, weights)])
 
 
 @given(sparse_measures())

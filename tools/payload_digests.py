@@ -16,9 +16,13 @@ unsigned byte, Monte Carlo card couplings with n - k below and above the
 64-step draw block, a lazy tail grid, a cap that censors trials, and a
 phase 1 that runs to a cap of 200 000 steps at k = 2, and Monte Carlo
 position couplings at k < n with a cap that censors trials, at k = n = 100
-with a tail grid, and a lazy one at k = 2, and ``transfer`` at k = n = 8
+with a tail grid, and a lazy one at k = 2, ``transfer`` at k = n = 8
 and 7, where the doubling check reads T2(q q*), and at k < n with p = 9/10
-and p = 1/100.
+and p = 1/100, and each measure kind at the dense cap (random transposition
+and lazy exact L2 profiles at n = 8, Rudvalis and k = n spectra at n = 8
+and 7) with the two largest verified constructions: random transposition
+routed at n = 130 and odd loops at n = 25, whose multiplicities pass the
+int64 range.
 The JSON printed is one record per payload file: workload, seed, size,
 index of the argv in its sequence, file name, the argv's exit code and the
 file's sha256; an argv that writes no payload gets one record with file and
@@ -60,6 +64,12 @@ EXTRA = [argv.split() for argv in (
     "transfer --n 7 --k 7 --p 1/3",
     "transfer --n 8 --k 4 --p 9/10",
     "transfer --n 4 --k 2 --p 1/100",
+    "exact --n 8 --measure rt --metric l2",
+    "spectrum --n 8 --measure rudvalis",
+    "spectrum --n 7 --k 7",
+    "exact --n 8 --k 8 --measure lazy --metric l2 --p 1/3",
+    "flow --builder large-k --n 130 --C 4 --verify",
+    "flow --builder odd --n 25 --k 25 --verify",
 )]
 
 
