@@ -9,11 +9,11 @@ finite terms; the small sums elsewhere call math.fsum.  This module owns
 every computation over the whole group: the group as one int8 array of
 one-line maps in rank order, rank-indexed multiplication tables computed
 from it in bulk (its columns permuted by the one group product,
-:func:`shufflemix.perms.right_multiplier`, then ranked by Lehmer digits),
-each walk measure's atoms resolved once to (weight, table) pairs, dense
-convolution gathering through those tables for TV only (one walk loop,
-:func:`_walk`), the BFS for word lengths in the Cayley graph
-(:func:`cayley_distances`), and the Fourier blocks
+:func:`shufflemix.perms.right_multiplier`, then ranked in one array pass by
+:func:`shufflemix.perms.rank_columns`), each walk measure's atoms resolved
+once to (weight, table) pairs, dense convolution gathering through those
+tables for TV only (one walk loop, :func:`_walk`), the BFS for word
+lengths in the Cayley graph (:func:`cayley_distances`), and the Fourier blocks
 q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
 representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
 orthogonal form.  Any walk's L2 profile and T2 (:func:`t2`) and a symmetric
@@ -50,7 +50,7 @@ import numpy as np
 from .coupling import _from_top, _to_top, _unselected_chain, _values_at
 from .errors import CapacityError
 from .measures import SparseMeasure, lazy, reversal, top_to_bottom_k
-from .perms import inverse, right_multiplier
+from .perms import inverse, rank_columns, right_multiplier
 
 DENSE_CAP = 8
 
@@ -80,10 +80,10 @@ class GroupTable:
     def right_mul(self, s: tuple) -> np.ndarray:
         """J with J[i] = rank(perm_i * s); a bijection of ranks.  The columns
         of perm_i * s are the table's permuted by right_multiplier(s), ranked
-        by :func:`_lehmer_ranks`."""
+        by :func:`shufflemix.perms.rank_columns`."""
         tbl = self._right.get(s)
         if tbl is None:
-            tbl = _lehmer_ranks(np.array(right_multiplier(s)(self.maps.T)))
+            tbl = rank_columns(np.array(right_multiplier(s)(self.maps.T)))
             self._right[s] = tbl
         return tbl
 
@@ -95,17 +95,6 @@ class GroupTable:
             pairs = [(float(w), self.right_mul(inverse(g).map)) for g, w in q.items()]
             self._atoms[q] = pairs
         return pairs
-
-
-def _lehmer_ranks(cols: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each column of an (n, N) array of one-line maps,
-    sum_i #{j > i : a_j < a_i} (n - 1 - i)! (Lehmer digits); any labels in
-    the same relative order give the same rank."""
-    n = len(cols)
-    ranks = np.zeros(cols.shape[1], dtype=np.int64)
-    for i in range(n - 1):
-        ranks += (cols[i + 1:] < cols[i]).sum(0) * math.factorial(n - 1 - i)
-    return ranks
 
 
 def require_dense(n: int) -> None:
@@ -313,7 +302,8 @@ def _relative_chain(n: int, k: int, kind: str):
     couplings choose positions from rel alone, so rel is a Markov chain on
     S_n, read from the rows of group_table(n).maps.  A step that moves
     deck 1's cards by the position map f1 and deck 2's by f2 sends rel to
-    f2 o rel o f1^{-1}, ranked by :func:`_lehmer_ranks`.  The identity, where
+    f2 o rel o f1^{-1}, its 0-based labels ranked by
+    :func:`shufflemix.perms.rank_columns`.  The identity, where
     the decks agree, is absorbing; edges into it are dropped, so the chain
     carries only the mass of the pairs not yet coupled.
     """
@@ -345,7 +335,7 @@ def _relative_chain(n: int, k: int, kind: str):
         s1, s2 = np.where(coin == 0, lead, trail), np.where(coin == 0, trail, lead)
         weight = np.full(len(src), 1 / (2 * k))
         moved = (_from_top(rel[src, _to_top(j, s1)], s2) for j in range(n))
-    dst = _lehmer_ranks(np.array([col.astype(np.int8) for col in moved]))
+    dst = rank_columns(np.array([col.astype(np.int8) for col in moved]))
     keep = dst != 0
     # intp indices: each step gathers through src
     return src[keep].astype(np.intp, copy=False), dst[keep], weight[keep]

@@ -73,7 +73,6 @@ from .perms import (
     identity,
     inverse,
     order,
-    rank,
     serialize,
     transposition,
 )
@@ -400,18 +399,17 @@ def congestion_A(flow: Flow) -> FlowReport:
 def congestion_lower_bound(target: SparseMeasure, generators) -> Fraction:
     """sum_g d_S(e, g)^2 * target(g): no flow over S can beat this congestion.
 
-    Distances are word lengths from :func:`shufflemix.exact.cayley_distances`.
+    Distances are word lengths from :func:`shufflemix.exact.cayley_distances`,
+    read at the target's atom ranks in one gather.
     """
-    dist = cayley_distances(target.n, generators)
-    acc = Fraction(0)
-    for g, w in target.items():
-        d = int(dist[rank(g)])
-        if d < 0:
-            raise UnreachableTargetError(
-                f"target atom {serialize(g)} not reachable from the generators"
-            )
-        acc += w * d * d
-    return acc
+    dist = cayley_distances(target.n, generators)[list(target.atoms)].tolist()
+    if -1 in dist:
+        row = target._maps[dist.index(-1)].tolist()
+        raise UnreachableTargetError(
+            f"target atom {serialize(Permutation(target.n, tuple(row)))} "
+            "not reachable from the generators"
+        )
+    return sum((w * d * d for w, d in zip(target.atoms.values(), dist)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .perms import (
     identity,
     inverse,
     rank,
+    ranks,
     serialize,
     transposition,
 )
@@ -51,30 +52,37 @@ class SparseMeasure:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> SparseMeasure:
-        """The measure on S_n summing the (Permutation, weight) pairs; each
-        permutation is ranked once, and the first one of every rank gives its
-        map.  Weights are kept as given (ints become Fractions)."""
-        sums: dict[int, Fraction] = {}
-        maps: dict[int, tuple] = {}
-        for g, w in pairs:
+        """The measure on S_n summing the (Permutation, weight) pairs; all
+        maps are ranked in one :func:`shufflemix.perms.ranks` call, and the
+        first map of every rank is kept.  Weights are kept as given (ints
+        become Fractions); the sign is checked once per distinct weight."""
+        pairs = list(pairs)
+        for g, _ in pairs:
             if g.n != n:
                 raise ValueError(f"size mismatch: S_{g.n} permutation, measure on S_{n}")
-            r = rank(g)
+        rows = np.array([g.map for g, _ in pairs], np.min_scalar_type(n)).reshape(-1, n)
+        sums: dict[int, Fraction] = {}
+        first: dict[int, int] = {}
+        for i, (r, (_, w)) in enumerate(zip(ranks(rows), pairs)):
             if r in sums:
                 sums[r] += w
             else:
-                sums[r], maps[r] = w, g.map
+                sums[r], first[r] = w, i
+        counts = Counter(sums.values())
+        keys = sorted(sums)
+        if min(counts, default=1) <= 0:
+            for r in keys:
+                if sums[r] < 0:
+                    raise ValueError(f"negative weight {Fraction(sums[r])} at rank {r}")
+            keys = [r for r in keys if sums[r]]
         atoms = {}
-        for r in sorted(sums):
-            w = sums[r] if isinstance(sums[r], Fraction) else Fraction(sums[r])
-            if w < 0:
-                raise ValueError(f"negative weight {w} at rank {r}")
-            if w > 0:
-                atoms[r] = w
-        total = sum((w * c for w, c in Counter(atoms.values()).items()), Fraction(0))
+        for r in keys:
+            w = sums[r]
+            atoms[r] = w if isinstance(w, Fraction) else Fraction(w)
+        total = sum(w * c for w, c in counts.items())
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
-        rows = np.array([maps[r] for r in atoms], np.min_scalar_type(n))
+        rows = rows.take([first[r] for r in keys], 0)
         rows.flags.writeable = False
         return cls(n, MappingProxyType(atoms), rows)
 

@@ -498,7 +498,8 @@ def test_congestion_lower_bound_matches_networkx(frozen):
 
 
 def test_congestion_lower_bound_unreachable():
-    with pytest.raises(UnreachableTargetError):
+    # names the first unreachable atom in rank order: (3, 4), at rank 1
+    with pytest.raises(UnreachableTargetError, match="^target atom 1,2,4,3 not reachable"):
         congestion_lower_bound(random_transposition(4), [transposition(1, 2, 4)])
 
 

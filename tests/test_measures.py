@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import convolution_power, convolve_measures, dict_table
+from oracles import convolution_power, convolve_measures, dict_table, o_rank
+from shufflemix import measures, perms
 from shufflemix.measures import (
     SparseMeasure,
     delta_e,
@@ -215,6 +216,49 @@ def test_measure_validation():
         SparseMeasure.from_pairs(3, [(e, Fraction(1, 2))])
     with pytest.raises(ValueError, match="negative weight -1/2"):
         SparseMeasure.from_pairs(3, [(e, Fraction(3, 2)), (s, Fraction(-1, 2))])
+
+
+def test_building_random_transposition_never_calls_rank(monkeypatch):
+    # from_pairs ranks all pairs in one perms.ranks call; rank is only the
+    # key SparseMeasure.weight reads
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return rank(g)
+
+    monkeypatch.setattr(measures, "rank", counted)
+    monkeypatch.setattr(perms, "rank", counted)
+    q = random_transposition.__wrapped__(40)
+    assert len(q) == 1 + 40 * 39 // 2 and calls == []
+    assert q.weight(transposition(1, 40, 40)) == Fraction(2, 1600) and len(calls) == 1
+
+
+@pytest.mark.parametrize("count", [5, 12])      # 10 and 24 pairs: both rankers
+def test_from_pairs_sums_repeats_in_rank_order_at_n21(count):
+    # n = 21 is the first deck whose ranks pass 2^63
+    n = 21
+    rng = random.Random(count)
+    decks = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+    gs = [Permutation(n, m) for m in decks]
+    pairs = [(g, Fraction(1, 2 * count)) for g in gs + gs[::-1]]     # each deck twice
+    q = SparseMeasure.from_pairs(n, pairs)
+    assert list(q.atoms) == sorted(map(o_rank, decks))
+    assert max(q.atoms) >= 2**63
+    assert set(q.atoms.values()) == {Fraction(1, count)}
+    assert q._maps.tolist() == sorted(map(list, decks))
+    assert all(q.weight(g) == Fraction(1, count) for g in gs)
+
+
+@pytest.mark.parametrize("n,filler", [(3, 0), (21, 20)])   # row loop, array pass
+def test_negative_weight_names_the_first_negative_rank(n, filler):
+    rng = random.Random(n)
+    e = identity(n)
+    s, t = sorted((cycle_generator(n, n), transposition(1, 2, n)), key=rank)
+    pairs = [(e, Fraction(2)), (t, Fraction(-1, 2)), (s, Fraction(-1, 2))]
+    pairs += [(Permutation(n, tuple(rng.sample(range(1, n + 1), n))), 0) for _ in range(filler)]
+    with pytest.raises(ValueError, match=rf"^negative weight -1/2 at rank {rank(s)}$"):
+        SparseMeasure.from_pairs(n, pairs)
 
 
 def test_from_pairs_refuses_a_permutation_of_another_deck_size():

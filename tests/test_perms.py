@@ -2,8 +2,9 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import compose_word, o_compose, o_rank, parse
@@ -15,6 +16,8 @@ from shufflemix.perms import (
     inverse,
     order,
     rank,
+    rank_columns,
+    ranks,
     right_multiplier,
     serialize,
     transposition,
@@ -122,6 +125,34 @@ def test_rank_matches_the_factorial_number_system_on_random_decks(n):
     for m in map(tuple, decks):
         g = Permutation(n, m)
         assert rank(g) == o_rank(m), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 8, 20, 21, 40, 130]), st.integers(0, 40),
+       st.randoms(use_true_random=False))
+@example(130, 0, random.Random(0))      # an empty (0, n) array
+@example(21, 16, random.Random(1))      # the last row count ranked row by row
+@example(21, 17, random.Random(2))      # the first one ranked in array spans
+def test_ranks_match_the_factorial_number_system(n, count, rnd):
+    # 20 -> 21 is where n! passes 2^63, so ranks joins int64 spans from 21 on
+    decks = [tuple(rnd.sample(range(1, n + 1), n)) for _ in range(count)]
+    want = [o_rank(m) for m in decks]
+    rows = np.array(decks, np.min_scalar_type(n)).reshape(count, n)
+    got = ranks(rows)
+    assert got == want
+    assert all(type(r) is int for r in got)
+    # 0-based labels, as the relative deck passes them, rank alike
+    assert ranks(rows.astype(np.int16) - 1) == want
+    for m, r in zip(decks[:3], want):
+        assert rank(Permutation(n, m)) == ranks([m])[0] == r
+
+
+def test_rank_columns_refuses_a_span_past_int64():
+    # 20! < 2^63 <= 21!
+    cols = np.arange(21)[:, None]
+    assert rank_columns(cols[1:]).tolist() == [0]
+    with pytest.raises(ValueError, match="positions 0..20 of 21 overflow int64"):
+        rank_columns(cols)
 
 
 @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))),

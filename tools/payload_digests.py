@@ -22,7 +22,9 @@ and p = 1/100, and each measure kind at the dense cap (random transposition
 and lazy exact L2 profiles at n = 8, Rudvalis and k = n spectra at n = 8
 and 7) with the two largest verified constructions: random transposition
 routed at n = 130 and odd loops at n = 25, whose multiplicities pass the
-int64 range.
+int64 range, and verified general flows at n = 20 and 21, the decks on
+either side of n! = 2^63, where ranking a measure's atoms switches from one
+int64 span to joined spans.
 The JSON printed is one record per payload file: workload, seed, size,
 index of the argv in its sequence, file name, the argv's exit code and the
 file's sha256; an argv that writes no payload gets one record with file and
@@ -70,6 +72,8 @@ EXTRA = [argv.split() for argv in (
     "exact --n 8 --k 8 --measure lazy --metric l2 --p 1/3",
     "flow --builder large-k --n 130 --C 4 --verify",
     "flow --builder odd --n 25 --k 25 --verify",
+    "flow --builder general --n 20 --k 10 --verify",
+    "flow --builder general --n 21 --k 10 --verify",
 )]
 
 
