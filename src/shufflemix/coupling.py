@@ -19,14 +19,14 @@ pairs, so that a step is one list move and a swap is found by reading the
 two rows at the slot.
 
 The matching lower bounds are small Markov chains evaluated exactly, not
-simulated, and take no seed.  One pure-death chain on the count of
-unselected bottom labels, with one stop rule, serves the collector and
-increasing-bottom statistics and, at k = n, the TV of top-to-random
-(:func:`shufflemix.exact.top_to_random_tv`) and the card coupling's tail.
-The chain yields its law; :func:`_values_at` applies each caller's one
-reader to it only at the steps that caller keeps.  The single-card bound
-evolves an n-state position chain through the card-move maps that the
-exact coupling chain also uses.
+simulated, and take no seed.  The pure-death chain on the count of
+unselected bottom labels, stepped in place, serves the collector and
+increasing-bottom statistics and, at k = n, top-to-random's TV and the card
+coupling's tail.  Every other chain is (src, dst, weight) edges stepped by
+:func:`_edge_chain`, one ``bincount`` a step and no BLAS: the single-card
+bound's n-state position chain and the exact tail's relative deck, both
+moved by the card-move maps.  Each chain yields its law, and
+:func:`_values_at` reads it only at the steps its caller keeps.
 
 Each coupling trial is a pure function of (seed, trial): it reads its own
 counter-based stream, shuffles deck 2 with it, then draws the randomness of
@@ -48,6 +48,7 @@ import numpy as np
 DEFAULT_CAP_FACTOR = 50        # censor a trial after 50 n^3 steps
 DRAW_BLOCK = 64                # steps per draw block; part of the replay
                                # contract, changing it changes every trial
+FIXED_POINT_BLOCK = 64         # steps between an edge chain's fixed-point tests
 
 
 def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
@@ -334,6 +335,22 @@ def _unselected_chain(k: int, low: int, rate: float = 1.0):
         lower += inflow
 
 
+def _edge_chain(src, dst, weight, law, rate: float = 1.0):
+    """The law at m = 0, 1, ... of the chain moving law[src] * weight along
+    each edge to dst: one ``bincount`` a step, summed in edge order, mixed as
+    (1 - rate) * law + rate * step only when rate < 1.  It ends at a fixed
+    point, tested once per FIXED_POINT_BLOCK steps; a fixed point stays fixed."""
+    while True:
+        for _ in range(FIXED_POINT_BLOCK):
+            yield law
+            step = np.bincount(dst, law[src] * weight, minlength=len(law))
+            if rate < 1:
+                step = (1 - rate) * law + rate * step
+            law, last = step, law
+        if np.array_equal(law, last):
+            return
+
+
 def _same(state):
     return state
 
@@ -412,8 +429,8 @@ def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstima
     selected (see unselected_tails).  The value lower-bounds the distance to
     uniform since the unselected bottom labels keep their relative order.
     """
-    if j > 8:
-        raise ValueError(f"j={j} too large; factorials beyond 8! drown the signal")
+    if not 0 <= j <= 8:
+        raise ValueError(f"j={j} outside [0, 8]; factorials beyond 8! drown the signal")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     if not math.isfinite(m):
@@ -466,16 +483,14 @@ def single_card_lower_bound(n: int, k: int, l: int) -> SingleCardReport:
     if start >= lo:
         raise ValueError(f"start position {start} already inside the bottom block")
     x, s = np.meshgrid(np.arange(n), np.arange(lo - 1, n), indexing="ij")   # 0-based
-    step = np.zeros((n, n))
-    np.add.at(step, (x, _from_top(x, s)), 0.5 / k)
-    np.add.at(step, (x, _to_top(x, s)), 0.5 / k)
-    d = np.zeros(n)
-    d[start - 1] = 1.0
-    for _ in range(l):
-        d = d @ step
-    occupancy = float(d[lo - 1:].sum())
-    pi_a = k / n
-    return SingleCardReport(n, k, l, occupancy, pi_a, abs(occupancy - pi_a))
+    # each (x, s) moves forward and reversed with weight 1/(2k), added one move
+    # at a time into its (src, dst) edge: O(n + k) merged edges, not 2nk moves
+    moves = np.concatenate([x * n + _from_top(x, s), x * n + _to_top(x, s)], axis=None)
+    merged = np.bincount(moves, np.full(moves.size, 0.5 / k), n * n)
+    edges = np.flatnonzero(merged)
+    chain = _edge_chain(*np.divmod(edges, n), merged[edges], np.eye(n)[start - 1])
+    (occupancy,) = _values_at(chain, [l], lambda law: float(law[lo - 1:].sum()))
+    return SingleCardReport(n, k, l, occupancy, k / n, abs(occupancy - k / n))
 
 
 def lazy_trial_wrapper(stats: TrialStats, p: float) -> TrialStats:

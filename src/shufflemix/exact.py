@@ -32,8 +32,8 @@ and the dense walk is its test oracle.
 :func:`coupling_tail` computes the tail P(T > m) of both couplings exactly,
 plain or lazy: off the same chain for the card coupling at k = n, any n,
 else off the n!-state relative deck (deck 2's position of each card of
-deck 1) under the dense cap, moved by the coupling module's card-move maps,
-one ``bincount`` a step.  That module's one reader reads every profile here.
+deck 1) under the dense cap, as edges stepped by that module's one edge
+stepper, :func:`_edge_chain`.  Its one reader reads every profile here.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import _from_top, _to_top, _unselected_chain, _values_at
+from .coupling import _edge_chain, _from_top, _to_top, _unselected_chain, _values_at
 from .errors import CapacityError
 from .measures import SparseMeasure, lazy, reversal, top_to_bottom_k
 from .perms import inverse, rank_columns, right_multiplier
@@ -341,23 +341,6 @@ def _relative_chain(n: int, k: int, kind: str):
     return src[keep].astype(np.intp, copy=False), dst[keep], weight[keep]
 
 
-def _relative_tails(n: int, k: int, kind: str, rate: float):
-    """P(T > m) at m = 0, 1, ... of a coupling from (identity, uniform deck),
-    stepped with probability rate (both decks hold together otherwise), off
-    :func:`_relative_chain`, until the law reaches a fixed point."""
-    src, dst, weight = _relative_chain(n, k, kind)
-    size = math.factorial(n)
-    law = np.full(size, 1 / size)
-    law[0] = 0.0
-    while True:
-        yield float(law.sum())
-        step = np.bincount(dst, law[src] * weight, minlength=size)
-        nxt = (1 - rate) * law + rate * step
-        if np.array_equal(nxt, law):
-            return
-        law = nxt
-
-
 def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
     """Exact P(T > m) at each m in ms, T the coupling time of ``coupling_trials``
     (deck 1 the identity, deck 2 uniform) for its p-lazy clock.
@@ -388,7 +371,9 @@ def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
                            lambda law: math.fsum((law * miss).tolist()))
     else:
         require_dense(n)
-        tails = _values_at(_relative_tails(n, k, kind, float(p)), ms)
+        law = np.r_[0.0, np.full(math.factorial(n) - 1, 1 / math.factorial(n))]
+        tails = _values_at(_edge_chain(*_relative_chain(n, k, kind), law, float(p)), ms,
+                           lambda law: float(law.sum()))
     return [1.0 if m < 0 else tail for m, tail in zip(ms, tails)]
 
 

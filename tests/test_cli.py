@@ -431,6 +431,34 @@ def test_lowerbound_refuses_an_infinite_step_count(tmp_path, capsys, flag):
     assert not (tmp_path / "lowerbound_increasing-bottom_n20_k5.json").exists()
 
 
+@pytest.mark.parametrize("j", [-1, 9])
+def test_lowerbound_refuses_j_outside_0_to_8(tmp_path, capsys, j):
+    assert run(["lowerbound", "--method", "increasing-bottom", "--n", "20", "--k", "5",
+                "--j", str(j), "--m", "10", "--out", str(tmp_path)]) == 2
+    assert f"j={j} outside [0, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "lowerbound_increasing-bottom_n20_k5.json").exists()
+
+
+def test_single_card_payload_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the position chain steps by bincount, not by a BLAS product, so an
+    # older OpenBLAS kernel (one every x86-64 CPU with SSE4.2 runs) writes
+    # the same bytes; a BLAS build without kernel dispatch ignores the variable
+    src = str(ROOT / "src")
+    name = "lowerbound_single-card_n100_k50.json"
+    payloads = []
+    for kernel in (None, "Nehalem"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        subprocess.run([sys.executable, "-m", "shufflemix.cli", "lowerbound", "--method",
+                        "single-card", "--n", "100", "--k", "50", "--steps", "2000",
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        payloads.append((out / name).read_bytes())
+    assert payloads[0] == payloads[1]
+
+
 def test_lowerbound_requires_step_count(tmp_path, capsys):
     assert run(["lowerbound", "--method", "increasing-bottom", "--n", "10",
                 "--k", "10", "--out", str(tmp_path)]) == 2

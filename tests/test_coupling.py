@@ -26,6 +26,7 @@ from oracles import (
     top_insert_move,
 )
 from shufflemix.coupling import (
+    _edge_chain,
     _rekey,
     _unselected_chain,
     _values_at,
@@ -42,7 +43,7 @@ from shufflemix.coupling import (
 )
 from shufflemix.errors import CapacityError
 from shufflemix.exact import (
-    _relative_tails,
+    _relative_chain,
     convolve_step,
     coupling_tail,
     mixing_time,
@@ -645,6 +646,13 @@ def test_increasing_bottom_small_k_reduces_to_block_collection():
             increasing_bottom_statistic(*args)
 
 
+@pytest.mark.parametrize("j", [-1, 9])
+def test_increasing_bottom_statistic_refuses_j_before_stepping(j, monkeypatch):
+    monkeypatch.setattr(coupling, "_unselected_chain", None)
+    with pytest.raises(ValueError, match=rf"^j={j} outside \[0, 8\]; "):
+        increasing_bottom_statistic(10, 5, j, 1e6)
+
+
 @pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
 def test_increasing_bottom_statistic_rejects_a_non_finite_step_count(m):
     with pytest.raises(ValueError, match=f"^the step count m must be finite, got {m}$"):
@@ -755,7 +763,7 @@ def test_single_card_walk_matches_exact_marginal():
     assert abs(rep.prob_estimate - exact) <= 1e-12
 
 
-@pytest.mark.parametrize("n,k,l", [(22, 15, 40), (7, 4, 25), (13, 6, 30)])
+@pytest.mark.parametrize("n,k,l", [(22, 15, 40), (7, 4, 25), (13, 6, 30), (9, 8, 30), (6, 2, 0)])
 def test_single_card_matches_the_position_oracle(n, k, l):
     # at (22, 15), int(k / n * n) rounds to 14, and a start computed from it
     # (5 instead of 4) gives occupancy 0.6038 instead of 0.6384 after 40 steps
@@ -811,10 +819,18 @@ KINDS = ("bottom_k_to_top", "top_insert")
 SMALL = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
 
 
+def uniform_apart(n):
+    """The relative deck's start: uniform over S_n, less the coupled identity."""
+    law = np.full(math.factorial(n), 1 / math.factorial(n))
+    law[0] = 0.0
+    return law
+
+
 def relative_tails(n, k, kind, m_max, rate=1.0):
-    """The relative-deck chain's tails to m_max; past a fixed point the
-    value is the last one."""
-    tails = list(itertools.islice(_relative_tails(n, k, kind, rate), m_max + 1))
+    """The relative-deck chain's tails to m_max, stepped by the edge chain;
+    past a fixed point the value is the last one."""
+    chain = _edge_chain(*_relative_chain(n, k, kind), uniform_apart(n), rate)
+    tails = [float(law.sum()) for law in itertools.islice(chain, m_max + 1)]
     return tails + tails[-1:] * (m_max + 1 - len(tails))
 
 
@@ -832,6 +848,33 @@ def test_relative_chain_matches_the_pair_chain(n, k, kind):
     for got in (relative_tails(n, k, kind, 30), coupling_tail(n, k, kind, range(31))):
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
         assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(2, n + 1)])
+def test_edge_chain_is_the_explicit_lazy_step_bit_for_bit(n, k, kind, rate):
+    # at rate 1 the stepper skips the mix, and 0.0 * law + 1.0 * step is step
+    # for finite nonnegative laws; past the chain's end its last law repeats
+    src, dst, weight = _relative_chain(n, k, kind)
+    laws = [law.copy() for law in itertools.islice(
+        _edge_chain(src, dst, weight, uniform_apart(n), rate), 80)]
+    law = uniform_apart(n)
+    for m in range(80):
+        assert np.array_equal(laws[min(m, len(laws) - 1)], law), m
+        law = (1 - rate) * law + rate * np.bincount(dst, law[src] * weight, minlength=len(law))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_fixed_point_tests_once_a_block_read_what_tests_every_step_read(p, monkeypatch):
+    # a fixed point of a deterministic step stays fixed, so testing for one
+    # every FIXED_POINT_BLOCK steps ends the chain later with the same values
+    ms = [*range(0, 3000, 7), 10**5, 2.5e9]
+    got = coupling_tail(5, 2, "top_insert", ms, p)
+    monkeypatch.setattr(coupling, "FIXED_POINT_BLOCK", 1)
+    assert coupling_tail(5, 2, "top_insert", ms, p) == got
+    steps = sum(1 for _ in _edge_chain(*_relative_chain(5, 2, "top_insert"), uniform_apart(5), p))
+    assert steps < 10**5                 # the chain reached its fixed point
 
 
 @pytest.mark.parametrize("n", [20, 200])

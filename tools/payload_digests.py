@@ -16,7 +16,10 @@ unsigned byte, Monte Carlo card couplings with n - k below and above the
 64-step draw block, a lazy tail grid, a cap that censors trials, and a
 phase 1 that runs to a cap of 200 000 steps at k = 2, and Monte Carlo
 position couplings at k < n with a cap that censors trials, at k = n = 100
-with a tail grid, and a lazy one at k = 2, ``transfer`` at k = n = 8
+with a tail grid, and a lazy one at k = 2, the exact relative-deck tail of
+the lazy card coupling at n = 8 and of the position coupling stepped to its
+fixed point at n = 6, the single-card bound at n = 400 over 20 000 steps,
+``transfer`` at k = n = 8
 and 7, where the doubling check reads T2(q q*), and at k < n with p = 9/10
 and p = 1/100, and each measure kind at the dense cap (random transposition
 and lazy exact L2 profiles at n = 8, Rudvalis and k = n spectra at n = 8
@@ -62,6 +65,9 @@ EXTRA = [argv.split() for argv in (
     "couple --kind top_insert --n 30 --k 10 --trials 20 --cap 1500 --tail 1000",
     "couple --kind top_insert --n 100 --k 100 --trials 20 --tail-grid 20000",
     "couple --kind top_insert --n 20 --k 2 --trials 20 --tail-grid 2000 --lazy-p 0.5",
+    "couple --n 8 --k 4 --tail-grid 300 --lazy-p 0.5",
+    "couple --kind top_insert --n 6 --k 3 --tail 100000",
+    "lowerbound --method single-card --n 400 --k 200 --steps 20000",
     "transfer --n 8 --k 8",
     "transfer --n 7 --k 7 --p 1/3",
     "transfer --n 8 --k 4 --p 9/10",
