@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -218,7 +217,7 @@ def _cmd_couple(args, sink: _Sink) -> str:
         "seed": args.seed,
         "cap": args.cap if args.cap is not None else DEFAULT_CAP_FACTOR * args.n**3,
         "censored": sum(s.censored for s in stats),
-        "mean_coupling_time": statistics.fmean(s.coupling_time for s in stats),
+        "mean_coupling_time": math.fsum(s.coupling_time for s in stats) / len(stats),
     })
     tails = tail_estimates(stats, [*tail_points, *grid])
     payload["tails"] = [{"m": m, "p_hat": p_hat, "stderr": se}

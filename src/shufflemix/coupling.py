@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-
 import numpy as np
+
+from .report import Record
 
 DEFAULT_CAP_FACTOR = 50        # censor a trial after 50 n^3 steps
 DRAW_BLOCK = 64                # steps per draw block; part of the replay
@@ -85,14 +85,10 @@ def fisher_yates(n: int, rng: np.random.Generator) -> list[int]:
     return deck
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(Record):
     """One coupling trial; coupling_time equals the cap when censored."""
 
-    trial: int
-    seed: int
-    coupling_time: int
-    censored: bool
+    __slots__ = ("trial", "seed", "coupling_time", "censored")
 
 
 def _decks(n: int, seed: int, trial: int, rng: np.random.Generator) -> tuple[list, list]:
@@ -387,15 +383,10 @@ def unselected_tails(k: int, j: int, m_max: int) -> np.ndarray:
     return np.array(tails)
 
 
-@dataclass(frozen=True)
-class CollectorSummary:
+class CollectorSummary(Record):
     """Exact law of L_j for n labels: moments and P(L_j > m) for m = 0, 1, ..."""
 
-    n: int
-    j: int
-    mean: float
-    variance: float
-    tails: tuple[float, ...]
+    __slots__ = ("n", "j", "mean", "variance", "tails")
 
 
 def coupon_collector(n: int, j: int) -> CollectorSummary:
@@ -414,12 +405,10 @@ def coupon_collector(n: int, j: int) -> CollectorSummary:
     return CollectorSummary(n, j, mean, variance, tuple(tails.tolist()))
 
 
-@dataclass(frozen=True)
-class BoundEstimate:
+class BoundEstimate(Record):
     """Exact value of the increasing-bottom statistic and its tail term."""
 
-    estimate: float
-    p_hat: float
+    __slots__ = ("estimate", "p_hat")
 
 
 def increasing_bottom_statistic(n: int, k: int, j: int, m: float) -> BoundEstimate:
@@ -452,16 +441,10 @@ def _from_top(x, s):
     return np.where(x == 0, s, x - ((x > 0) & (x <= s)))
 
 
-@dataclass(frozen=True)
-class SingleCardReport:
+class SingleCardReport(Record):
     """Occupancy of the bottom block by one tracked card after l steps."""
 
-    n: int
-    k: int
-    steps: int
-    prob_estimate: float
-    pi_a: float
-    lower_bound: float
+    __slots__ = ("n", "k", "steps", "prob_estimate", "pi_a", "lower_bound")
 
 
 def single_card_lower_bound(n: int, k: int, l: int) -> SingleCardReport:

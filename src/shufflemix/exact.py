@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,6 +50,7 @@ from .coupling import _edge_chain, _from_top, _to_top, _unselected_chain, _value
 from .errors import CapacityError
 from .measures import SparseMeasure, lazy, reversal, top_to_bottom_k
 from .perms import inverse, rank_columns, right_multiplier
+from .report import Record
 
 DENSE_CAP = 8
 
@@ -109,16 +109,15 @@ def group_table(n: int) -> GroupTable:
     return GroupTable(n)
 
 
-@dataclass(frozen=True)
-class DenseDistribution:
+class DenseDistribution(Record):
     """Probability vector over S_n indexed by permutation rank.
 
     A float64 array with no negative entry is kept without a copy, so the
     caller must not change it afterwards; the stored array is a read-only
     view of it, so nothing changes it through the distribution."""
 
-    n: int
-    probs: np.ndarray = field(compare=False)
+    __slots__ = ("n", "probs")
+    _uncompared = ("probs",)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -199,14 +198,13 @@ def tv_distance(d: DenseDistribution) -> float:
     return 0.5 * _exact_sum(np.abs(d.probs - u))
 
 
-@dataclass(frozen=True)
-class MixingReport:
-    measure: str
-    metric: str                      # "tv" | "l2"
-    threshold: float
-    mixing_time: int | None          # None when saturated
-    profile: tuple                   # ((step, distance), ...), step 0 included
-    saturated: bool
+class MixingReport(Record):
+    __slots__ = ("measure",
+                 "metric",                    # "tv" | "l2"
+                 "threshold",
+                 "mixing_time",               # None when saturated
+                 "profile",                   # ((step, distance), ...), step 0 included
+                 "saturated")
 
 
 def _walk(q: SparseMeasure):
@@ -377,12 +375,13 @@ def coupling_tail(n: int, k: int, kind: str, ms, p: float = 1.0) -> list[float]:
     return [1.0 if m < 0 else tail for m, tail in zip(ms, tails)]
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    eigenvalues: np.ndarray = field(compare=False)   # ascending
-    beta_min: float = 0.0
-    spectral_gap: float = 0.0
-    blocks: tuple = field(default=(), compare=False)  # per nontrivial block, ascending
+class SpectrumReport(Record):
+    __slots__ = ("eigenvalues",                # ascending
+                 "beta_min",
+                 "spectral_gap",
+                 "blocks")                    # per nontrivial block, ascending
+    _defaults = {"beta_min": 0.0, "spectral_gap": 0.0, "blocks": ()}
+    _uncompared = ("eigenvalues", "blocks")
 
 
 def _tableaux(n: int) -> dict[tuple, list[tuple]]:
@@ -599,21 +598,16 @@ def cayley_distances(n: int, generators) -> np.ndarray:
     return np.array(dist, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    n: int
-    k: int
-    t_tv: int
-    t_l2: int
-    t_l2_qq_star: int | None                 # None: q * q* lives on a proper subgroup
-    tv_le_l2: bool
-    doubling_holds: bool                     # T2(q) <= 2 T2(q * q*)
-    doubling_vacuous: bool                   # right side infinite (reducible q * q*)
-    t_tv_lazy: int
-    t_l2_lazy: int
-    t_l2_lazy_pair: int                      # T2(lazy(q)* (*) lazy(q))
-    doubling_lazy_holds: bool                # T2(lazy q) <= 2 T2(lazy pair)
-    lazy_rows: tuple                         # (eps, lazy T, bound, holds)
+class TransferReport(Record):
+    __slots__ = ("n", "k", "t_tv", "t_l2",
+                 "t_l2_qq_star",              # None: q * q* lives on a proper subgroup
+                 "tv_le_l2",
+                 "doubling_holds",            # T2(q) <= 2 T2(q * q*)
+                 "doubling_vacuous",          # right side infinite (reducible q * q*)
+                 "t_tv_lazy", "t_l2_lazy",
+                 "t_l2_lazy_pair",            # T2(lazy(q)* (*) lazy(q))
+                 "doubling_lazy_holds",       # T2(lazy q) <= 2 T2(lazy pair)
+                 "lazy_rows")                 # (eps, lazy T, bound, holds)
 
 
 def transfer_checks(n: int, k: int, p=Fraction(1, 2),

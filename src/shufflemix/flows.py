@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -76,6 +75,7 @@ from .perms import (
     serialize,
     transposition,
 )
+from .report import Record
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +276,7 @@ class _RunPaths(Mapping):
         return self._paths()[path]
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """Paths routing ``target`` through the Cayley graph of ``q``; a path of
     int multiplicity c >= 0 carries mass c * ``unit``.
 
@@ -285,7 +284,7 @@ class Flow:
     as one run table and multiplicities (:class:`_RunPaths`), so ``flow.paths``
     decodes its words when first iterated.  A words mapping is encoded here,
     once; a :class:`_RunPaths` at the flow's n, as
-    :func:`build_flow_general` writes and ``dataclasses.replace`` passes on,
+    :func:`build_flow_general` writes and ``Flow._replace`` passes on,
     is kept as it is.  Letters must name support elements of q (the identity
     may appear as a letter only when q(e) > 0, which odd loop flows at k = n
     exploit); ValueError names the sorted-first unknown letter, else the
@@ -293,10 +292,8 @@ class Flow:
     :func:`verify_flow`, not here, so a mis-weighted flow can be reported on.
     """
 
-    target: SparseMeasure
-    q: SparseMeasure
-    unit: Fraction
-    paths: Mapping[CayleyPath, int] = field(compare=False)
+    __slots__ = ("target", "q", "unit", "paths")
+    _uncompared = ("paths",)
 
     def __post_init__(self):
         if self.target.n != self.q.n:
@@ -327,10 +324,9 @@ class Flow:
         return _fold_endpoints(self.n, self.paths.runs, len(self.paths))
 
 
-@dataclass(frozen=True)
-class FlowVerification:
-    exact: bool
-    discrepancies: tuple     # (perm string, routed mass, target mass)
+class FlowVerification(Record):
+    __slots__ = ("exact",
+                 "discrepancies")     # (perm string, routed mass, target mass)
 
 
 def verify_flow(flow: Flow) -> FlowVerification:
@@ -361,10 +357,9 @@ def verify_flow(flow: Flow) -> FlowVerification:
         (",".join(map(str, row)), got, want) for row, got, want in rows))
 
 
-@dataclass(frozen=True)
-class FlowReport:
-    a_value: Fraction
-    per_generator: tuple            # (name, q(s), term) in lexicographic order
+class FlowReport(Record):
+    __slots__ = ("a_value",
+                 "per_generator")     # (name, q(s), term) in lexicographic order
 
 
 def congestion_A(flow: Flow) -> FlowReport:
@@ -624,13 +619,12 @@ def large_k_congestion_bound(C: int) -> int:
 # the comparison mixing bound
 
 
-@dataclass(frozen=True)
-class ComparisonBoundReport:
-    a_value: float
-    reference_t2: int            # exact T2 of the flow's target walk
-    bound: int                   # the T2 bound for q that E_target <= A E_q implies
-    t2_exact: int
-    holds: bool
+class ComparisonBoundReport(Record):
+    __slots__ = ("a_value",
+                 "reference_t2",      # exact T2 of the flow's target walk
+                 "bound",             # the T2 bound for q that E_target <= A E_q implies
+                 "t2_exact",
+                 "holds")
 
 
 def comparison_bound_report(flow: Flow) -> ComparisonBoundReport:

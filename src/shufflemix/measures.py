@@ -12,7 +12,6 @@ rebuilt from its rank.  Dense float work lives in :mod:`shufflemix.exact`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -29,10 +28,10 @@ from .perms import (
     serialize,
     transposition,
 )
+from .report import Record
 
 
-@dataclass(frozen=True)
-class SparseMeasure:
+class SparseMeasure(Record):
     """Finitely supported probability measure on S_n, built only by
     :meth:`from_pairs`, which makes every check.
 
@@ -46,9 +45,8 @@ class SparseMeasure:
     few per n.
     """
 
-    n: int
-    atoms: MappingProxyType = field(compare=False)
-    _maps: np.ndarray = field(compare=False, repr=False)
+    __slots__ = ("n", "atoms", "_maps")
+    _uncompared = ("atoms", "_maps")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> SparseMeasure:
@@ -101,6 +99,8 @@ class SparseMeasure:
 
     def __eq__(self, other):
         return isinstance(other, SparseMeasure) and self.n == other.n and self.atoms == other.atoms
+
+    __hash__ = Record.__hash__
 
     def __len__(self):
         return len(self.atoms)

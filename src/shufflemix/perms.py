@@ -23,10 +23,11 @@ by the cycle ``sigma_l`` moves the current top card to position l:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
+
+from .report import Record
 
 # below this many rows, ranking row by row in Python beats the array pass,
 # whose numpy calls per position cost more than the rows themselves
@@ -34,18 +35,19 @@ import numpy as np
 _ROW_LOOP_MAX = 16
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """One-line permutation of {1..n}; map[i] holds the label at position i+1."""
+class Permutation(Record):
+    """One-line permutation of {1..n}; map[i] holds the label at position i+1.
+    Its own constructor, since the package builds thousands per run."""
 
-    n: int
-    map: tuple[int, ...]
+    __slots__ = ("n", "map")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"deck size must be positive, got {self.n}")
-        if len(self.map) != self.n or sorted(self.map) != list(range(1, self.n + 1)):
-            raise ValueError(f"map {self.map!r} is not a bijection of 1..{self.n}")
+    def __init__(self, n: int, map: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"deck size must be positive, got {n}")
+        if len(map) != n or sorted(map) != list(range(1, n + 1)):
+            raise ValueError(f"map {map!r} is not a bijection of 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "map", map)
 
     def is_identity(self) -> bool:
         return all(self.map[i] == i + 1 for i in range(self.n))

@@ -1,4 +1,4 @@
-"""Serialization and run manifests.
+"""Serialization, run manifests, and the package's record base.
 
 Output contract: CSV is RFC-4180 style (comma separated, header row, LF line
 endings); JSON uses UTF-8 with sorted keys.  Rationals render as "p/q"
@@ -17,13 +17,80 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
+
+# the variables OpenBLAS reads at load for its kernel and thread count
+_BLAS_VARIABLES = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                   "OMP_NUM_THREADS")
+
+
+class Record:
+    """A frozen record: its fields, in order, are its class's ``__slots__``,
+    and one ``__init__``, ``==``, ``hash`` and ``repr`` serve every class, so
+    creating a record class generates no code.  A field not given takes the
+    ``_defaults`` value, else a fresh ``_factories`` value; ``__post_init__``,
+    the class's check, runs on construction and on :meth:`_replace`; ``==``
+    (within one class) and ``hash`` skip the ``_uncompared`` fields.  Fields
+    are set only by ``object.__setattr__``."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _factories: dict = {}
+    _uncompared: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            elif name in self._factories:
+                value = self._factories[name]()
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got {len(args)} "
+                            f"by position and {sorted(kwargs)} left over")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record is."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__ if n not in self._uncompared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items() if k[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
 
 
 def render_value(v) -> str:
@@ -60,13 +127,14 @@ def emit_json(path, obj) -> Path:
 def _json_default(obj):
     """What json.dumps cannot write itself, one level down (json.dumps calls
     this again on anything inside): a Fraction as "p/q", a complex as
-    {re, im}, a dataclass as its fields, a numpy array or scalar by tolist."""
+    {re, im}, a :class:`Record` as {field: value} over every field, a numpy
+    array or scalar by tolist."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, Record):
+        return obj._asdict()
     if hasattr(obj, "tolist"):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -77,30 +145,35 @@ def sha256_hex(data: bytes) -> str:
 
 
 def run_env() -> dict:
-    """The versions payload bytes may depend on: python, numpy, and the
-    platform (exact tails and spectra depend on numpy's summation order)."""
+    """The versions payload bytes may depend on: python, numpy, the platform
+    (exact tails and spectra depend on numpy's summation order), the BLAS
+    build and numpy's found SIMD features, and the OpenBLAS kernel and thread
+    variables that are set (Fourier payloads depend on the BLAS kernel)."""
     uname = os.uname() if hasattr(os, "uname") else None
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "platform": (f"{uname.sysname}-{uname.release}-{uname.machine}"
                      if uname else sys.platform),
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": list(config["SIMD Extensions"]["found"]),   # a copy: config is numpy's own
+        **{var: os.environ[var] for var in _BLAS_VARIABLES if var in os.environ},
     }
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation, sufficient to replay it."""
+class RunManifest(Record):
+    """Record of one CLI invocation, sufficient to replay it; mutable, since a
+    run fills it in.  ``outputs`` maps a file name to the sha256 of its bytes."""
 
-    subcommand: str
-    argv: list
-    params: dict
-    seed: int | None
-    version: str = TOOL_VERSION
-    started: str = ""
-    finished: str = ""
-    outputs: dict = field(default_factory=dict)   # filename -> sha256 of bytes
-    env: dict = field(default_factory=run_env)
+    __slots__ = ("subcommand", "argv", "params", "seed", "version", "started", "finished",
+                 "outputs", "env")
+    _defaults = {"version": TOOL_VERSION, "started": "", "finished": ""}
+    _factories = {"outputs": dict, "env": run_env}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def start(self):
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -112,19 +185,18 @@ class RunManifest:
         self.outputs[Path(path).name] = sha256_hex(data)
 
     def write(self, path) -> Path:
-        return emit_json(path, asdict(self))
+        return emit_json(path, self._asdict())
 
     def write_failure(self, path, status: str, error: str, trace) -> Path:
         """The manifest of a run that stopped early: every field of a
         successful one (outputs lists what was written before the stop) plus
         the failure's status, message and diagnostic trace."""
-        return emit_json(path, {**asdict(self), "status": status, "error": error,
+        return emit_json(path, {**self._asdict(), "status": status, "error": error,
                                 "trace": trace})
 
     @staticmethod
     def load(path) -> "RunManifest":
         """A saved manifest; a failed run's status, error and trace are dropped."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        names = {f.name for f in fields(RunManifest)}
         return RunManifest(**{"seed": None, "env": {},
-                              **{k: v for k, v in raw.items() if k in names}})
+                              **{k: v for k, v in raw.items() if k in RunManifest.__slots__}})

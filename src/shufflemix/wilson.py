@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericError
+from .report import Record
 
 NEWTON_N_MIN = 16
 NEWTON_N_MAX = 1024
@@ -104,13 +104,10 @@ def wilson_poly(lam: complex, n: int) -> tuple[complex, complex]:
     return f, fp
 
 
-@dataclass(frozen=True)
-class NewtonResult:
+class NewtonResult(Record):
     """Root plus the full iteration trace (diagnostics on failure)."""
 
-    lam: complex
-    iterates: tuple[complex, ...]
-    residuals: tuple[float, ...]
+    __slots__ = ("lam", "iterates", "residuals")
 
 
 def newton_root(n: int) -> NewtonResult:
@@ -140,13 +137,10 @@ def newton_root(n: int) -> NewtonResult:
     )
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(Record):
     """Boundary coefficients and the residuals of their three constraints."""
 
-    chi0: complex
-    chi1: complex
-    residuals: tuple[float, float, float]
+    __slots__ = ("chi0", "chi1", "residuals")
 
 
 def chi_values(lam: complex, w: complex, n: int) -> ChiReport:
@@ -183,8 +177,7 @@ def v_list(n: int, lam: complex, chi0: complex, chi1: complex) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class WilsonParams:
+class WilsonParams(Record):
     """Everything the step bound needs, frozen after certification.
 
     gamma may be set directly (the lazy transfer halves it exactly), so it is
@@ -192,17 +185,9 @@ class WilsonParams:
     the lemma's hypotheses listed in the module docstring.
     """
 
-    n: int
-    w: complex
-    lam: complex
-    chi0: complex
-    chi1: complex
-    gamma: float
-    psi_max: float
-    psi_start: float
-    r_bound: float
-    eps: float
-    v: np.ndarray = field(compare=False, repr=False)
+    __slots__ = ("n", "w", "lam", "chi0", "chi1", "gamma", "psi_max", "psi_start", "r_bound",
+                 "eps", "v")
+    _uncompared = ("v",)
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
@@ -314,8 +299,8 @@ def lazy_transfer(params: WilsonParams) -> WilsonParams:
     The halving of gamma and R cancels inside the bound's numerator, so the
     lazy bound differs from the plain one only through -log(1 - gamma/2).
     """
-    return replace(params, lam=0.5 + 0.5 * params.lam, gamma=params.gamma / 2,
-                   r_bound=params.r_bound / 2)
+    return params._replace(lam=0.5 + 0.5 * params.lam, gamma=params.gamma / 2,
+                           r_bound=params.r_bound / 2)
 
 
 def wilson_report(n: int, eps: float = 0.9) -> dict:

@@ -37,7 +37,7 @@ from shufflemix.measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.report import json_bytes, run_env, sha256_hex
+from shufflemix.report import _BLAS_VARIABLES, json_bytes, run_env, sha256_hex
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -346,7 +346,8 @@ def test_collector_summary(tmp_path):
     manifest = read_json(tmp_path / "collector_n30_j1.manifest.json")
     assert manifest["seed"] == 3
     assert manifest["env"] == run_env()
-    assert set(run_env()) == {"python", "numpy", "platform"}
+    blas_set = {var for var in _BLAS_VARIABLES if var in os.environ}
+    assert set(run_env()) == {"python", "numpy", "platform", "blas", "simd", *blas_set}
 
 
 def test_lowerbound_single_card(tmp_path):
@@ -820,3 +821,5 @@ def test_cli_loads_nothing_outside_the_stdlib_but_numpy():
                           capture_output=True, text=True, check=True)
     added = set(proc.stdout.split())
     assert added - set(sys.stdlib_module_names) == {"numpy", "shufflemix"}
+    # records are made without dataclasses, and the one mean without statistics
+    assert not {"dataclasses", "statistics"} & added

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -793,7 +792,7 @@ def test_lazy_wrapper_identity_and_scaling():
     again = [lazy_trial_wrapper(s, 0.5) for s in inner]
     assert lazy == again
     # the thinning stream is keyed by each trial's own seed
-    reseeded = [lazy_trial_wrapper(dataclasses.replace(s, seed=14), 0.5) for s in inner]
+    reseeded = [lazy_trial_wrapper(s._replace(seed=14), 0.5) for s in inner]
     assert [s.coupling_time for s in reseeded] != [s.coupling_time for s in lazy]
     ratio = sum(s.coupling_time for s in lazy) / sum(s.coupling_time for s in inner)
     assert 1.7 <= ratio <= 2.3

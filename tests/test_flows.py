@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -979,7 +978,7 @@ def test_exported_paths_are_in_endpoint_then_word_order(build, args):
                   key=lambda row: (list(path_endpoint(built.n, row[0].word).map), row[0].word))
     want = json_bytes([{"word": list(p.word), "weight": str(built.unit * c)} for p, c in rows])
     reversed_paths = dict(reversed(list(built.paths.items())))
-    for flow in (built, dataclasses.replace(built, paths=reversed_paths)):
+    for flow in (built, built._replace(paths=reversed_paths)):
         assert json_bytes(flow_to_json_obj(flow)["paths"]) == want
 
 

@@ -1,12 +1,14 @@
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fixture_store import FixtureStore
+from shufflemix import __version__, coupling, exact, flows, measures, perms, wilson
 from shufflemix.report import (
+    _BLAS_VARIABLES,
+    Record,
     RunManifest,
     csv_bytes,
     emit_json,
@@ -55,10 +57,8 @@ def test_json_bytes_sorted_keys_trailing_newline():
     assert json.loads(text) == {"a": 2, "b": 1}
 
 
-@dataclass
-class _Inner:
-    x: Fraction
-    y: float
+class _Inner(Record):
+    __slots__ = ("x", "y")
 
 
 def test_jsonable_conversions():
@@ -131,6 +131,119 @@ def test_manifest_env_roundtrips(tmp_path):
     m = RunManifest(subcommand="collector", argv=["collector", "--n", "4"],
                     params={"n": 4}, seed=0, env=env)
     assert RunManifest.load(m.write(tmp_path / "m.json")).env == env
+
+
+def _flow():
+    return flows.build_flow_general(4, 2)
+
+
+# one small instance of every frozen record class in the package
+RECORDS = {
+    "Permutation": lambda: perms.identity(4),
+    "SparseMeasure": lambda: measures.top_to_bottom_k(4, 2),
+    "TrialStats": lambda: coupling.coupling_trials(6, 3, "bottom_k_to_top", 1, seed=2)[0],
+    "CollectorSummary": lambda: coupling.coupon_collector(6, 1),
+    "BoundEstimate": lambda: coupling.increasing_bottom_statistic(10, 5, 1, 20),
+    "SingleCardReport": lambda: coupling.single_card_lower_bound(10, 4, 20),
+    "DenseDistribution": lambda: exact.point_mass(3),
+    "MixingReport": lambda: exact.mixing_time(measures.top_to_bottom_k(4, 2)),
+    "SpectrumReport": lambda: exact.spectrum(measures.random_transposition(4)),
+    "TransferReport": lambda: exact.transfer_checks(4, 2),
+    "Flow": _flow,
+    "FlowVerification": lambda: flows.verify_flow(_flow()),
+    "FlowReport": lambda: flows.congestion_A(_flow()),
+    "ComparisonBoundReport": lambda: flows.comparison_bound_report(_flow()),
+    "NewtonResult": lambda: wilson.newton_root(16),
+    "ChiReport": lambda: wilson.chi_values(1 + 0j, 1j, 16),
+    "WilsonParams": lambda: wilson.compute_params(16),
+}
+# a measure's atoms are a read-only mapping view, which JSON cannot write
+NOT_JSON = {"SparseMeasure", "Flow"}
+BAD_REPLACE = {
+    "Permutation": {"map": (1, 1, 2, 3)},
+    "DenseDistribution": {"probs": np.zeros(6)},
+    "Flow": {"unit": Fraction(-1)},
+    "WilsonParams": {"gamma": 2.0},
+}
+
+
+def test_every_package_record_class_is_listed():
+    package = {cls.__name__ for cls in Record.__subclasses__()
+               if cls.__module__.startswith("shufflemix.")}
+    assert package == set(RECORDS) | {"RunManifest"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_frozen_json_objects_checked_on_replace(name):
+    rec = RECORDS[name]()
+    assert type(rec).__name__ == name
+    fields = type(rec).__slots__
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    with pytest.raises(AttributeError):
+        rec.unknown = 1
+    if name not in NOT_JSON:
+        assert list(json.loads(json_bytes(rec))) == sorted(fields)
+    again = rec._replace()
+    assert again == rec and hash(again) == hash(rec)
+    with pytest.raises(TypeError):
+        rec._replace(unknown=1)
+    if name in BAD_REPLACE:
+        with pytest.raises(ValueError):
+            rec._replace(**BAD_REPLACE[name])
+
+
+def test_uncompared_fields_stay_out_of_equality_and_hash():
+    point, uniform = exact.point_mass(3), exact.DenseDistribution(3, np.full(6, 1 / 6))
+    spec = exact.spectrum(measures.random_transposition(4))
+    params = wilson.compute_params(16)
+    flow = _flow()
+    pairs = [(point, uniform), (spec, spec._replace(eigenvalues=spec.eigenvalues[::-1], blocks=())),
+             (params, params._replace(v=params.v * 2)),
+             (flow, flow._replace(paths=dict(reversed(list(flow.paths.items())))))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert exact.SpectrumReport(spec.eigenvalues) == exact.SpectrumReport(spec.eigenvalues, 0.0,
+                                                                          0.0, ())
+    # a measure compares its weights but hashes only n
+    q2, q3 = measures.top_to_bottom_k(5, 2), measures.top_to_bottom_k(5, 3)
+    assert q2 != q3 and hash(q2) == hash(q3) == hash((5,))
+
+
+def test_record_constructor_takes_fields_by_position_or_name():
+    assert coupling.TrialStats(1, 2, 3, False) == coupling.TrialStats(1, 2, coupling_time=3,
+                                                                      censored=False)
+    for args, kwargs in (((1, 2, 3), {}), ((1, 2, 3, False, 5), {}),
+                         ((1, 2, 3, False), {"seed": 2}), ((1, 2, 3), {"censor": False})):
+        with pytest.raises(TypeError):
+            coupling.TrialStats(*args, **kwargs)
+
+
+def test_manifest_stays_mutable_with_fresh_defaults():
+    a = RunManifest("exact", ["exact"], {}, None)
+    b = RunManifest("exact", ["exact"], {}, None)
+    assert (a.version, a.started, a.finished) == (__version__, "", "")
+    assert a.outputs == {} and a.outputs is not b.outputs
+    assert a.env == run_env()
+    a.seed = 3
+    assert a.seed == 3 and a != b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_run_env_names_the_blas_build_and_the_blas_variables_set(monkeypatch):
+    for var in _BLAS_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Nehalem")
+    env = run_env()
+    assert set(env) == {"python", "numpy", "platform", "blas", "simd", "OPENBLAS_CORETYPE"}
+    assert env["OPENBLAS_CORETYPE"] == "Nehalem"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert env["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
 
 
 def test_fixture_store_write_once(tmp_path):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from functools import lru_cache
 
@@ -244,7 +243,7 @@ def test_eigenfunction_residual_is_tiny_at_the_root():
 def test_eigenfunction_residual_detects_perturbed_eigenvalue():
     p = params_for(32)
     lam = p.lam + 1e-3
-    assert eigenfunction_residual(dataclasses.replace(p, lam=lam, gamma=1 - lam.real)) > 1e-4
+    assert eigenfunction_residual(p._replace(lam=lam, gamma=1 - lam.real)) > 1e-4
 
 
 @pytest.mark.parametrize("n", (16, 32, 64))
@@ -256,7 +255,7 @@ def test_certificates_bound_sampled_lifted_states(n):
     # raising it by 1e-3 leaves (0, 1) for gamma at n = 64.
     p = params_for(n)
     lams = (p.lam, p.lam - 1e-3)
-    certs = [eigenfunction_residual(dataclasses.replace(p, lam=lam, gamma=1 - lam.real))
+    certs = [eigenfunction_residual(p._replace(lam=lam, gamma=1 - lam.real))
              for lam in lams]
     rng = np.random.default_rng(n)
     worst_r = 0.0
@@ -360,4 +359,4 @@ def test_params_enforce_the_lemma_hypotheses():
     for bad in (dict(gamma=0.0), dict(lam=0.4 + 0j, gamma=0.6), dict(r_bound=0.0),
                 dict(eps=0.0), dict(eps=1.0), dict(psi_max=1.0), dict(psi_start=1.0)):
         with pytest.raises(ValueError):
-            dataclasses.replace(p, **bad)
+            p._replace(**bad)
