@@ -2,10 +2,10 @@
 
 Each subcommand writes its payload files (JSON and CSV) plus a manifest
 recording the subcommand, full parameter set, seed, tool version, timestamps,
-the python, numpy and platform versions, and SHA-256 digests of the
-payloads.  Payload bytes are a pure function of the arguments, so replaying a
-saved manifest (``--manifest run.manifest.json``) reproduces them byte for
-byte; only the manifest's clock fields differ.
+the python, numpy, platform and BLAS build versions, numpy's SIMD features,
+the OpenBLAS variables set, and the payloads' SHA-256 digests.  Payload bytes
+are a pure function of the arguments: replaying a saved manifest (``--manifest
+run.manifest.json``) reproduces them, and only the manifest's clock fields differ.
 
 Exit codes: 0 success, 2 usage or domain error, 3 capacity cap exceeded,
 4 numeric non-convergence, 1 I/O failure.  A run that fails with 2, 3 or 4

@@ -16,11 +16,11 @@ tables for TV only (one walk loop, :func:`_walk`), the BFS for word
 lengths in the Cayley graph (:func:`cayley_distances`), and the Fourier blocks
 q^(lambda) = sum_g q(g) rho_lambda(g^{-1}) over the irreducible
 representations lambda of S_n (Diaconis 1988, ch. 3), rho_lambda in Young's
-orthogonal form.  Any walk's L2 profile and T2 (:func:`t2`) and a symmetric
-walk's spectrum are read off them; the spectrum's block eigenvalues give its
-exact T2 (:func:`spectrum_t2`) and, with a target's, the T2 bound that
-E_target <= A E_q implies (:func:`comparison_t2`); block pairs give A*
-(:func:`dirichlet_constants`).
+orthogonal form.  Any walk's L2 profile and a symmetric walk's spectrum are
+read off them, and every T2 by one search that squares blocks
+(:func:`_first_mixed`): any walk's (:func:`t2`, :func:`transfer_checks`), a
+spectrum's (:func:`spectrum_t2`), and the bound that E_target <= A E_q
+implies (:func:`comparison_t2`); block pairs give A* (:func:`dirichlet_constants`).
 One dense cap, n <= 8, covers all of these and every output of size n!;
 :func:`require_dense` is its one check.
 
@@ -38,7 +38,6 @@ stepper, :func:`_edge_chain`.  Its one reader reads every profile here.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
 from fractions import Fraction
@@ -453,54 +452,56 @@ def _symmetric_blocks(q: SparseMeasure):
         yield shape, q_hat
 
 
+def _l2(powers) -> float:
+    """d_2(q^m, pi) from the m-th powers P of q's nontrivial blocks: by
+    Plancherel, d_2^2 = sum_{lambda != (n)} d_lambda ||P||_F^2 (Diaconis 1988, ch. 3)."""
+    return math.sqrt(math.fsum(len(p) * float(np.vdot(p, p)) for p in powers))
+
+
 def _l2_distances(blocks):
-    """d_2(q^m, pi) for m = 0, 1, ..., from q's nontrivial blocks: by
-    Plancherel, d_2(q^m, pi)^2 = sum_{lambda != (n)} d_lambda ||q^(lambda)^m||_F^2
-    (Diaconis 1988, ch. 3), so each block's power takes one product a step."""
+    """d_2(q^m, pi) for m = 0, 1, ..., from q's nontrivial blocks, one product
+    per block a step: the L2 profile, which needs every m."""
     powers = [np.eye(len(b)) for b in blocks]
     while True:
-        yield math.sqrt(math.fsum(len(p) * float(np.vdot(p, p)) for p in powers))
+        yield _l2(powers)
         powers = [p @ b for p, b in zip(powers, blocks)]
 
 
 def _first_mixed(blocks) -> int:
-    """The first m >= 0 with sqrt(sum_i d_lambda b_i^(2m)) <= 1/e, by doubling
-    and bisection, for bounds b_i >= 0 on the eigenvalue moduli of each
-    nontrivial block (of length d_lambda); ValueError if some b_i > 1 - 1e-9."""
-    lens = [len(b) for b in blocks]
-    dims, b = np.repeat(np.array(lens, dtype=float), lens), np.concatenate([*blocks, []])
-    if b.max(initial=0.0) > 1 - 1e-9:
-        raise ValueError(f"walk does not mix: a nontrivial eigenvalue bound is {b.max()}")
+    """T2, the first m >= 0 with d_2 <= 1/e (:func:`_l2`), from nontrivial
+    blocks of length d_lambda: Fourier blocks, taken by @, or bounds b >= 0 on
+    a block's eigenvalue moduli, taken elementwise.  d_2 is nonincreasing in m
+    (Levin, Peres & Wilmer 2009, ch. 4), so the blocks are squared until
+    B^(2^j) mixes, then m is lifted from 2^(j-1) one bit at a time: about
+    2 log2 T2 products per block.  ValueError "walk does not mix" if d_2 > 1/e
+    at m = 2^40, as when a nontrivial block has a modulus-1 eigenvalue (bound)."""
+    def times(xs, ys):
+        return [x @ y if x.ndim == 2 else x * y for x, y in zip(xs, ys)]
 
-    def mixed(m: int) -> bool:
-        return math.sqrt(math.fsum((dims * b ** (2 * m)).tolist())) <= LP_THRESHOLD
-
-    hi = 1
-    while not mixed(hi):
-        hi *= 2
-    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2, key=mixed)
+    if not blocks:  # else d_2(q^0)^2 = sum d_lambda^2 >= 1
+        return 0
+    squares = [list(blocks)]  # squares[j]: the blocks to the power 2^j
+    while not _l2(squares[-1]) <= LP_THRESHOLD:  # NaN does not mix
+        if len(squares) > 40:
+            raise ValueError("walk does not mix: d_2 > 1/e at m = 2**40")
+        squares.append(times(squares[-1], squares[-1]))
+    m = 0  # the largest m with B^m unmixed, built high bit first
+    for j in range(len(squares) - 2, -1, -1):
+        trial = times(power, squares[j]) if m else squares[j]
+        if not _l2(trial) <= LP_THRESHOLD:
+            m, power = m + (1 << j), trial
+    return m + 1
 
 
 def t2(q: SparseMeasure) -> int:
-    """T2: the first m >= 0 with d_2(q^m, pi) <= 1/e, read off q's blocks
-    for any walk, one product per block a step.  ValueError unless every
-    nontrivial block has spectral radius at most 1 - 1e-9.
+    """T2 of any walk, by squaring q's nontrivial blocks (:func:`_first_mixed`).
 
     >>> t2(top_to_bottom_k(4, 4))
     4
     >>> t2(lazy(top_to_bottom_k(4, 4), Fraction(1, 2)))
     9
     """
-    return _t2(_nontrivial_blocks(q))
-
-
-def _t2(blocks) -> int:
-    """T2 of the walk whose nontrivial blocks these are (:func:`t2`)."""
-    radius = max((float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks), default=0.0)
-    if radius > 1 - 1e-9:
-        raise ValueError(f"walk does not mix: a nontrivial Fourier block has "
-                         f"spectral radius {radius}")
-    return next(m for m, dist in enumerate(_l2_distances(blocks)) if dist <= LP_THRESHOLD)
+    return _first_mixed(_nontrivial_blocks(q))
 
 
 def spectrum(q: SparseMeasure) -> SpectrumReport:
@@ -516,8 +517,8 @@ def spectrum(q: SparseMeasure) -> SpectrumReport:
 
 
 def spectrum_t2(spec: SpectrumReport) -> int:
-    """Exact T2 of a symmetric walk from its spectrum: its blocks are
-    symmetric, so ||q^(lambda)^m||_F^2 = sum_i beta_i^(2m) and b_i = |beta_i|."""
+    """Exact T2 of a symmetric walk from its spectrum by :func:`_first_mixed`:
+    its blocks are symmetric, so ||q^(lambda)^m||_F^2 = sum_i |beta_i|^(2m)."""
     return _first_mixed([np.abs(beta) for beta in spec.blocks])
 
 
@@ -624,11 +625,10 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     doubling bound holds vacuously; the lazy pair lazy(q)* (*) lazy(q) always
     generates and is checked too.
 
-    Every T2 is read off one transform of q, its nontrivial blocks B
-    (:func:`_blocks`), by block algebra.  With q^(lambda) = sum_g q(g)
-    rho(g^{-1}), a convolution's blocks are (a * b)^ = b^ a^, in that order,
-    since rho((h u)^{-1}) = rho(u^{-1}) rho(h^{-1}) puts the second step's
-    factor first; the reversal q*'s blocks are the transposes B^T, since
+    Every T2 is found by :func:`_first_mixed` from one transform of q, its
+    nontrivial blocks B (:func:`_blocks`), by block algebra.  With q^(lambda)
+    = sum_g q(g) rho(g^{-1}), a convolution's blocks are (a * b)^ = b^ a^, as
+    rho((h u)^{-1}) = rho(u^{-1}) rho(h^{-1}); the reversal q*'s are B^T, as
     rho(g) = rho(g^{-1})^T in the orthogonal form; and lazy_p(q)'s are
     L = p B + (1 - p) I.  So q * q* has blocks B^T B and the lazy pair
     lazy(q)* * lazy(q) has L L^T (Diaconis 1988, ch. 3).  q and
@@ -652,9 +652,9 @@ def transfer_checks(n: int, k: int, p=Fraction(1, 2),
     vacuous = k < n
     blocks = _nontrivial_blocks(q)
     lazy_blocks = [float(p) * b + float(1 - p) * np.eye(len(b)) for b in blocks]
-    t_l2, t_l2_lazy = _t2(blocks), _t2(lazy_blocks)
-    t_qq = None if vacuous else _t2([b.T @ b for b in blocks])
-    t_pair = _t2([b @ b.T for b in lazy_blocks])
+    t_l2, t_l2_lazy = _first_mixed(blocks), _first_mixed(lazy_blocks)
+    t_qq = None if vacuous else _first_mixed([b.T @ b for b in blocks])
+    t_pair = _first_mixed([b @ b.T for b in lazy_blocks])
     rows = []
     for eps in eps_grid:
         bound = max((2 + eps) / float(p) * t_tv, 80.0 / (float(p) * eps * eps))

@@ -146,9 +146,9 @@ def sha256_hex(data: bytes) -> str:
 
 def run_env() -> dict:
     """The versions payload bytes may depend on: python, numpy, the platform
-    (exact tails and spectra depend on numpy's summation order), the BLAS
-    build and numpy's found SIMD features, and the OpenBLAS kernel and thread
-    variables that are set (Fourier payloads depend on the BLAS kernel)."""
+    (numpy's summation order), the BLAS build (``blas``), numpy's found SIMD
+    features and the OpenBLAS variables set.  The kernel OpenBLAS runs, which
+    Fourier payloads depend on, is recorded only when OPENBLAS_CORETYPE is set."""
     uname = os.uname() if hasattr(os, "uname") else None
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]

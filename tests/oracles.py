@@ -183,6 +183,24 @@ def symmetrized(pairs):
     return list(acc.items())
 
 
+def comparison_t2_scan(target_blocks, beta_min, a):
+    """The comparison T2 bound by a plain scan over m = 0, 1, ...: each
+    eigenvalue beta of a target block of length d gives the term
+    d * b^(2m), b = max(1 - (1 - beta)/a, max(0, -beta_min)), and the bound is
+    the first m at which the square root of the terms' sum is at most 1/e
+    (Diaconis & Saloff-Coste 1993).  target_blocks holds each nontrivial
+    block's eigenvalues."""
+    beta_minus = max(0.0, -beta_min)
+    terms = [(len(block), max(1 - (1 - beta) / a, beta_minus))
+             for block in target_blocks for beta in block]
+    powers, squares = [d for d, _ in terms], [b * b for _, b in terms]
+    m = 0
+    while sqrt(fsum(powers)) > 1 / math.e:
+        powers = [x * y for x, y in zip(powers, squares)]
+        m += 1
+    return m
+
+
 class DictTable:
     """S_n as itertools.permutations tuples (lexicographic, so rank order),
     a dict from tuple to rank, and rank tables built one tuple at a time

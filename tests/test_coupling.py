@@ -14,7 +14,6 @@ from oracles import (
     bottom_k_to_top_move,
     bottom_k_to_top_step,
     coupon_tail,
-    densify,
     full_deck_coupling_tail,
     pair_coupling_tail,
     sampled_unselected_tail,

@@ -12,6 +12,7 @@ import shufflemix.exact as exact
 from oracles import (
     bfs_distances_nx,
     brute_power,
+    comparison_t2_scan,
     convolve_measures,
     densify,
     dict_table,
@@ -34,6 +35,7 @@ from shufflemix.errors import CapacityError
 from shufflemix.exact import (
     DenseDistribution,
     cayley_distances,
+    comparison_t2,
     convolve_step,
     coupling_tail,
     group_table,
@@ -545,9 +547,11 @@ _HALF_AND_THIRD = [(n, k, p) for n in range(2, 8) for k in range(2, n + 1)
                    for p in (Fraction(1, 2), Fraction(1, 3))]
 
 
+# at p = 1/100 the lazy T2s reach 100 to 1315, which the search lifts by up to 10 bits
 @pytest.mark.parametrize("n,k,p", [
     pytest.param(n, k, p, id=f"n{n}k{k}p{p.numerator}-{p.denominator}")
-    for n, k, p in _HALF_AND_THIRD])
+    for n, k, p in _HALF_AND_THIRD + [(n, k, Fraction(1, 100)) for n in range(2, 7)
+                                      for k in range(2, n + 1)]])
 def test_transfer_engines_match_the_dense_oracle(n, k, p):
     q = top_to_bottom_k(n, k)
     lq = lazy(q, p)
@@ -611,6 +615,33 @@ def test_spectral_t2_of_the_comparison_walks_matches_the_dense_oracle(n):
     for walk in walks:
         want = hitting_time(walk, "l2")
         assert t2(walk) == spectrum_t2(spectrum(walk)) == want
+
+
+# random transposition against sym tbk; at A = 10^4 the bound (10^4 to 10^5
+# steps, up to 16 lifted bits) barely depends on k, so one k is scanned there
+@pytest.mark.parametrize("n,a", [(n, a) for n in range(2, 8) for a in (1, 30, 1e3, 1e4)])
+def test_comparison_t2_matches_a_plain_scan(n, a):
+    target = spectrum(random_transposition(n))
+    blocks = [beta.tolist() for beta in target.blocks]
+    for k in range(2, n + 1) if a < 1e4 else [2]:
+        q = spectrum(symmetrize(top_to_bottom_k(n, k)))
+        assert comparison_t2(target, q, a) == comparison_t2_scan(blocks, q.beta_min, a), k
+
+
+def test_t2_of_the_one_card_deck_is_zero():
+    # no nontrivial block: d_2 is 0 from the start
+    assert t2(delta_e(1)) == spectrum_t2(spectrum(delta_e(1))) == 0
+
+
+def test_spectrum_t2_refuses_a_walk_on_a_proper_subgroup_as_t2_does():
+    # half e, half (1 2): symmetric, and it never moves cards 3 and 4
+    q = SparseMeasure.from_pairs(4, [(identity(4), Fraction(1, 2)),
+                                     (transposition(1, 2, 4), Fraction(1, 2))])
+    with pytest.raises(ValueError, match="walk does not mix") as by_blocks:
+        t2(q)
+    with pytest.raises(ValueError, match="walk does not mix") as by_spectrum:
+        spectrum_t2(spectrum(q))
+    assert str(by_spectrum.value) == str(by_blocks.value)
 
 
 @pytest.mark.parametrize("n,k,times", [(6, 6, 27), (6, 3, 21)])

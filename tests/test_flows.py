@@ -70,7 +70,6 @@ from shufflemix.perms import (
     identity,
     inverse,
     rank,
-    serialize,
     transposition,
 )
 from shufflemix.report import csv_bytes, json_bytes

@@ -19,7 +19,7 @@ from shufflemix.measures import (
     symmetrize,
     top_to_bottom_k,
 )
-from shufflemix.perms import Permutation, compose, cycle_generator, identity, inverse, rank, transposition
+from shufflemix.perms import Permutation, cycle_generator, identity, inverse, rank, transposition
 
 HALF = Fraction(1, 2)
 

@@ -21,7 +21,6 @@ from shufflemix.wilson import (
     newton_root,
     step_bound,
     unit_root,
-    v_list,
     wilson_poly,
     wilson_report,
 )
